@@ -3,7 +3,8 @@
 Subcommands: ``classify`` (channel taxonomy report), ``fridge`` (cooling-run
 report), ``experiment`` (batch runs writing trace JSONL + summary CSV + a run
 manifest).  Exit codes are a stable contract: 0 success, 2 input error, 3
-non-CP channel, 4 infeasible cooling, 5 assertion failure.
+non-CP channel, 4 infeasible cooling, 5 assertion failure (including a
+diamond-distance estimate that did not stabilize).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .bounds import (
 )
 from .channels import (
     ChannelError,
+    EstimationError,
     amplitude_damping_kraus,
     channel_from_dict,
     kraus_to_superop,
@@ -95,6 +97,8 @@ def cmd_classify(channel_file, relax_targets):
         report = classification_report(channel)
     except (OSError, ValueError, KeyError, json.JSONDecodeError, ChannelError) as exc:
         _fail(EXIT_INPUT, f"error: {exc}")
+    except EstimationError as exc:
+        _fail(EXIT_ASSERTION, f"assertion failure: {exc}")
     table = []
     for item in filter(None, (s.strip() for s in relax_targets.split(","))):
         try:
@@ -102,6 +106,8 @@ def cmd_classify(channel_file, relax_targets):
             rep = relaxation_time(channel, target, distance_kwargs={"restarts": 16})
         except (ValueError, ChannelError) as exc:
             _fail(EXIT_INPUT, f"error: {exc}")
+        except EstimationError as exc:
+            _fail(EXIT_ASSERTION, f"assertion failure: {exc}")
         table.append({"target": target, "steps": rep.steps, "achieved": rep.achieved_distance})
     report["relaxation_table"] = table
     click.echo(json.dumps(report, indent=2, sort_keys=True))
@@ -140,6 +146,8 @@ def cmd_fridge(q, eps2, r_block, noise_file):
         _fail(EXIT_INFEASIBLE, f"error: no cooling possible: {exc}")
     except (OSError, ValueError, KeyError, json.JSONDecodeError, ChannelError) as exc:
         _fail(EXIT_INPUT, f"error: {exc}")
+    except EstimationError as exc:
+        _fail(EXIT_ASSERTION, f"assertion failure: {exc}")
     click.echo(json.dumps(report, indent=2, sort_keys=True))
 
 
@@ -172,7 +180,7 @@ def cmd_experiment(name, config_path, seed, out_dir, mode, sim):
     try:
         records, summary_rows = runners[name](config, seed, mode, sim)
         failed = None
-    except (SimulationError, CoolingError) as exc:
+    except (SimulationError, CoolingError, EstimationError) as exc:
         records, summary_rows = [], None
         failed = str(exc)
     except (ValueError, KeyError, ChannelError, ClassificationError) as exc:

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelError, SuperOp, channel_distance, identity_channel, kraus_to_superop
-from .densim import apply_single_qubit_superop, apply_unitary, partial_trace
-
-MAX_ENUM_QUBITS = 20
+from .densim import MAX_QUBITS, apply_single_qubit_superop, apply_unitary, partial_trace
 
 
 class CoolingError(ChannelError):
@@ -35,9 +33,10 @@ class FridgeSpec:
 
     ``q`` is the minority population of the (rotated) fixed point, so q < 1/2
     strictly.  ``permutation[x]`` is the output basis label for input label x.
-    ``stages`` holds the compiled circuit as a list of 2^R permutation
-    unitaries; ``f_count`` counts locations = stages x R, idle qubits included
-    as waits.
+    ``stages`` holds the compiled circuit as a tuple of ``np.intp`` index
+    arrays, one per stage: ``(x, y)`` swaps basis labels x and y, and an empty
+    array is a wait stage.  Their product, in order, is ``permutation``.
+    ``f_count`` counts locations = stages x R, idle qubits included as waits.
     """
 
     q: float
@@ -50,6 +49,7 @@ class FridgeSpec:
     def __post_init__(self):
         if not 0 <= self.q < 0.5:
             raise CoolingError(f"bias q={self.q} must lie in [0, 1/2)")
+        _check_register_cap(self.r_block)
         if sorted(self.permutation) != list(range(2**self.r_block)):
             raise CoolingError("permutation is not a bijection on basis states")
         if self.f_count < self.r_block:
@@ -61,6 +61,38 @@ class FridgeSpec:
         for x, y in enumerate(self.permutation):
             u[y, x] = 1.0
         return u
+
+    def stage_unitary(self, i: int) -> np.ndarray:
+        """Dense 2^R x 2^R unitary of stage i (identity for a wait stage)."""
+        u = np.eye(2**self.r_block, dtype=complex)
+        _swap_rows(u, self.stages[i])
+        return u
+
+
+def _check_register_cap(r: int) -> None:
+    # every 2^R enumeration and dense 2^R x 2^R state sits behind this check
+    if r > MAX_QUBITS:
+        raise ChannelError(f"block size {r} exceeds the {MAX_QUBITS}-qubit register cap")
+
+
+def _swap_rows(a: np.ndarray, stage: np.ndarray) -> None:
+    """Swap the rows a stage transposes, in place; a wait stage is a no-op."""
+    a[stage] = a[stage[::-1]]
+
+
+def apply_permutation(rho: np.ndarray, spec: FridgeSpec, blocks: int = 1) -> np.ndarray:
+    """rho -> P rho P^T with the compiled permutation P acting on each of the
+    last `blocks` R-qubit blocks of the register; leading qubits are idle.
+
+    An exact index gather, so it equals the product of the 0/1 stage matrices
+    bit for bit.
+    """
+    dim = 2**spec.r_block
+    inverse = np.argsort(spec.permutation)
+    index = np.arange(rho.shape[0] // dim**blocks)
+    for _ in range(blocks):
+        index = (index[:, None] * dim + inverse).ravel()
+    return rho[np.ix_(index, index)]
 
 
 @dataclass(frozen=True)
@@ -132,8 +164,7 @@ def build_cooling_circuit(
     """
     if not 0 <= q < 0.5:
         raise CoolingError(f"bias q={q} must lie in [0, 1/2)")
-    if r > MAX_ENUM_QUBITS:
-        raise CoolingError(f"block size {r} exceeds enumeration cap {MAX_ENUM_QUBITS}")
+    _check_register_cap(r)
     probs = _block_probabilities(q, r)
     order = sorted(range(2**r), key=lambda x: (-probs[x], x))
     permutation = [0] * 2**r
@@ -156,14 +187,9 @@ def build_cooling_circuit(
         for other in cycle[1:]:
             transpositions.append((cycle[0], other))
 
-    dim = 2**r
-    stages = []
-    for x, y in transpositions:
-        u = np.eye(dim, dtype=complex)
-        u[[x, y]] = u[[y, x]]
-        stages.append(u)
+    stages = [np.array(pair, dtype=np.intp) for pair in transpositions]
     if not stages:
-        stages.append(np.eye(dim, dtype=complex))  # wait stage
+        stages.append(np.array([], dtype=np.intp))  # wait stage
     if pre_rotation is None:
         pre_rotation = np.eye(2, dtype=complex)
     return FridgeSpec(
@@ -209,9 +235,7 @@ def run_fridge_ideal(spec: FridgeSpec, rho_in: np.ndarray | None = None) -> Cool
         raise CoolingError("input state dimension does not match block size")
     for q_idx in range(r):
         rho = apply_unitary(rho, spec.pre_rotation, [q_idx], r)
-    for stage in spec.stages:
-        rho = apply_unitary(rho, stage, list(range(r)), r)
-    return _report(rho, r, "ideal")
+    return _report(apply_permutation(rho, spec), r, "ideal")
 
 
 def run_fridge_noisy(
@@ -234,7 +258,10 @@ def run_fridge_noisy(
         rho = apply_unitary(rho, spec.pre_rotation, [q_idx], r)
     nat = noise.natural()
     for stage in spec.stages:
-        rho = apply_unitary(rho, stage, list(range(r)), r)
+        # rho -> S rho S^T in place: swap the stage's rows, then its columns.
+        # The pre-rotations left rho a fresh array, so rho_in is not touched.
+        _swap_rows(rho, stage)
+        _swap_rows(rho.T, stage)
         for q_idx in range(r):
             rho = apply_single_qubit_superop(rho, nat, q_idx, r)
     report = _report(rho, r, "noisy")

@@ -35,7 +35,7 @@ from .densim import (
     partial_trace,
 )
 from .experiments import TraceRecord
-from .fridge import FridgeSpec, build_cooling_circuit, choose_R
+from .fridge import FridgeSpec, apply_permutation, build_cooling_circuit, choose_R
 
 MODE_EXACT = "exact"
 MODE_FACTORIZED = "factorized"
@@ -338,11 +338,7 @@ def _cycle_exact(rho3, drawn, spec, correction, nat, r):
     rho = rho3
     for state in drawn:
         rho = np.kron(rho, state)
-    stage_layers = [
-        [(stage, tuple(range(3, 3 + r))), (stage, tuple(range(3 + r, 3 + 2 * r)))]
-        for stage in spec.stages
-    ]
-    rho = _apply_layers(rho, stage_layers, n)
+    rho = apply_permutation(rho, spec, blocks=2)
     rho = _apply_layers(rho, correction, n)
     return _noise_only(rho, n, nat, 1)
 
@@ -355,8 +351,7 @@ def _cycle_factorized(rho3, drawn, spec, correction, nat, r):
         block = np.array([[1.0]], dtype=complex)
         for state in drawn[b * r:(b + 1) * r]:
             block = np.kron(block, state)
-        stage_layers = [[(stage, tuple(range(r)))] for stage in spec.stages]
-        block = _apply_layers(block, stage_layers, r)
+        block = apply_permutation(block, spec)
         resets.append(partial_trace(block, [0], r))
         wastes.extend(partial_trace(block, [i], r) for i in range(1, r))
     # correction with the two resets injected as product ancillas

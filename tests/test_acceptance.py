@@ -271,7 +271,8 @@ def test_criterion_8_fridge_exactness():
     for q, r in ((0.1, 3), (0.2, 3), (0.3, 4)):
         spec = build_cooling_circuit(q, r)
         rho = np.diag(_block_probabilities(q, r)).astype(complex)
-        for stage in spec.stages:
+        for i in range(len(spec.stages)):
+            stage = spec.stage_unitary(i)
             rho = stage @ rho @ stage.conj().T
         eigs = np.linalg.eigvalsh(rho).real
         s_out = -sum(x * math.log2(x) for x in eigs if x > 1e-15)

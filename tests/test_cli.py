@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qfridge.channels import amplitude_damping_kraus, dephasing_kraus, kraus_to_dict
+from qfridge import cli
+from qfridge.channels import EstimationError, amplitude_damping_kraus, dephasing_kraus, kraus_to_dict
 from qfridge.cli import main
 
 
@@ -152,3 +153,44 @@ def test_experiment_fridge_protocol(runner, tmp_path):
     lines = (out / "trace.jsonl").read_text().strip().split("\n")
     assert len(lines) == 4
     assert "stale_logical_fidelity" in json.loads(lines[-1])
+
+
+def test_fridge_register_cap_exit_2(runner):
+    result = runner.invoke(main, ["fridge", "--q", "0.1", "--r", "13"])
+    assert result.exit_code == 2
+    assert "register cap" in result.output
+    assert "no cooling possible" not in result.output
+
+
+def _raise_estimation_error(*args, **kwargs):
+    raise EstimationError("diamond distance refinement did not stabilize")
+
+
+@pytest.mark.parametrize(
+    "target, args",
+    [
+        ("classification_report", ["classify", "CHANNEL"]),
+        ("relaxation_time", ["classify", "CHANNEL", "--relax-targets", "0.1"]),
+        ("run_fridge_ideal", ["fridge", "--q", "0.1", "--r", "3"]),
+    ],
+)
+def test_estimation_error_exit_5(runner, tmp_path, monkeypatch, target, args):
+    monkeypatch.setattr(cli, target, _raise_estimation_error)
+    channel = write_channel(tmp_path / "ad.json", amplitude_damping_kraus(0.1))
+    result = runner.invoke(main, [channel if a == "CHANNEL" else a for a in args])
+    assert result.exit_code == 5
+    assert "did not stabilize" in result.output
+
+
+def test_experiment_estimation_error_writes_partial_outputs(runner, tmp_path, monkeypatch):
+    # handled like a SimulationError: outputs are written before the exit
+    monkeypatch.setattr(cli, "run_refrigerator_protocol", _raise_estimation_error)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"p": 0.02, "cycles": 4, "storage_T": 20}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", "fridge_protocol", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 5
+    assert "did not stabilize" in result.output
+    assert (out / "trace.jsonl").read_text().strip() == ""
+    assert "did not stabilize" in (out / "summary.csv").read_text()
+    assert json.loads((out / "manifest.json").read_text())["command"] == "experiment fridge_protocol"

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfridge.channels import amplitude_damping_kraus, kraus_to_superop
+from qfridge.channels import ChannelError, amplitude_damping_kraus, kraus_to_superop
+from qfridge.densim import apply_single_qubit_superop, apply_unitary, partial_trace
 from qfridge.fridge import (
     CoolingError,
     FridgeSpec,
     _block_probabilities,
+    apply_permutation,
     build_cooling_circuit,
     choose_R,
     run_fridge_ideal,
@@ -72,10 +76,28 @@ def test_choose_r_center_infeasible():
 
 
 def test_spec_validation():
+    wait = (np.array([], dtype=np.intp),)
     with pytest.raises(CoolingError):
-        FridgeSpec(q=0.6, r_block=2, permutation=(0, 1, 2, 3), pre_rotation=np.eye(2), stages=(np.eye(4),), f_count=2)
+        FridgeSpec(q=0.6, r_block=2, permutation=(0, 1, 2, 3), pre_rotation=np.eye(2), stages=wait, f_count=2)
     with pytest.raises(CoolingError):
-        FridgeSpec(q=0.1, r_block=2, permutation=(0, 0, 2, 3), pre_rotation=np.eye(2), stages=(np.eye(4),), f_count=2)
+        FridgeSpec(q=0.1, r_block=2, permutation=(0, 0, 2, 3), pre_rotation=np.eye(2), stages=wait, f_count=2)
+
+
+def test_register_cap_is_an_input_error():
+    # checked before any 2^R enumeration, and not reported as infeasible cooling
+    with pytest.raises(ChannelError, match="register cap") as info:
+        build_cooling_circuit(0.1, 13)
+    assert not isinstance(info.value, CoolingError)
+    with pytest.raises(ChannelError, match="register cap"):
+        FridgeSpec(q=0.1, r_block=13, permutation=(), pre_rotation=np.eye(2), stages=(), f_count=13)
+
+
+def test_stages_are_transposition_index_maps():
+    spec = build_cooling_circuit(0.1, 3)
+    assert all(stage.dtype == np.intp for stage in spec.stages)
+    assert [tuple(stage) for stage in spec.stages] == [(3, 4)]
+    wait = build_cooling_circuit(0.1, 2).stages
+    assert len(wait) == 1 and wait[0].dtype == np.intp and wait[0].size == 0
 
 
 def test_build_cooling_circuit_q01_r3():
@@ -85,8 +107,8 @@ def test_build_cooling_circuit_q01_r3():
     assert len(spec.stages) == 1 and spec.f_count == 3
     # stage product realizes the permutation
     u = np.eye(8)
-    for stage in spec.stages:
-        u = stage @ u
+    for i in range(len(spec.stages)):
+        u = spec.stage_unitary(i) @ u
     assert np.allclose(u, spec.permutation_unitary())
 
 
@@ -94,7 +116,7 @@ def test_identity_permutation_gets_wait_stage():
     spec = build_cooling_circuit(0.1, 2)
     assert spec.permutation == (0, 1, 2, 3)
     assert len(spec.stages) == 1 and spec.f_count == 2
-    assert np.allclose(spec.stages[0], np.eye(4))
+    assert np.allclose(spec.stage_unitary(0), np.eye(4))
 
 
 def test_ideal_run_reset_population():
@@ -154,6 +176,65 @@ def test_noisy_run_within_location_bound():
     ideal = run_fridge_ideal(spec)
     # noise is weak: the noisy reset stays in the same ballpark
     assert report.reset_distance < ideal.reset_distance + 3 * spec.f_count * 0.04
+
+
+def _random_psd(rng, dim, rank=None):
+    g = rng.normal(size=(dim, rank or dim)) + 1j * rng.normal(size=(dim, rank or dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+_biases = st.floats(0, 0.5, exclude_max=True)
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=_biases, r=st.integers(1, 6), seed=_seeds)
+def test_index_map_ideal_run_equals_dense_permutation(q, r, seed):
+    spec = build_cooling_circuit(q, r)
+    rho = _random_psd(np.random.default_rng(seed), 2**r)
+    p = spec.permutation_unitary()
+    dense = p @ rho @ p.T
+    assert np.array_equal(apply_permutation(rho, spec), dense)
+    report = run_fridge_ideal(spec, rho_in=rho)
+    assert np.array_equal(report.reset_state, partial_trace(dense, [0], r))
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=_biases, r=st.integers(1, 6), gamma=st.floats(0, 0.2), seed=_seeds)
+def test_noisy_run_matches_dense_stage_by_stage_reference(q, r, gamma, seed):
+    spec = build_cooling_circuit(q, r)
+    rho = _random_psd(np.random.default_rng(seed), 2**r)
+    noise = kraus_to_superop(amplitude_damping_kraus(gamma))
+    report = run_fridge_noisy(spec, noise, rho_in=rho, check_bound=False)
+    # reference: every stage as a dense 2^R x 2^R unitary, R noise passes each
+    nat = noise.natural()
+    ref = rho
+    for q_idx in range(r):
+        ref = apply_unitary(ref, spec.pre_rotation, [q_idx], r)
+    for i in range(len(spec.stages)):
+        ref = apply_unitary(ref, spec.stage_unitary(i), list(range(r)), r)
+        for q_idx in range(r):
+            ref = apply_single_qubit_superop(ref, nat, q_idx, r)
+    assert np.max(np.abs(report.reset_state - partial_trace(ref, [0], r))) <= 1e-12
+    if r > 1:
+        waste = np.linalg.eigvalsh(partial_trace(ref, list(range(1, r)), r))
+        waste = waste[waste > 1e-12]
+        assert abs(report.waste_entropy + np.sum(waste * np.log2(waste))) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=_biases, r=st.integers(1, 4), seed=_seeds)
+def test_two_block_gather_matches_dense_permutation_on_both_blocks(q, r, seed):
+    # the exact-mode protocol register: 3 data qubits, then two R-qubit blocks;
+    # R = 4 is the first size whose permutation is not its own inverse
+    spec = build_cooling_circuit(q, r)
+    n = 3 + 2 * r
+    rho = _random_psd(np.random.default_rng(seed), 2**n, rank=4)
+    p = spec.permutation_unitary()
+    dense = apply_unitary(rho, p, list(range(3, 3 + r)), n)
+    dense = apply_unitary(dense, p, list(range(3 + r, n)), n)
+    assert np.array_equal(apply_permutation(rho, spec, blocks=2), dense)
 
 
 def test_input_dimension_check():
