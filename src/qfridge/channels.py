@@ -181,7 +181,11 @@ class PauliChannelParams:
 
 
 class ChannelDistance(NamedTuple):
-    """Sandwich estimate of the diamond distance between two channels."""
+    """Two values of the diamond-distance maximization between two channels.
+
+    Both are attained by some input, so both are lower bounds on the diamond
+    distance; ``upper`` is the larger, ascent-refined one.
+    """
 
     lower: float
     upper: float
@@ -386,18 +390,22 @@ def replacement_channel(p: BlochVector) -> SuperOp:
 
 
 # ---------------------------------------------------------------------------
-# diamond distance sandwich
+# diamond distance estimates
 # ---------------------------------------------------------------------------
 
 
 def _apply_system_superop(nat: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Apply a single-qubit superop (natural rep) to the first qubit of a
-    two-qubit matrix."""
-    t = rho.reshape(2, 2, 2, 2)  # ket0, ket1, bra0, bra1
-    t = t.transpose(0, 2, 1, 3).reshape(4, 4)  # (ket0 bra0), (ket1 bra1)
+    """Apply a single-qubit superop (natural rep) to the first qubit of each
+    two-qubit matrix in a ``(..., 4, 4)`` stack."""
+    lead = rho.shape[:-2]
+    t = rho.reshape(*lead, 2, 2, 2, 2)  # ket0, ket1, bra0, bra1
+    t = t.swapaxes(-3, -2).reshape(*lead, 4, 4)  # (ket0 bra0), (ket1 bra1)
     t = nat @ t
-    t = t.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    return t
+    return t.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -2).reshape(*lead, 4, 4)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def _trace_norm(m: np.ndarray) -> float:
@@ -412,16 +420,22 @@ def channel_distance(
     tol: float = 1e-12,
     seed: int = 0,
 ) -> ChannelDistance:
-    """Sandwich estimate of the diamond distance between two channels.
+    """Two attained values of the diamond-distance maximization.
 
-    The lower endpoint is the trace norm of the normalized Choi difference
-    (the value of the defining maximization at the maximally entangled
-    input).  The upper endpoint refines that maximization over pure inputs on
-    system plus one ancilla qubit by alternating ascent with random restarts:
-    for a fixed input the optimal observable is the sign of the output
-    difference, and for a fixed observable the optimal input is the top
-    eigenvector of the pulled-back observable.  Both steps are monotone, so
-    every restart converges; the best stabilized value is reported.
+    ``lower`` is the trace norm of the normalized Choi difference (the value
+    of the defining maximization at the maximally entangled input).
+    ``upper`` refines that maximization over pure inputs on system plus one
+    ancilla qubit by alternating ascent with random restarts: for a fixed
+    input the optimal observable is the sign of the output difference, and
+    for a fixed observable the optimal input is the top eigenvector of the
+    pulled-back observable.  Both steps are monotone; the best value over all
+    restarts is reported.  Each endpoint is the value at some input, so both
+    are *lower* bounds on the diamond distance, with ``lower <= upper``.
+
+    The restarts advance together as one ``(k, 4, 4)`` stack; a restart whose
+    value moves by less than ``tol`` leaves the stack with that value.
+    Raises :class:`EstimationError` when no restart does so within
+    ``max_iter`` iterations.
     """
     delta_nat = a.natural() - b.natural()
     delta_adj = delta_nat.conj().T
@@ -434,29 +448,24 @@ def channel_distance(
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         starts.append(v / np.linalg.norm(v))
 
-    best = 0.0
-    any_converged = False
-    for psi in starts:
-        val = 0.0
-        for _ in range(max_iter):
-            out = _apply_system_superop(delta_nat, np.outer(psi, psi.conj()))
-            out = 0.5 * (out + out.conj().T)
-            eigvals, eigvecs = np.linalg.eigh(out)
-            new_val = float(np.sum(np.abs(eigvals)))
-            witness = (eigvecs * np.sign(eigvals)) @ eigvecs.conj().T
-            pulled = _apply_system_superop(delta_adj, witness)
-            pulled = 0.5 * (pulled + pulled.conj().T)
-            pvals, pvecs = np.linalg.eigh(pulled)
-            psi = pvecs[:, -1]
-            if abs(new_val - val) < tol:
-                any_converged = True
-                val = new_val
-                break
-            val = new_val
-        best = max(best, val)
-    if not any_converged:
+    psi = np.stack(starts)  # (k, 4): the inputs of the restarts still active
+    vals = np.zeros(len(starts))
+    active = np.arange(len(starts))
+    for _ in range(max_iter):
+        out = _apply_system_superop(delta_nat, psi[:, :, None] * psi[:, None, :].conj())
+        eigvals, eigvecs = np.linalg.eigh(_hermitian_part(out))
+        new_vals = np.sum(np.abs(eigvals), axis=-1)
+        keep = ~(np.abs(new_vals - vals[active]) < tol)  # a NaN value never converges
+        vals[active] = new_vals
+        active, eigvals, eigvecs = active[keep], eigvals[keep], eigvecs[keep]
+        if not active.size:
+            break
+        witness = (eigvecs * np.sign(eigvals)[:, None, :]) @ eigvecs.conj().swapaxes(-1, -2)
+        pulled = _apply_system_superop(delta_adj, witness)
+        psi = np.linalg.eigh(_hermitian_part(pulled))[1][:, :, -1]
+    if active.size == len(vals):  # no restart converged
         raise EstimationError("diamond distance refinement did not stabilize")
-    return ChannelDistance(lower=lower, upper=max(best, lower))
+    return ChannelDistance(lower=lower, upper=max(float(vals.max()), lower))
 
 
 # ---------------------------------------------------------------------------

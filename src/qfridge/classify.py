@@ -77,7 +77,9 @@ class ChannelClass:
 @dataclass(frozen=True)
 class RelaxationReport:
     """Minimal step count bringing C^T within `target` of the replacement
-    channel at the fixed point (diamond-distance upper estimate)."""
+    channel at the fixed point, as measured by the ascent value
+    ``channel_distance(...).upper`` (itself a lower bound on the diamond
+    distance)."""
 
     steps: int
     achieved_distance: float
@@ -125,7 +127,9 @@ def relaxation_time(
 ) -> RelaxationReport:
     """Minimal T with dist(C^T, C_P) below `target`, by doubling then bisection.
 
-    Uses the upper endpoint of the diamond-distance sandwich; strictly
+    Uses ``channel_distance(...).upper``, the ascent value, which is attained
+    by some input and so is a lower bound on the diamond distance: the
+    returned T can undercount the true relaxation time.  Strictly
     contractive channels approach the replacement channel geometrically, so
     the predicate is monotone in T for the search's purposes.
     """

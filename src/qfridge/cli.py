@@ -260,7 +260,6 @@ def _run_fridge_protocol(config, seed, mode, sim):
     cfg = ProtocolConfig(
         d_prime=config.get("cycles", 50),
         r_block=config.get("r_block", 2),
-        eps0=config.get("eps0", 0.1),
         eps1=config.get("eps1", 0.1),
         eps2=config.get("eps2", 0.2),
         storage_T=config.get("storage_T"),

@@ -10,7 +10,6 @@ Registers are capped at 12 qubits (dense 4096x4096 complex matrices).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -121,15 +120,6 @@ class QRegister:
         return tuple(i for i, r in enumerate(self.roles) if r != REFERENCE)
 
     @classmethod
-    def from_kets(cls, kets: Sequence[np.ndarray], roles: Sequence[str] | None = None):
-        state = np.array([1.0], dtype=complex)
-        for ket in kets:
-            ket = np.asarray(ket, dtype=complex)
-            state = np.kron(state, ket / np.linalg.norm(ket))
-        rho = np.outer(state, state.conj())
-        return cls(rho, roles or [DATA] * len(kets))
-
-    @classmethod
     def from_product(cls, states: Sequence[np.ndarray], roles: Sequence[str] | None = None):
         """Product of single-qubit density matrices."""
         rho = np.array([[1.0]], dtype=complex)
@@ -154,7 +144,7 @@ def epr_register(extra_system: int = 0) -> QRegister:
 
 
 # ---------------------------------------------------------------------------
-# low-level matrix updates (also used by the channel-distance estimator)
+# low-level matrix updates
 # ---------------------------------------------------------------------------
 
 
@@ -353,9 +343,3 @@ def layer_from_dict(doc: dict, max_arity: int | None = None) -> GateLayer:
             )
         gates.append((u, g["targets"]))
     return GateLayer(gates, max_arity=max_arity)
-
-
-def load_circuit(path, max_arity: int | None = None) -> list:
-    with open(path) as fh:
-        layers = json.load(fh)
-    return [layer_from_dict(doc, max_arity=max_arity) for doc in layers]

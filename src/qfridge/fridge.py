@@ -247,8 +247,10 @@ def run_fridge_noisy(
     """Cooling with one noise application per location (R per stage).
 
     When `check_bound` is set, asserts the run stays within the ideal reset
-    distance plus F x d, where d is the diamond-distance upper estimate of the
-    noise against the identity (10% slack for estimator looseness).
+    distance plus F x d, where d is ``channel_distance(...).upper`` of the
+    noise against the identity.  That value is attained by some input, so it
+    is a lower bound on the diamond distance; the 10% slack is meant to
+    absorb the gap and is not a proven margin.
     """
     r = spec.r_block
     rho = _thermal_block(spec.q, r) if rho_in is None else np.asarray(rho_in, dtype=complex)

@@ -56,7 +56,6 @@ class ProtocolConfig:
     n_prime: int = 5  # computation-component qubits: 3 data + 2 ancilla slots
     d_prime: int = 50  # cycles
     r_block: int | None = None  # block size; sized from (q, eps2) when omitted
-    eps0: float = 0.1
     eps1: float = 0.1
     eps2: float = 0.2
     storage_T: int | None = None  # computed from eps1 when omitted

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfridge.channels import (
     BlochVector,
     CanonicalForm,
     ChannelError,
+    EstimationError,
     KrausSet,
     SuperOp,
     amplitude_damping_kraus,
@@ -239,6 +242,88 @@ class TestChannelDistance:
         b = replacement_channel(BlochVector([0, 0, -1.0]))
         d = channel_distance(a, b, restarts=8)
         assert abs(d.upper - 2.0) < 1e-9
+
+    def test_no_converged_restart_raises(self):
+        # the first iteration compares against 0, so a nonzero distance
+        # cannot stabilize within one iteration
+        a = kraus_to_superop(dephasing_kraus(0.1))
+        b = kraus_to_superop(identity_channel())
+        with pytest.raises(EstimationError):
+            channel_distance(a, b, max_iter=1)
+
+
+def _apply_system_superop_2d(nat, rho):
+    t = rho.reshape(2, 2, 2, 2)
+    t = t.transpose(0, 2, 1, 3).reshape(4, 4)
+    t = nat @ t
+    t = t.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    return t
+
+
+def _channel_distance_loop(a, b, restarts, max_iter, tol, seed):
+    """Reference: the ascent run one restart after another."""
+    delta_nat = a.natural() - b.natural()
+    delta_adj = delta_nat.conj().T
+    lower = float(np.sum(np.abs(np.linalg.eigvalsh(choi_matrix(a) - choi_matrix(b)))))
+
+    rng = np.random.default_rng(seed)
+    phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    starts = [phi]
+    for _ in range(restarts):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        starts.append(v / np.linalg.norm(v))
+
+    best = 0.0
+    any_converged = False
+    for psi in starts:
+        val = 0.0
+        for _ in range(max_iter):
+            out = _apply_system_superop_2d(delta_nat, np.outer(psi, psi.conj()))
+            out = 0.5 * (out + out.conj().T)
+            eigvals, eigvecs = np.linalg.eigh(out)
+            new_val = float(np.sum(np.abs(eigvals)))
+            witness = (eigvecs * np.sign(eigvals)) @ eigvecs.conj().T
+            pulled = _apply_system_superop_2d(delta_adj, witness)
+            pulled = 0.5 * (pulled + pulled.conj().T)
+            pvals, pvecs = np.linalg.eigh(pulled)
+            psi = pvecs[:, -1]
+            if abs(new_val - val) < tol:
+                any_converged = True
+                val = new_val
+                break
+            val = new_val
+        best = max(best, val)
+    if not any_converged:
+        raise EstimationError("diamond distance refinement did not stabilize")
+    return lower, max(best, lower)
+
+
+@settings(max_examples=60)
+@given(
+    channel_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    restarts=st.integers(0, 8),
+    max_iter=st.integers(1, 60),
+    tol=st.sampled_from([1e-12, 1e-3, 0.5]),
+)
+# the best value here belongs to a restart that did not converge
+@example(channel_seed=1584013173, seed=1301898152, restarts=8, max_iter=2, tol=0.5)
+def test_batched_ascent_matches_restart_loop(channel_seed, seed, restarts, max_iter, tol):
+    # Small max_iter leaves some restarts unconverged; they still count.  A
+    # coarse tol stops some restarts early, below the ones still climbing.
+    rng = np.random.default_rng(channel_seed)
+    a = kraus_to_superop(random_cp_channel(rng))
+    b = kraus_to_superop(random_cp_channel(rng))
+    try:
+        expected = _channel_distance_loop(a, b, restarts, max_iter, tol, seed)
+    except EstimationError:
+        with pytest.raises(EstimationError):
+            channel_distance(a, b, restarts, max_iter, tol, seed)
+        return
+    d = channel_distance(a, b, restarts, max_iter, tol, seed)
+    # same arithmetic per restart, so the values agree bit for bit
+    assert (d.lower, d.upper) == expected
+    assert 0 <= d.lower <= d.upper <= 2 + 1e-9
 
 
 def test_channel_dict_roundtrip(tmp_path):

@@ -188,7 +188,7 @@ _biases = st.floats(0, 0.5, exclude_max=True)
 _seeds = st.integers(0, 2**32 - 1)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(q=_biases, r=st.integers(1, 6), seed=_seeds)
 def test_index_map_ideal_run_equals_dense_permutation(q, r, seed):
     spec = build_cooling_circuit(q, r)
@@ -200,7 +200,7 @@ def test_index_map_ideal_run_equals_dense_permutation(q, r, seed):
     assert np.array_equal(report.reset_state, partial_trace(dense, [0], r))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(q=_biases, r=st.integers(1, 6), gamma=st.floats(0, 0.2), seed=_seeds)
 def test_noisy_run_matches_dense_stage_by_stage_reference(q, r, gamma, seed):
     spec = build_cooling_circuit(q, r)
@@ -223,7 +223,7 @@ def test_noisy_run_matches_dense_stage_by_stage_reference(q, r, gamma, seed):
         assert abs(report.waste_entropy + np.sum(waste * np.log2(waste))) <= 1e-12
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(q=_biases, r=st.integers(1, 4), seed=_seeds)
 def test_two_block_gather_matches_dense_permutation_on_both_blocks(q, r, seed):
     # the exact-mode protocol register: 3 data qubits, then two R-qubit blocks;
