@@ -22,6 +22,7 @@ from .densim import (
     QRegister,
     SimulationError,
     apply_single_qubit_superop,
+    entropy_bits,
     relative_entropy,
     von_neumann_entropy,
 )
@@ -58,12 +59,6 @@ class EntropyLedger:
         return max(self.gaps) if self.gaps else 0.0
 
 
-def _entropy(rho: np.ndarray) -> float:
-    eigs = np.clip(np.linalg.eigvalsh(rho).real, 0, None)
-    eigs = eigs[eigs > 1e-12]
-    return float(-np.sum(eigs * np.log2(eigs)))
-
-
 def pinsker_margin(a: np.ndarray, b: np.ndarray) -> float:
     """S(a||b) - ||a - b||_2^2 / (2 ln 2); nonnegative, since the 2-norm is
     dominated by the 1-norm appearing in the standard inequality."""
@@ -85,7 +80,7 @@ def concavity_margin(a: np.ndarray, b: np.ndarray, p: float, mode: str = MODE_SA
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     mix = (1 - p) * a + p * b
-    gain = _entropy(mix) - (1 - p) * _entropy(a) - p * _entropy(b)
+    gain = entropy_bits(mix) - (1 - p) * entropy_bits(a) - p * entropy_bits(b)
     return gain - k * p * (1 - p) * float(np.linalg.norm(a - b) ** 2)
 
 
@@ -127,7 +122,7 @@ def entropy_ledger_step(
     gaps = []
     for q in before.system_qubits:
         noised = apply_single_qubit_superop(before.rho, nat, q, n)
-        gaps.append(_entropy(noised) - s_before)
+        gaps.append(entropy_bits(noised) - s_before)
     global_increase = von_neumann_entropy(after) - s_before
     ledger = EntropyLedger(gaps=tuple(gaps), global_increase=global_increase)
     if check and global_increase < ledger.max_gap - 1e-9:

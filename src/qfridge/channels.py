@@ -57,7 +57,7 @@ class KrausSet:
         if not mats or any(m.shape != (2, 2) for m in mats):
             raise ChannelError("Kraus operators must be 2x2 matrices")
         total = sum(m.conj().T @ m for m in mats)
-        if not np.allclose(total, I2, atol=ATOL):
+        if not np.allclose(total, I2, rtol=0, atol=ATOL):
             raise ChannelError("Kraus set is not trace preserving")
         object.__setattr__(self, "ops", mats)
 
@@ -76,7 +76,7 @@ class SuperOp:
         ptm = np.array(ptm, dtype=float)
         if ptm.shape != (4, 4):
             raise ChannelError("PTM must be 4x4")
-        if not np.allclose(ptm[0], [1.0, 0.0, 0.0, 0.0], atol=ATOL):
+        if not np.allclose(ptm[0], [1.0, 0.0, 0.0, 0.0], rtol=0, atol=ATOL):
             raise ChannelError("PTM first row must be (1, 0, 0, 0): not trace preserving")
         ptm.setflags(write=False)
         object.__setattr__(self, "ptm", ptm)

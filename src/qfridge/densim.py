@@ -6,6 +6,12 @@ Reference qubits are exempt from noise; they model a perfect bystander system
 used to witness entanglement.
 
 Registers are capped at 12 qubits (dense 4096x4096 complex matrices).
+
+A QRegister is validated once, when it is built: shape, unit trace,
+Hermiticity, and positivity, decided by a Cholesky factorisation of
+rho + PSD_ATOL*I (a full spectrum is computed only to report a rejection).
+Registers never change, so each one memoises its von Neumann entropies per
+qubit subset.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ class GateLayer:
                 raise SimulationError(
                     f"gate on {len(targets)} qubits must be {dim}x{dim}, got {u.shape}"
                 )
-            if not np.allclose(u @ u.conj().T, np.eye(dim), atol=TRACE_ATOL):
+            if not np.allclose(u @ u.conj().T, np.eye(dim), rtol=0, atol=TRACE_ATOL):
                 raise SimulationError("gate matrix is not unitary")
             if max_arity is not None and len(targets) > max_arity:
                 raise SimulationError(f"gate arity {len(targets)} exceeds {max_arity}")
@@ -101,15 +107,28 @@ class QRegister:
             raise SimulationError("density matrix dimension does not match roles")
         if abs(np.trace(rho).real - 1) > TRACE_ATOL or abs(np.trace(rho).imag) > TRACE_ATOL:
             raise SimulationError(f"trace {np.trace(rho)} != 1")
-        if not np.allclose(rho, rho.conj().T, atol=TRACE_ATOL):
+        if not np.allclose(rho, rho.conj().T, rtol=0, atol=TRACE_ATOL):
             raise SimulationError("density matrix is not Hermitian")
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
-        if min_eig < -PSD_ATOL:
-            raise SimulationError(f"density matrix has eigenvalue {min_eig} < -{PSD_ATOL}")
+        # rho + PSD_ATOL*I has a Cholesky factor exactly when the smallest
+        # eigenvalue of rho exceeds -PSD_ATOL, up to ~dim*eps of rounding; the
+        # eigenvalue itself decides only when the factorisation fails.
+        shifted = rho.copy()
+        shifted.flat[:: len(rho) + 1] += PSD_ATOL
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(rho)[0])
+            if min_eig < -PSD_ATOL:
+                raise SimulationError(
+                    f"density matrix has eigenvalue {min_eig} < -{PSD_ATOL}"
+                ) from None
+        del shifted
         rho = rho.copy()
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "roles", tuple(roles))
+        # subset tuple (None: all qubits in order) -> entropy in bits
+        object.__setattr__(self, "_entropies", {})
 
     @property
     def n_qubits(self) -> int:
@@ -232,18 +251,30 @@ def _entropy_of_eigs(eigs: np.ndarray) -> float:
     return float(-np.sum(eigs * np.log2(eigs)))
 
 
+def entropy_bits(rho: np.ndarray) -> float:
+    """Entropy in bits of a Hermitian matrix's spectrum: eigenvalues are
+    clipped at 0 and those at most EIG_CLAMP are dropped; no PSD check."""
+    return _entropy_of_eigs(np.linalg.eigvalsh(rho))
+
+
 def von_neumann_entropy(reg: QRegister, subset: Sequence[int] | None = None) -> float:
-    """Entropy in bits of the reduced state on `subset` (default: everything)."""
-    if subset is None:
-        sub = reg.rho
-    else:
-        if len(subset) == 0:
-            raise SimulationError("entropy of an empty subset")
-        sub = partial_trace(reg.rho, subset, reg.n_qubits)
-    eigs = np.linalg.eigvalsh(sub)
-    if eigs[0] < -PSD_ATOL:
-        raise SimulationError(f"reduced state has eigenvalue {eigs[0]}")
-    return _entropy_of_eigs(eigs)
+    """Entropy in bits of the reduced state on `subset` (default: everything).
+
+    Memoised on the register per subset tuple; the full in-order subset
+    shares the default's entry.  A subset that raises is not stored.
+    """
+    key = None if subset is None else tuple(subset)
+    if key == ():
+        raise SimulationError("entropy of an empty subset")
+    if key == tuple(range(reg.n_qubits)):
+        key = None
+    if key not in reg._entropies:
+        sub = reg.rho if key is None else partial_trace(reg.rho, key, reg.n_qubits)
+        eigs = np.linalg.eigvalsh(sub)
+        if eigs[0] < -PSD_ATOL:
+            raise SimulationError(f"reduced state has eigenvalue {eigs[0]}")
+        reg._entropies[key] = _entropy_of_eigs(eigs)
+    return reg._entropies[key]
 
 
 def conditional_entropy(reg: QRegister, a: Sequence[int], b: Sequence[int]) -> float:

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelError, SuperOp, channel_distance, identity_channel, kraus_to_superop
-from .densim import MAX_QUBITS, apply_single_qubit_superop, apply_unitary, partial_trace
+from .densim import (
+    MAX_QUBITS,
+    apply_single_qubit_superop,
+    apply_unitary,
+    entropy_bits,
+    partial_trace,
+)
 
 
 class CoolingError(ChannelError):
@@ -217,9 +223,7 @@ def _report(rho: np.ndarray, r: int, mode: str) -> CoolingReport:
     reset_distance = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
     if r > 1:
         waste = partial_trace(rho, list(range(1, r)), r)
-        eigs = np.clip(np.linalg.eigvalsh(waste).real, 0, None)
-        eigs = eigs[eigs > 1e-12]
-        waste_entropy = float(-np.sum(eigs * np.log2(eigs)))
+        waste_entropy = entropy_bits(waste)
     else:
         waste_entropy = 0.0
     return CoolingReport(

@@ -32,6 +32,7 @@ from .densim import (
     SimulationError,
     apply_single_qubit_superop,
     apply_unitary,
+    entropy_bits,
     partial_trace,
 )
 from .experiments import TraceRecord
@@ -203,9 +204,7 @@ def _logical_fidelity(rho3, frame, logical_ket) -> float:
 
 
 def _record(cycle, rho3, frame, logical_ket) -> TraceRecord:
-    eigs = np.clip(np.linalg.eigvalsh(rho3).real, 0, None)
-    eigs = eigs[eigs > 1e-12]
-    entropy = float(-np.sum(eigs * np.log2(eigs)))
+    entropy = entropy_bits(rho3)
     return TraceRecord(
         step=cycle,
         entropy_bits=entropy,

@@ -1,9 +1,17 @@
 """Density-matrix simulator: gates, noise, partial trace, entropies, distances."""
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfridge.channels import (
+    ChannelError,
+    KrausSet,
+    SuperOp,
     dephasing_kraus,
     depolarizing_kraus,
     kraus_to_superop,
@@ -11,6 +19,7 @@ from qfridge.channels import (
 from qfridge.densim import (
     DATA,
     NAMED_GATES,
+    PSD_ATOL,
     REFERENCE,
     GateLayer,
     NoiseLayer,
@@ -21,6 +30,7 @@ from qfridge.densim import (
     conditional_entropy,
     dephase_all,
     distance,
+    entropy_bits,
     epr_fidelity,
     epr_register,
     information,
@@ -48,6 +58,106 @@ def test_register_validation():
         QRegister(np.eye(4) / 4, [DATA])  # dimension mismatch
     with pytest.raises(SimulationError):
         QRegister(np.diag([1.5, -0.5]).astype(complex), [DATA])  # negative eigenvalue
+
+
+def count_eigvalsh():
+    """Patch numpy's eigvalsh with a call-counting wrapper."""
+    return mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh)
+
+
+@settings(max_examples=80)
+@given(
+    n=st.integers(1, 6),
+    min_eig=st.sampled_from([-2e-9, -1.01e-9, -0.99e-9, -1e-10, 0.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_psd_check_matches_smallest_eigenvalue(n, min_eig, seed):
+    """A unitarily rotated trace-1 Hermitian matrix (dims 2..64) is accepted
+    exactly when its smallest eigenvalue is >= -PSD_ATOL, without computing a
+    spectrum; a rejection reports the eigenvalue."""
+    dim = 2**n
+    rng = np.random.default_rng(seed)
+    rest = rng.uniform(0.1, 1.0, size=dim - 1)
+    eigs = np.concatenate([[min_eig], rest * (1 - min_eig) / rest.sum()])
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u, _ = np.linalg.qr(g)
+    rho = (u * eigs) @ u.conj().T
+    rho = (rho + rho.conj().T) / 2
+    with count_eigvalsh() as eigvalsh:
+        if min_eig >= -PSD_ATOL:
+            QRegister(rho, [DATA] * n)
+            assert eigvalsh.call_count == 0
+        else:
+            with pytest.raises(SimulationError, match="eigenvalue") as err:
+                QRegister(rho, [DATA] * n)
+            reported = float(re.search(r"eigenvalue (\S+) <", str(err.value)).group(1))
+            assert abs(reported - min_eig) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "build, too_far",
+    [
+        (lambda e: QRegister(np.array([[0.5, 0.3], [0.3 + 1j * e, 0.5]]), [DATA]), 2e-6),
+        (lambda e: GateLayer([((1 + e) * np.eye(2), (0,))]), 4e-6),
+        (lambda e: KrausSet([(1 + e) * np.eye(2)]), 4e-6),
+        (lambda e: SuperOp(np.diag([1 + e, 1, 1, 1])), 5e-6),
+    ],
+    ids=["hermitian", "unitary", "trace_preserving", "ptm_first_row"],
+)
+def test_tolerance_checks_are_absolute(build, too_far):
+    """Each check holds to its stated 1e-10 absolute tolerance, not the
+    1e-5 relative slack np.allclose adds by default."""
+    build(2e-11)
+    with pytest.raises((SimulationError, ChannelError)):
+        build(too_far)
+
+
+def test_memoised_entropy_equals_fresh_spectrum():
+    rng = np.random.default_rng(35)
+    reg = step(
+        QRegister(random_state(rng, 4), [REFERENCE, DATA, DATA, DATA]),
+        GateLayer([]),
+        NoiseLayer(kraus_to_superop(depolarizing_kraus(0.2))),
+    )
+    subsets = [None, [0, 1, 2, 3], [1, 2, 3], [2], [3, 0], [0, 3]]
+    for _ in range(2):  # the second pass reads the memo
+        for subset in subsets:
+            want = entropy_bits(reg.rho if subset is None else partial_trace(reg.rho, subset, 4))
+            assert von_neumann_entropy(reg, subset) == want
+    sys = reg.system_qubits
+    assert information(reg) == len(sys) - von_neumann_entropy(reg, sys)
+
+
+def test_entropy_memo_keys():
+    rng = np.random.default_rng(36)
+    reg = QRegister(random_state(rng, 3), [DATA] * 3)
+    with count_eigvalsh() as eigvalsh, mock.patch(
+        "qfridge.densim.partial_trace", wraps=partial_trace
+    ) as ptrace:
+        von_neumann_entropy(reg)
+        von_neumann_entropy(reg, [0, 1, 2])  # same entry as the default
+        von_neumann_entropy(reg, (0, 1, 2))
+        assert (eigvalsh.call_count, ptrace.call_count) == (1, 0)
+        # a reordered subset is its own entry and traces its own state
+        von_neumann_entropy(reg, [0, 1])
+        von_neumann_entropy(reg, [1, 0])
+        von_neumann_entropy(reg, [1, 0])
+        assert (eigvalsh.call_count, ptrace.call_count) == (3, 2)
+    assert von_neumann_entropy(reg, [0, 1]) == entropy_bits(partial_trace(reg.rho, [0, 1], 3))
+    assert von_neumann_entropy(reg, [1, 0]) == entropy_bits(partial_trace(reg.rho, [1, 0], 3))
+    for _ in range(2):  # a subset that raises is not stored
+        with pytest.raises(SimulationError):
+            von_neumann_entropy(reg, [])
+
+
+def test_step_result_has_its_own_memo():
+    reg = epr_register(extra_system=1)
+    before = von_neumann_entropy(reg, [1, 2])
+    out = step(reg, GateLayer([]), NoiseLayer(kraus_to_superop(depolarizing_kraus(0.3))))
+    after = von_neumann_entropy(out, [1, 2])
+    assert after == entropy_bits(partial_trace(out.rho, [1, 2], 3))
+    assert after > before + 0.1
+    assert von_neumann_entropy(reg, [1, 2]) == before
 
 
 def test_register_cap():
