@@ -106,14 +106,22 @@ class SuperOp:
         return SuperOp(self.ptm @ other.ptm)
 
     def natural(self) -> np.ndarray:
-        """4x4 superoperator on row-major-flattened 2x2 matrices."""
-        cols = []
-        for j in range(2):
-            for jp in range(2):
-                basis = np.zeros((2, 2), dtype=complex)
-                basis[j, jp] = 1.0
-                cols.append(self.apply(basis).reshape(4))
-        return np.stack(cols, axis=1)
+        """4x4 superoperator on row-major-flattened 2x2 matrices.
+
+        Computed once per instance and returned read-only.
+        """
+        nat = self.__dict__.get("_natural")
+        if nat is None:
+            cols = []
+            for j in range(2):
+                for jp in range(2):
+                    basis = np.zeros((2, 2), dtype=complex)
+                    basis[j, jp] = 1.0
+                    cols.append(self.apply(basis).reshape(4))
+            nat = np.stack(cols, axis=1)
+            nat.setflags(write=False)
+            object.__setattr__(self, "_natural", nat)
+        return nat
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,8 @@ class QRegister:
             raise SimulationError("density matrix dimension does not match roles")
         if abs(np.trace(rho).real - 1) > TRACE_ATOL or abs(np.trace(rho).imag) > TRACE_ATOL:
             raise SimulationError(f"trace {np.trace(rho)} != 1")
-        if not np.allclose(rho, rho.conj().T, rtol=0, atol=TRACE_ATOL):
+        # written so that a NaN entry fails the comparison and is rejected
+        if not np.max(np.abs(rho - rho.conj().T)) <= TRACE_ATOL:
             raise SimulationError("density matrix is not Hermitian")
         # rho + PSD_ATOL*I has a Cholesky factor exactly when the smallest
         # eigenvalue of rho exceeds -PSD_ATOL, up to ~dim*eps of rounding; the
@@ -245,16 +246,18 @@ def step(reg: QRegister, layer: GateLayer, noise: NoiseLayer | None) -> QRegiste
     return QRegister(rho, reg.roles)
 
 
-def _entropy_of_eigs(eigs: np.ndarray) -> float:
+def spectrum_entropy_bits(eigs: np.ndarray) -> float:
+    """Entropy in bits of a spectrum or probability vector: entries are
+    clipped at 0 and those at most EIG_CLAMP are dropped."""
     eigs = np.clip(eigs.real, 0.0, None)
     eigs = eigs[eigs > EIG_CLAMP]
     return float(-np.sum(eigs * np.log2(eigs)))
 
 
 def entropy_bits(rho: np.ndarray) -> float:
-    """Entropy in bits of a Hermitian matrix's spectrum: eigenvalues are
-    clipped at 0 and those at most EIG_CLAMP are dropped; no PSD check."""
-    return _entropy_of_eigs(np.linalg.eigvalsh(rho))
+    """Entropy in bits of a Hermitian matrix's spectrum (see
+    spectrum_entropy_bits); no PSD check."""
+    return spectrum_entropy_bits(np.linalg.eigvalsh(rho))
 
 
 def von_neumann_entropy(reg: QRegister, subset: Sequence[int] | None = None) -> float:
@@ -273,7 +276,7 @@ def von_neumann_entropy(reg: QRegister, subset: Sequence[int] | None = None) -> 
         eigs = np.linalg.eigvalsh(sub)
         if eigs[0] < -PSD_ATOL:
             raise SimulationError(f"reduced state has eigenvalue {eigs[0]}")
-        reg._entropies[key] = _entropy_of_eigs(eigs)
+        reg._entropies[key] = spectrum_entropy_bits(eigs)
     return reg._entropies[key]
 
 

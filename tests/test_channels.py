@@ -105,6 +105,16 @@ def test_natural_rep_consistency():
     assert np.allclose((nat @ g.reshape(4)).reshape(2, 2), k.apply(g), atol=1e-12)
 
 
+def test_natural_rep_is_computed_once_and_read_only():
+    c = kraus_to_superop(amplitude_damping_kraus(0.3))
+    first = c.natural()
+    assert np.array_equal(c.natural(), first)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    assert np.array_equal(kraus_to_superop(amplitude_damping_kraus(0.3)).natural(), first)
+
+
 def test_compose_matches_sequential_application():
     a = kraus_to_superop(dephasing_kraus(0.1))
     b = kraus_to_superop(amplitude_damping_kraus(0.2))

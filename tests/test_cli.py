@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qfridge import cli
+from qfridge import cli, fridge
 from qfridge.channels import EstimationError, amplitude_damping_kraus, dephasing_kraus, kraus_to_dict
 from qfridge.cli import main
 
@@ -160,6 +160,22 @@ def test_fridge_register_cap_exit_2(runner):
     assert result.exit_code == 2
     assert "register cap" in result.output
     assert "no cooling possible" not in result.output
+
+
+def test_fridge_noisy_r9_runs_without_the_dense_kernel(runner, tmp_path, monkeypatch):
+    # thermal input and amplitude damping: the run is a Markov chain on the
+    # 2^R populations, so no density-matrix noise pass may happen
+    def dense_pass(*args):
+        raise AssertionError("dense noise pass on a diagonal run")
+
+    monkeypatch.setattr(fridge, "apply_single_qubit_superop", dense_pass)
+    noise = write_channel(tmp_path / "ad.json", amplitude_damping_kraus(1e-3))
+    result = runner.invoke(main, ["fridge", "--q", "0.1", "--r", "9", "--noise", noise])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert doc["R"] == 9 and doc["F"] % 9 == 0
+    assert 0 <= doc["noisy_reset_distance"] <= 2
+    assert 0 <= doc["noisy_waste_entropy"] <= 8
 
 
 def _raise_estimation_error(*args, **kwargs):

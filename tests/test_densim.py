@@ -106,10 +106,11 @@ def test_psd_check_matches_smallest_eigenvalue(n, min_eig, seed):
 )
 def test_tolerance_checks_are_absolute(build, too_far):
     """Each check holds to its stated 1e-10 absolute tolerance, not the
-    1e-5 relative slack np.allclose adds by default."""
+    1e-5 relative slack np.allclose adds by default, and rejects NaN."""
     build(2e-11)
-    with pytest.raises((SimulationError, ChannelError)):
-        build(too_far)
+    for bad in (too_far, float("nan")):
+        with pytest.raises((SimulationError, ChannelError)):
+            build(bad)
 
 
 def test_memoised_entropy_equals_fresh_spectrum():

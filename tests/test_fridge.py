@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfridge.channels import ChannelError, amplitude_damping_kraus, kraus_to_superop
+from qfridge import fridge
+from qfridge.channels import (
+    ChannelError,
+    KrausSet,
+    amplitude_damping_kraus,
+    dephasing_kraus,
+    depolarizing_kraus,
+    kraus_to_superop,
+    thermal_kraus,
+)
 from qfridge.densim import apply_single_qubit_superop, apply_unitary, partial_trace
 from qfridge.fridge import (
     CoolingError,
@@ -200,6 +209,38 @@ def test_index_map_ideal_run_equals_dense_permutation(q, r, seed):
     assert np.array_equal(report.reset_state, partial_trace(dense, [0], r))
 
 
+def _dense_reference(spec, noise, rho=None):
+    """Oracle: every stage as a dense 2^R x 2^R unitary, R noise passes each;
+    returns (reset state, reset distance, waste entropy)."""
+    r = spec.r_block
+    if rho is None:
+        rho = np.diag([1 - spec.q, spec.q]).astype(complex)
+        for _ in range(r - 1):
+            rho = np.kron(rho, np.diag([1 - spec.q, spec.q]))
+    nat = noise.natural()
+    for q_idx in range(r):
+        rho = apply_unitary(rho, spec.pre_rotation, [q_idx], r)
+    for i in range(len(spec.stages)):
+        rho = apply_unitary(rho, spec.stage_unitary(i), list(range(r)), r)
+        for q_idx in range(r):
+            rho = apply_single_qubit_superop(rho, nat, q_idx, r)
+    reset = partial_trace(rho, [0], r)
+    distance = np.sum(np.abs(np.linalg.eigvalsh(reset - np.diag([1.0, 0.0]))))
+    entropy = 0.0
+    if r > 1:
+        waste = np.linalg.eigvalsh(partial_trace(rho, list(range(1, r)), r))
+        waste = waste[waste > 1e-12]
+        entropy = -np.sum(waste * np.log2(waste))
+    return reset, distance, entropy
+
+
+def _assert_matches_reference(report, reference):
+    reset, distance, entropy = reference
+    assert np.max(np.abs(report.reset_state - reset)) <= 1e-12
+    assert abs(report.reset_distance - distance) <= 1e-12
+    assert abs(report.waste_entropy - entropy) <= 1e-12
+
+
 @settings(max_examples=25)
 @given(q=_biases, r=st.integers(1, 6), gamma=st.floats(0, 0.2), seed=_seeds)
 def test_noisy_run_matches_dense_stage_by_stage_reference(q, r, gamma, seed):
@@ -207,20 +248,80 @@ def test_noisy_run_matches_dense_stage_by_stage_reference(q, r, gamma, seed):
     rho = _random_psd(np.random.default_rng(seed), 2**r)
     noise = kraus_to_superop(amplitude_damping_kraus(gamma))
     report = run_fridge_noisy(spec, noise, rho_in=rho, check_bound=False)
-    # reference: every stage as a dense 2^R x 2^R unitary, R noise passes each
-    nat = noise.natural()
-    ref = rho
-    for q_idx in range(r):
-        ref = apply_unitary(ref, spec.pre_rotation, [q_idx], r)
-    for i in range(len(spec.stages)):
-        ref = apply_unitary(ref, spec.stage_unitary(i), list(range(r)), r)
-        for q_idx in range(r):
-            ref = apply_single_qubit_superop(ref, nat, q_idx, r)
-    assert np.max(np.abs(report.reset_state - partial_trace(ref, [0], r))) <= 1e-12
-    if r > 1:
-        waste = np.linalg.eigvalsh(partial_trace(ref, list(range(1, r)), r))
-        waste = waste[waste > 1e-12]
-        assert abs(report.waste_entropy + np.sum(waste * np.log2(waste))) <= 1e-12
+    _assert_matches_reference(report, _dense_reference(spec, noise, rho))
+
+
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_DIAGONAL_NOISE = {
+    "amplitude_damping": amplitude_damping_kraus,
+    "thermal": lambda s: thermal_kraus(s, 0.1),
+    "dephasing": dephasing_kraus,
+    "depolarizing": depolarizing_kraus,
+}
+
+
+def _mixed_kraus_form(kraus_set, rng):
+    """The same channel written as K'_i = sum_j V_ij K_j for a random unitary V;
+    its natural rep then leaks ~1e-18 into the coherences by rounding."""
+    ops = kraus_set.ops
+    g = rng.normal(size=(len(ops), len(ops))) + 1j * rng.normal(size=(len(ops), len(ops)))
+    v, _ = np.linalg.qr(g)
+    return KrausSet([sum(v[i, j] * ops[j] for j in range(len(ops))) for i in range(len(ops))])
+
+
+def _count_dense_passes(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return apply_single_qubit_superop(*args)
+
+    monkeypatch.setattr(fridge, "apply_single_qubit_superop", counted)
+    return calls
+
+
+@settings(max_examples=60)
+@given(
+    q=_biases,
+    r=st.integers(1, 6),
+    kind=st.sampled_from(sorted(_DIAGONAL_NOISE)),
+    strength=st.floats(0, 0.2),
+    flip=st.booleans(),
+    # phases off the axes would leave ~1e-17 imaginary parts on the diagonal
+    # by rounding, and such inputs take the dense path
+    phases=st.lists(st.sampled_from([1, 1j, -1, -1j]), min_size=2, max_size=2),
+    diagonal_input=st.booleans(),
+    seed=_seeds,
+)
+def test_vector_path_matches_dense_oracle(q, r, kind, strength, flip, phases, diagonal_input, seed):
+    rng = np.random.default_rng(seed)
+    noise = kraus_to_superop(_mixed_kraus_form(_DIAGONAL_NOISE[kind](strength), rng))
+    # a monomial pre-rotation keeps diagonal states exactly diagonal
+    u = np.diag(phases) @ (np.eye(2)[::-1] if flip else np.eye(2))
+    spec = build_cooling_circuit(q, r, pre_rotation=u)
+    rho = np.diag(rng.dirichlet(np.ones(2**r))).astype(complex) if diagonal_input else None
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_dense_passes(mp)
+        report = run_fridge_noisy(spec, noise, rho_in=rho, check_bound=False)
+    assert not calls
+    _assert_matches_reference(report, _dense_reference(spec, noise, rho))
+
+
+@pytest.mark.parametrize(
+    "pre_rotation, noise",
+    [
+        (_H, amplitude_damping_kraus(0.05)),
+        (np.eye(2), KrausSet([_H @ k @ _H for k in amplitude_damping_kraus(0.05).ops])),
+    ],
+    ids=["hadamard_pre_rotation", "hadamard_conjugated_damping"],
+)
+def test_off_diagonal_runs_fall_back_to_dense_kernel(monkeypatch, pre_rotation, noise):
+    spec = build_cooling_circuit(0.1, 4, pre_rotation=pre_rotation)
+    noise = kraus_to_superop(noise)
+    calls = _count_dense_passes(monkeypatch)
+    report = run_fridge_noisy(spec, noise, check_bound=False)
+    assert len(calls) == len(spec.stages) * spec.r_block
+    _assert_matches_reference(report, _dense_reference(spec, noise))
 
 
 @settings(max_examples=25)
