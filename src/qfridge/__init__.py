@@ -16,6 +16,7 @@ from .channels import (
     cp_check,
     dephasing_kraus,
     depolarizing_kraus,
+    diamond_upper,
     fixed_point,
     kraus_to_superop,
     pauli_probs,

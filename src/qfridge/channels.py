@@ -420,6 +420,21 @@ def _trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
+def diamond_upper(a: SuperOp, b: SuperOp) -> float:
+    """Certified upper bound on the diamond distance ||a - b||_<>.
+
+    With J the unnormalised Choi matrix of a - b (output x input, as
+    :func:`choi_matrix` lays it out), Y0 = Y1 = |J| is a feasible point of
+    Watrous's dual SDP (arXiv:1207.5726), so the distance is at most
+    ||Tr_out |J|||_inf.  Exact for Pauli channels against each other and
+    for replacement channels; the value is clipped at 2.
+    """
+    eigvals, eigvecs = np.linalg.eigh(_hermitian_part(2 * (choi_matrix(a) - choi_matrix(b))))
+    abs_j = (eigvecs * np.abs(eigvals)) @ eigvecs.conj().T
+    marginal = np.einsum("iaib->ab", abs_j.reshape(2, 2, 2, 2))
+    return min(float(np.linalg.eigvalsh(marginal)[-1]), 2.0)
+
+
 def channel_distance(
     a: SuperOp,
     b: SuperOp,

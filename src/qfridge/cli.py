@@ -103,7 +103,7 @@ def cmd_classify(channel_file, relax_targets):
     for item in filter(None, (s.strip() for s in relax_targets.split(","))):
         try:
             target = float(item)
-            rep = relaxation_time(channel, target, distance_kwargs={"restarts": 16})
+            rep = relaxation_time(channel, target)
         except (ValueError, ChannelError) as exc:
             _fail(EXIT_INPUT, f"error: {exc}")
         except EstimationError as exc:

@@ -351,9 +351,10 @@ def run_epr_storage(
         zero = np.diag([1.0, 0.0]).astype(complex)
         rho = np.kron(rho, np.kron(zero, zero))
         reg = QRegister(rho, [REFERENCE, DATA, DATA, DATA])
-        for layer in _phase_flip_encode_layers():
-            reg = step(reg, layer, None)
+        encode = _phase_flip_encode_layers()
         decode = _phase_flip_decode_layers()
+        for layer in encode:
+            reg = step(reg, layer, None)
     else:
         reg = QRegister(rho, [REFERENCE, DATA])
         decode = []
@@ -364,11 +365,11 @@ def run_epr_storage(
         if code == CODE_PHASE_FLIP and correction_interval > 0 and t % correction_interval == 0:
             # the upper-bound adversary allows arbitrary unitaries between
             # noise applications, so the whole cycle sits inside one step
-            for layer in _phase_flip_decode_layers():
+            for layer in decode:
                 reg = step(reg, layer, None)
             reg = _replace_syndrome(reg)
             ancillas += 2
-            for layer in _phase_flip_encode_layers():
+            for layer in encode:
                 reg = step(reg, layer, None)
         pre_noise = reg
         reg = step(reg, GateLayer([]), noise)

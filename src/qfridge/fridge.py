@@ -27,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .channels import ChannelError, SuperOp, channel_distance, identity_channel, kraus_to_superop
+from .channels import ChannelError, SuperOp, diamond_upper, identity_channel, kraus_to_superop
 from .densim import (
     MAX_QUBITS,
     apply_single_qubit_superop,
@@ -90,6 +90,8 @@ class FridgeSpec:
 
 def _check_register_cap(r: int) -> None:
     # every 2^R enumeration and dense 2^R x 2^R state sits behind this check
+    if r < 1:
+        raise ChannelError(f"block size {r} must be at least 1")
     if r > MAX_QUBITS:
         raise ChannelError(f"block size {r} exceeds the {MAX_QUBITS}-qubit register cap")
 
@@ -273,6 +275,14 @@ def run_fridge_ideal(spec: FridgeSpec, rho_in: np.ndarray | None = None) -> Cool
     return _dense_report(apply_permutation(rho, spec), spec.r_block, "ideal")
 
 
+def _ideal_reset_distance(spec: FridgeSpec, probs: np.ndarray) -> float:
+    """Reset distance of the ideal run on a diagonal input with basis-state
+    probabilities `probs`: the permutation gathers them, and the reset
+    state is diag(m, 1 - m) with m the mass on reset bit 0."""
+    gathered = probs[np.argsort(spec.permutation)]
+    return float(2 * (1 - gathered[: len(gathered) // 2].sum()))
+
+
 def _run_populations(spec: FridgeSpec, probs: np.ndarray, nat: np.ndarray) -> CoolingReport:
     """The noisy run as a Markov chain on the 2^R basis-state probabilities."""
     r = spec.r_block
@@ -326,10 +336,12 @@ def run_fridge_noisy(
     tests' oracle.
 
     When `check_bound` is set, asserts the run stays within the ideal reset
-    distance plus F x d, where d is ``channel_distance(...).upper`` of the
-    noise against the identity.  That value is attained by some input, so it
-    is a lower bound on the diamond distance; the 10% slack is meant to
-    absorb the gap and is not a proven margin.
+    distance plus F x d, where d is ``diamond_upper`` of the noise against
+    the identity.  d bounds the diamond distance from above, so the bound
+    is a theorem: replacing the noise by the identity one location at a
+    time moves the state by at most d in trace norm, F times over.  On the
+    probability-vector path the ideal reset distance comes from the input
+    populations, with no dense ideal run.
     """
     nat = noise.natural()
     rho = probs = None
@@ -344,15 +356,17 @@ def run_fridge_noisy(
             rho = _prepared_input(spec, rho_in)
             probs = _exact_populations(rho)
     if probs is not None:
+        ideal_distance = _ideal_reset_distance(spec, probs)  # the run permutes probs in place
         report = _run_populations(spec, probs, nat)
     else:
         rho = _prepared_input(spec, rho_in) if rho is None else rho
         report = _run_dense(spec, rho, nat)
     if check_bound:
-        ideal = run_fridge_ideal(spec, rho_in=rho_in)
-        d = channel_distance(noise, kraus_to_superop(identity_channel())).upper
-        bound = ideal.reset_distance + spec.f_count * d
-        if report.reset_distance > 1.1 * bound + 1e-9:
+        if probs is None:
+            ideal_distance = run_fridge_ideal(spec, rho_in=rho_in).reset_distance
+        d = diamond_upper(noise, kraus_to_superop(identity_channel()))
+        bound = ideal_distance + spec.f_count * d
+        if report.reset_distance > bound + 1e-9:
             raise CoolingError(
                 f"noisy reset distance {report.reset_distance} breaks the "
                 f"ideal + F*d bound {bound}"

@@ -254,9 +254,7 @@ def run_refrigerator_protocol(
     if cfg.storage_T is not None:
         storage_t = cfg.storage_T
     else:
-        storage_t = relaxation_time(
-            channel, cfg.dwell_target(r), distance_kwargs={"restarts": 16}
-        ).steps
+        storage_t = relaxation_time(channel, cfg.dwell_target(r)).steps
 
     refrig, thru = _run_policy(
         cfg, channel, spec, frame, logical_ket, rho_p, storage_t, POLICY_REFRIGERATED

@@ -293,9 +293,7 @@ def test_criterion_9_relaxation():
     for p in (0.19, 0.36, 0.5):
         c = kraus_to_superop(amplitude_damping_kraus(p))
         targets = (1e-2, 1e-4, 1e-6)
-        steps = [
-            relaxation_time(c, t, distance_kwargs={"restarts": 8}).steps for t in targets
-        ]
+        steps = [relaxation_time(c, t).steps for t in targets]
         slope = (steps[2] - steps[0]) / (math.log10(targets[0]) - math.log10(targets[2]))
         want = -1 / math.log10(math.sqrt(1 - p))
         rel = abs(slope - want) / want

@@ -21,6 +21,7 @@ from qfridge.channels import (
     choi_positive,
     cp_check,
     density_to_bloch,
+    diamond_upper,
     dephasing_kraus,
     depolarizing_kraus,
     fixed_point,
@@ -260,6 +261,35 @@ class TestChannelDistance:
         b = kraus_to_superop(identity_channel())
         with pytest.raises(EstimationError):
             channel_distance(a, b, max_iter=1)
+
+
+class TestDiamondUpper:
+    def test_dephasing_vs_identity_is_exact(self):
+        identity = kraus_to_superop(identity_channel())
+        for p in (0.0, 0.01, 0.1, 0.3):
+            assert abs(diamond_upper(kraus_to_superop(dephasing_kraus(p)), identity) - 2 * p) <= 1e-12
+
+    def test_antipodal_replacement_channels(self):
+        a = replacement_channel(BlochVector([0, 0, 1.0]))
+        b = replacement_channel(BlochVector([0, 0, -1.0]))
+        assert abs(diamond_upper(a, b) - 2.0) <= 1e-12
+
+
+@settings(max_examples=60)
+@given(channel_seed=st.integers(0, 2**32 - 1))
+def test_diamond_upper_bounds_the_ascent(channel_seed):
+    rng = np.random.default_rng(channel_seed)
+    a = kraus_to_superop(random_cp_channel(rng))
+    b = kraus_to_superop(random_cp_channel(rng))
+    upper = diamond_upper(a, b)
+    assert upper <= 2
+    assert abs(upper - diamond_upper(b, a)) <= 1e-12
+    assert diamond_upper(a, a) <= 1e-12
+    try:
+        attained = channel_distance(a, b, restarts=8).upper
+    except EstimationError:
+        return
+    assert attained - 1e-12 <= upper
 
 
 def _apply_system_superop_2d(nat, rho):

@@ -29,6 +29,7 @@ from qfridge.classify import (
     limit_set,
     relaxation_time,
 )
+from qfridge.protocol import ProtocolConfig
 
 
 def random_unitary(rng):
@@ -98,14 +99,35 @@ def test_dephasing_diameter_points_are_fixed():
 
 
 def test_relaxation_time_minimality():
-    from qfridge.channels import channel_distance, fixed_point, replacement_channel
+    from qfridge.channels import channel_distance, diamond_upper, fixed_point, replacement_channel
 
     c = kraus_to_superop(amplitude_damping_kraus(0.3))
-    rep = relaxation_time(c, 1e-3, distance_kwargs={"restarts": 8})
+    rep = relaxation_time(c, 1e-3)
     cp = replacement_channel(fixed_point(canonical_form(c)))
     assert rep.achieved_distance < 1e-3
+    assert rep.achieved_distance == diamond_upper(power(c, rep.steps), cp)
+    assert diamond_upper(power(c, rep.steps - 1), cp) >= 1e-3
     below = channel_distance(power(c, rep.steps - 1), cp, restarts=8).upper
     assert below >= 1e-3
+
+
+@pytest.mark.parametrize(
+    "kraus, target, steps",
+    [
+        # criterion 10's dwell target: D' = 50, R = 1
+        (amplitude_damping_kraus(0.01), ProtocolConfig(d_prime=50).dwell_target(1), 1558),
+        (thermal_kraus(0.05, 0.1), 1e-2, 180),
+        (thermal_kraus(0.05, 0.1), 1e-4, 360),
+    ],
+)
+def test_relaxation_time_runs_no_ascent(monkeypatch, kraus, target, steps):
+    from qfridge import channels
+
+    def no_ascent(*args):
+        raise AssertionError("relaxation search ran the ascent")
+
+    monkeypatch.setattr(channels, "_apply_system_superop", no_ascent)
+    assert relaxation_time(kraus_to_superop(kraus), target).steps == steps
 
 
 def test_relaxation_time_rejects_uncontractive():

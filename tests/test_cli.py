@@ -162,6 +162,13 @@ def test_fridge_register_cap_exit_2(runner):
     assert "no cooling possible" not in result.output
 
 
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_fridge_empty_block_exit_2(runner, r):
+    result = runner.invoke(main, ["fridge", "--q", "0.1", "--r", r])
+    assert result.exit_code == 2
+    assert f"block size {r} must be at least 1" in result.output
+
+
 def test_fridge_noisy_r9_runs_without_the_dense_kernel(runner, tmp_path, monkeypatch):
     # thermal input and amplitude damping: the run is a Markov chain on the
     # 2^R populations, so no density-matrix noise pass may happen

@@ -307,6 +307,39 @@ def test_vector_path_matches_dense_oracle(q, r, kind, strength, flip, phases, di
     _assert_matches_reference(report, _dense_reference(spec, noise, rho))
 
 
+@settings(max_examples=40)
+@given(
+    q=_biases,
+    r=st.integers(1, 6),
+    flip=st.booleans(),
+    phases=st.lists(st.sampled_from([1, 1j, -1, -1j]), min_size=2, max_size=2),
+    diagonal_input=st.booleans(),
+    seed=_seeds,
+)
+def test_bound_check_takes_ideal_distance_from_populations(q, r, flip, phases, diagonal_input, seed):
+    rng = np.random.default_rng(seed)
+    u = np.diag(phases) @ (np.eye(2)[::-1] if flip else np.eye(2))
+    spec = build_cooling_circuit(q, r, pre_rotation=u)
+    rho = np.diag(rng.dirichlet(np.ones(2**r))).astype(complex) if diagonal_input else None
+    expected = run_fridge_ideal(spec, rho_in=rho).reset_distance
+    seen = []
+
+    def recorded(*args):
+        seen.append(ideal_reset_distance(*args))
+        return seen[-1]
+
+    def no_dense_ideal(*args, **kwargs):
+        raise AssertionError("dense ideal run inside the bound check")
+
+    ideal_reset_distance = fridge._ideal_reset_distance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fridge, "_ideal_reset_distance", recorded)
+        mp.setattr(fridge, "run_fridge_ideal", no_dense_ideal)
+        run_fridge_noisy(spec, kraus_to_superop(amplitude_damping_kraus(0.01)), rho_in=rho)
+    assert len(seen) == 1
+    assert abs(seen[0] - expected) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "pre_rotation, noise",
     [
