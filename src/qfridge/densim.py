@@ -12,6 +12,14 @@ Hermiticity, and positivity, decided by a Cholesky factorisation of
 rho + PSD_ATOL*I (a full spectrum is computed only to report a rejection).
 Registers never change, so each one memoises its von Neumann entropies per
 qubit subset.
+
+Positivity checks and entropies run on the state's exact support: the
+indices whose row or column holds a nonzero entry (qubits waiting in |0>
+leave many exactly-zero rows and columns).  This is exact, not an
+approximation: such a matrix is permutation-similar to block-diag(A, 0), so
+A + PSD_ATOL*I factors exactly when the whole shifted matrix does, the
+smallest eigenvalue reported is the same, and the dropped eigenvalues are
+zeros, which carry no entropy.
 """
 
 from __future__ import annotations
@@ -38,6 +46,12 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 _SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 _TOFFOLI = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
+
+# |Phi+> = (|00> + |11>)/sqrt(2) and |0><0|, shared read-only
+PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+PHI_PLUS.setflags(write=False)
+ZERO = np.diag([1.0, 0.0]).astype(complex)
+ZERO.setflags(write=False)
 
 NAMED_GATES = {
     "H": _H,
@@ -105,25 +119,27 @@ class QRegister:
             raise SimulationError(f"register of {n} qubits exceeds cap {MAX_QUBITS}")
         if rho.shape != (2**n, 2**n):
             raise SimulationError("density matrix dimension does not match roles")
-        if abs(np.trace(rho).real - 1) > TRACE_ATOL or abs(np.trace(rho).imag) > TRACE_ATOL:
-            raise SimulationError(f"trace {np.trace(rho)} != 1")
+        trace = np.trace(rho)
+        if abs(trace.real - 1) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
+            raise SimulationError(f"trace {trace} != 1")
         # written so that a NaN entry fails the comparison and is rejected
         if not np.max(np.abs(rho - rho.conj().T)) <= TRACE_ATOL:
             raise SimulationError("density matrix is not Hermitian")
         # rho + PSD_ATOL*I has a Cholesky factor exactly when the smallest
         # eigenvalue of rho exceeds -PSD_ATOL, up to ~dim*eps of rounding; the
         # eigenvalue itself decides only when the factorisation fails.
-        shifted = rho.copy()
-        shifted.flat[:: len(rho) + 1] += PSD_ATOL
+        support = _support(rho)
+        shifted = support.copy()
+        shifted.flat[:: len(support) + 1] += PSD_ATOL
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            min_eig = float(np.linalg.eigvalsh(rho)[0])
+            min_eig = float(np.linalg.eigvalsh(support)[0])
             if min_eig < -PSD_ATOL:
                 raise SimulationError(
                     f"density matrix has eigenvalue {min_eig} < -{PSD_ATOL}"
                 ) from None
-        del shifted
+        del support, shifted
         rho = rho.copy()
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
@@ -148,17 +164,24 @@ class QRegister:
         return cls(rho, roles or [DATA] * len(states))
 
 
+def _support(rho: np.ndarray) -> np.ndarray:
+    """rho restricted to the indices whose row or column holds a nonzero
+    entry; rho itself when no diagonal entry is zero (then no row or column
+    is all zero)."""
+    if np.count_nonzero(rho.diagonal()) == len(rho):
+        return rho
+    nonzero = rho != 0
+    idx = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    return rho[np.ix_(idx, idx)]
+
+
 def epr_register(extra_system: int = 0) -> QRegister:
     """Reference qubit 0 maximally entangled with system qubit 1, plus
     optional extra system qubits in |0>."""
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1 / np.sqrt(2)
-    rho = np.outer(phi, phi.conj())
+    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
     roles = [REFERENCE, DATA]
     for _ in range(extra_system):
-        zero = np.zeros((2, 2), dtype=complex)
-        zero[0, 0] = 1.0
-        rho = np.kron(rho, zero)
+        rho = np.kron(rho, ZERO)
         roles.append(DATA)
     return QRegister(rho, roles)
 
@@ -214,16 +237,13 @@ def apply_single_qubit_superop(rho: np.ndarray, nat: np.ndarray, qubit: int, n: 
 def partial_trace(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
     """Reduced density matrix on `keep`, in the listed qubit order."""
     keep = list(keep)
-    tensor = rho.reshape((2,) * (2 * n))
-    traced = [q for q in range(n) if q not in keep]
-    for q in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=q, axis2=q + tensor.ndim // 2)
-    # axes now correspond to sorted(keep); reorder to the requested order
-    current = sorted(keep)
+    if len(set(keep)) != len(keep) or not all(0 <= q < n for q in keep):
+        raise SimulationError(f"qubit subset {keep} is not distinct qubits of 0..{n - 1}")
+    # a traced qubit shares its ket and bra label, so einsum sums it out
+    labels = list(range(n)) + [n + q if q in keep else q for q in range(n)]
+    out = keep + [n + q for q in keep]
     m = len(keep)
-    perm = [current.index(q) for q in keep]
-    tensor = tensor.transpose(perm + [m + p for p in perm])
-    return tensor.reshape(2**m, 2**m)
+    return np.einsum(rho.reshape((2,) * (2 * n)), labels, out).reshape(2**m, 2**m)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +293,7 @@ def von_neumann_entropy(reg: QRegister, subset: Sequence[int] | None = None) -> 
         key = None
     if key not in reg._entropies:
         sub = reg.rho if key is None else partial_trace(reg.rho, key, reg.n_qubits)
-        eigs = np.linalg.eigvalsh(sub)
+        eigs = np.linalg.eigvalsh(_support(sub))
         if eigs[0] < -PSD_ATOL:
             raise SimulationError(f"reduced state has eigenvalue {eigs[0]}")
         reg._entropies[key] = spectrum_entropy_bits(eigs)
@@ -352,9 +372,7 @@ def epr_fidelity(
         for u, targets in layer.gates:
             rho = apply_unitary(rho, u, targets, n)
     pair = partial_trace(rho, [system_qubit, reference_qubit], n)
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1 / np.sqrt(2)
-    return float((phi.conj() @ pair @ phi).real)
+    return float((PHI_PLUS.conj() @ pair @ PHI_PLUS).real)
 
 
 # ---------------------------------------------------------------------------

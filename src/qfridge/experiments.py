@@ -20,7 +20,9 @@ from .channels import SuperOp, dephasing_kraus, kraus_to_superop
 from .classify import DEPHASING_CLASS, DEPOLARIZING_CLASS, classify
 from .densim import (
     DATA,
+    PHI_PLUS,
     REFERENCE,
+    ZERO,
     GateLayer,
     NoiseLayer,
     QRegister,
@@ -110,9 +112,7 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _random_pure_register(n: int, rng: np.random.Generator, with_reference: bool) -> QRegister:
     if with_reference:
-        phi = np.zeros(4, dtype=complex)
-        phi[0] = phi[3] = 1 / np.sqrt(2)
-        state = phi
+        state = PHI_PLUS
         for _ in range(n - 1):
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             state = np.kron(state, v / np.linalg.norm(v))
@@ -244,9 +244,7 @@ def run_stockpile(
     budget = int(np.ceil(n**b_exp))
     in_regime = a_exp + b_exp < 1
 
-    zero = np.zeros((2, 2), dtype=complex)
-    zero[0, 0] = 1.0
-    reg = QRegister.from_product([zero] * n, [DATA] * n)
+    reg = QRegister.from_product([ZERO] * n, [DATA] * n)
     working = list(range(m))
     stockpile = list(range(m, n))
     noise = NoiseLayer(channel)
@@ -262,7 +260,7 @@ def run_stockpile(
         reg = step(reg, _random_pair_layer(working, rng), noise)
         for q in stockpile:
             marginal = partial_trace(reg.rho, [q], n)
-            if distance(marginal, zero, "two") > 1e-12:
+            if distance(marginal, ZERO, "two") > 1e-12:
                 raise SimulationError(f"stockpile qubit {q} disturbed by dephasing")
         achieved = t
         records.append(
@@ -344,12 +342,9 @@ def run_epr_storage(
         raise ValueError("storage experiment needs a dephasing-class channel")
     noise = NoiseLayer(channel)
 
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1 / np.sqrt(2)
-    rho = np.outer(phi, phi.conj())
+    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
     if code == CODE_PHASE_FLIP:
-        zero = np.diag([1.0, 0.0]).astype(complex)
-        rho = np.kron(rho, np.kron(zero, zero))
+        rho = np.kron(rho, np.kron(ZERO, ZERO))
         reg = QRegister(rho, [REFERENCE, DATA, DATA, DATA])
         encode = _phase_flip_encode_layers()
         decode = _phase_flip_decode_layers()
@@ -398,6 +393,5 @@ def _storage_record(t, reg, decode, max_gap) -> TraceRecord:
 def _replace_syndrome(reg: QRegister) -> QRegister:
     """Discard qubits 2 and 3 and append fresh |0> ancillas in their place."""
     kept = partial_trace(reg.rho, [0, 1], reg.n_qubits)
-    zero = np.diag([1.0, 0.0]).astype(complex)
-    rho = np.kron(kept, np.kron(zero, zero))
+    rho = np.kron(kept, np.kron(ZERO, ZERO))
     return QRegister(rho, reg.roles)

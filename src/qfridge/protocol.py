@@ -29,6 +29,7 @@ from .channels import SuperOp, bloch_to_density, canonical_form, fixed_point, po
 from .classify import NON_UNITAL_CLASS, classify, relaxation_time
 from .densim import (
     NAMED_GATES,
+    ZERO,
     SimulationError,
     apply_single_qubit_superop,
     apply_unitary,
@@ -46,8 +47,6 @@ POLICY_STALE = "stale"
 
 FRAME_BIT_FLIP = "z"
 FRAME_PHASE_FLIP = "x"
-
-_ZERO = np.diag([1.0, 0.0]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -297,7 +296,7 @@ def _run_policy(cfg, channel, spec, frame, logical_ket, rho_p, storage_t, policy
     rho = np.outer(ket, ket.conj())
     rho = _apply_layers(rho, _encode_layers(frame), 3)
 
-    stale_ancillas = [_ZERO, _ZERO]  # first cycle runs on fresh |0> qubits
+    stale_ancillas = [ZERO, ZERO]  # first cycle runs on fresh |0> qubits
     records = []
     for cycle in range(1, cfg.d_prime + 1):
         if cfg.correction_interval > 1 and cycle % cfg.correction_interval != 0:

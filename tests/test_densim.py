@@ -94,6 +94,100 @@ def test_psd_check_matches_smallest_eigenvalue(n, min_eig, seed):
             assert abs(reported - min_eig) < 1e-12
 
 
+def argument_shapes(patched):
+    return [call.args[0].shape for call in patched.call_args_list]
+
+
+@settings(max_examples=80)
+@given(
+    n=st.integers(1, 6),
+    k=st.integers(1, 32),
+    min_eig=st.sampled_from([-2e-9, -1.01e-9, -0.99e-9, -1e-10, 0.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_checks_run_on_the_exact_support(n, k, min_eig, seed):
+    """A random block (dims 1..32) placed by a random permutation into a
+    2^n matrix that is otherwise exactly zero: the register accepts it
+    exactly when the block's smallest eigenvalue is >= -PSD_ATOL, a
+    rejection reports that eigenvalue, the entropy is the block's, and the
+    linear algebra runs on the block alone."""
+    dim = 2**n
+    k = min(k, dim)
+    rng = np.random.default_rng(seed)
+    if k == 1:
+        eigs = np.array([1.0])
+    else:
+        rest = rng.uniform(0.1, 1.0, size=k - 1)
+        eigs = np.concatenate([[min_eig], rest * (1 - min_eig) / rest.sum()])
+    g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    u, _ = np.linalg.qr(g)
+    block = (u * eigs) @ u.conj().T
+    block = (block + block.conj().T) / 2
+    idx = rng.permutation(dim)[:k]
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[np.ix_(idx, idx)] = block
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+        if eigs[0] >= -PSD_ATOL:
+            reg = QRegister(rho, [DATA] * n)
+            assert abs(von_neumann_entropy(reg) - entropy_bits(block)) < 1e-12
+        else:
+            with pytest.raises(SimulationError, match="eigenvalue") as err:
+                QRegister(rho, [DATA] * n)
+            reported = float(re.search(r"eigenvalue (\S+) <", str(err.value)).group(1))
+            assert abs(reported - eigs[0]) < 1e-12
+    assert argument_shapes(cholesky) == [(k, k)]
+
+
+def test_support_keeps_an_index_whose_column_is_nonzero():
+    """Row 0 is zero but column 0 holds a 1e-11 entry (Hermitian within
+    TRACE_ATOL): index 0 stays, only the all-zero index 3 is dropped."""
+    rho = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
+    rho[2, 0] = 1e-11
+    want = entropy_bits(rho)
+    with count_eigvalsh() as eigvalsh:
+        got = von_neumann_entropy(QRegister(rho, [DATA] * 2))
+    assert argument_shapes(eigvalsh) == [(3, 3)]
+    assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("keep", [[1, 1], [3], [-1], [0, 3]])
+def test_bad_qubit_subsets_raise_simulation_error(keep):
+    reg = QRegister(np.eye(8, dtype=complex) / 8, [DATA] * 3)
+    pattern = re.escape(str(keep))
+    with pytest.raises(SimulationError, match=pattern):
+        partial_trace(reg.rho, keep, 3)
+    with pytest.raises(SimulationError, match=pattern):
+        von_neumann_entropy(reg, keep)
+
+
+def partial_trace_by_axis(rho, keep, n):
+    """The per-axis np.trace loop partial_trace once used, kept as an oracle."""
+    keep = list(keep)
+    tensor = rho.reshape((2,) * (2 * n))
+    traced = [q for q in range(n) if q not in keep]
+    for q in sorted(traced, reverse=True):
+        tensor = np.trace(tensor, axis1=q, axis2=q + tensor.ndim // 2)
+    # axes now correspond to sorted(keep); reorder to the requested order
+    current = sorted(keep)
+    m = len(keep)
+    perm = [current.index(q) for q in keep]
+    tensor = tensor.transpose(perm + [m + p for p in perm])
+    return tensor.reshape(2**m, 2**m)
+
+
+@settings(max_examples=80)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_partial_trace_matches_per_axis_loop(n, seed):
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    keep = [int(q) for q in rng.permutation(n)[: rng.integers(0, n + 1)]]
+    got = partial_trace(rho, keep, n)
+    want = partial_trace_by_axis(rho, keep, n)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+
+
 @pytest.mark.parametrize(
     "build, too_far",
     [

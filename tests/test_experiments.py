@@ -1,6 +1,7 @@
 """Noise-regime experiments and their telemetry plumbing."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ class TestStockpile:
         # the run itself asserts every stockpile marginal stays exactly |0>
         result = run_stockpile(0.3, 0.6, 7, 0.3, seed=9)
         assert result.records[-1].extra["stockpile_left"] == result.stockpile_left
+
+    def test_checks_and_entropies_skip_the_zero_stockpile_block(self):
+        # stockpile qubits wait in |0>, so every 1024x1024 state has exactly
+        # zero rows and columns; validation and entropies run on the rest
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh, \
+                mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+            run_stockpile(0.5, 0.5, 10, 0.1, seed=0)
+        calls = eigvalsh.call_args_list + cholesky.call_args_list
+        assert calls
+        assert all(call.args[0].shape[-1] < 1024 for call in calls)
 
 
 class TestEprStorage:
