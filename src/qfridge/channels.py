@@ -341,14 +341,9 @@ def cp_check(f: CanonicalForm, tol: float = ATOL) -> bool:
 
 
 def choi_matrix(c: SuperOp) -> np.ndarray:
-    """Normalized Choi state (C x id)(|Phi+><Phi+|), trace 1."""
-    j = np.zeros((4, 4), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            basis = np.zeros((2, 2), dtype=complex)
-            basis[a, b] = 1.0
-            j += 0.5 * np.kron(c.apply(basis), basis)
-    return j
+    """Normalized Choi state (C x id)(|Phi+><Phi+|), trace 1: the natural
+    rep's (out, out', in, in') entries reordered to (out, in), (out', in')."""
+    return 0.5 * c.natural().reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 def choi_positive(c: SuperOp, tol: float = ATOL) -> bool:
@@ -416,7 +411,8 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def _trace_norm(m: np.ndarray) -> float:
+def trace_norm(m: np.ndarray) -> float:
+    """Schatten 1-norm of a Hermitian matrix."""
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
@@ -462,7 +458,7 @@ def channel_distance(
     """
     delta_nat = a.natural() - b.natural()
     delta_adj = delta_nat.conj().T
-    lower = _trace_norm(choi_matrix(a) - choi_matrix(b))
+    lower = trace_norm(choi_matrix(a) - choi_matrix(b))
 
     rng = np.random.default_rng(seed)
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)

@@ -35,7 +35,7 @@ from .channels import (
     load_channel,
 )
 from .classify import ClassificationError, classification_report, relaxation_time
-from .densim import SimulationError
+from .densim import ZERO, SimulationError
 from .experiments import (
     TraceRecord,
     run_depolarizing_decay,
@@ -319,9 +319,8 @@ def _run_bounds(config, seed, mode, sim):
     ]
     if mode == MODE_PAPER:
         # the printed constant fails on this orthogonal pure pair
-        zero = np.diag([1.0, 0.0])
         one = np.diag([0.0, 1.0])
-        margin = concavity_margin(zero, one, 0.5, mode=MODE_PAPER)
+        margin = concavity_margin(ZERO, one, 0.5, mode=MODE_PAPER)
         rows.append(("concavity_counterexample", mode, format(margin, ".17g")))
         if margin >= 0:
             raise SimulationError("expected the paper constant to fail on pure orthogonal states")

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import SuperOp
+from .channels import SuperOp, trace_norm
 
 MAX_QUBITS = 12
 TRACE_ATOL = 1e-10
@@ -73,7 +73,7 @@ class GateLayer:
 
     gates: tuple
 
-    def __init__(self, gates: Sequence, max_arity: int | None = None):
+    def __init__(self, gates: Sequence):
         parsed = []
         seen = set()
         for u, targets in gates:
@@ -86,23 +86,11 @@ class GateLayer:
                 )
             if not np.allclose(u @ u.conj().T, np.eye(dim), rtol=0, atol=TRACE_ATOL):
                 raise SimulationError("gate matrix is not unitary")
-            if max_arity is not None and len(targets) > max_arity:
-                raise SimulationError(f"gate arity {len(targets)} exceeds {max_arity}")
             if seen & set(targets):
                 raise SimulationError("overlapping gate targets in one layer")
             seen |= set(targets)
             parsed.append((u, targets))
         object.__setattr__(self, "gates", tuple(parsed))
-
-
-@dataclass(frozen=True)
-class NoiseLayer:
-    """The same single-qubit channel applied to every non-reference qubit."""
-
-    channel: SuperOp
-
-    def natural(self) -> np.ndarray:
-        return self.channel.natural()
 
 
 @dataclass(frozen=True)
@@ -186,39 +174,41 @@ def epr_register(extra_system: int = 0) -> QRegister:
     return QRegister(rho, roles)
 
 
+def repetition_code(data: Sequence[int], phase_flip: bool = False) -> tuple:
+    """(encode, decode) gate layers of the 3-qubit repetition code on the data
+    qubits (d0, d1, d2), d0 holding the logical qubit.  Decoding undoes the
+    encoder and ends with a Toffoli that corrects d0 from the syndrome left on
+    d1 and d2.  The phase-flip code adds a Hadamard on each data qubit after
+    encoding and before decoding."""
+    d0, d1, d2 = data
+    cnot = NAMED_GATES["CNOT"]
+    encode = [GateLayer([(cnot, (d0, d1))]), GateLayer([(cnot, (d0, d2))])]
+    decode = encode + [GateLayer([(NAMED_GATES["TOFFOLI"], (d1, d2, d0))])]
+    if phase_flip:
+        h = GateLayer([(NAMED_GATES["H"], (q,)) for q in data])
+        encode, decode = encode + [h], [h] + decode
+    return encode, decode
+
+
 # ---------------------------------------------------------------------------
 # low-level matrix updates
 # ---------------------------------------------------------------------------
 
 
+def _contract(u_t: np.ndarray, tensor: np.ndarray, axes: list) -> np.ndarray:
+    """Contract a k-qubit gate tensor into `axes` of a 2n-axis tensor, keeping
+    the axis order: tensordot puts the gate's k output axes first."""
+    k = len(axes)
+    out = np.tensordot(u_t, tensor, axes=(list(range(k, 2 * k)), axes))
+    rest = iter(range(k, out.ndim))
+    return out.transpose([axes.index(d) if d in axes else next(rest) for d in range(out.ndim)])
+
+
 def apply_unitary(rho: np.ndarray, u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
     """rho -> U rho U^dag with U acting on the given qubits."""
-    k = len(targets)
-    tensor = rho.reshape((2,) * (2 * n))
-    u_t = u.reshape((2,) * (2 * k))
-    # ket side
-    tensor = np.tensordot(u_t, tensor, axes=(list(range(k, 2 * k)), list(targets)))
-    # tensordot moved the gate's output axes to the front; restore axis order
-    dest = list(targets)
-    src = list(range(k))
-    remaining = [ax for ax in range(2 * n) if ax not in dest]
-    perm = [0] * (2 * n)
-    for s, d in zip(src, dest):
-        perm[d] = s
-    for s, d in zip(range(k, 2 * n), remaining):
-        perm[d] = s
-    tensor = tensor.transpose(perm)
-    # bra side
-    bra_targets = [n + q for q in targets]
-    tensor = np.tensordot(np.conj(u_t), tensor, axes=(list(range(k, 2 * k)), bra_targets))
-    dest = bra_targets
-    perm = [0] * (2 * n)
-    for s, d in zip(range(k), dest):
-        perm[d] = s
-    remaining = [ax for ax in range(2 * n) if ax not in dest]
-    for s, d in zip(range(k, 2 * n), remaining):
-        perm[d] = s
-    tensor = tensor.transpose(perm)
+    u_t = u.reshape((2,) * (2 * len(targets)))
+    tensor = _contract(u_t, rho.reshape((2,) * (2 * n)), list(targets))
+    tensor = _contract(np.conj(u_t), tensor, [n + q for q in targets])
     return tensor.reshape(2**n, 2**n)
 
 
@@ -251,19 +241,26 @@ def partial_trace(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def step(reg: QRegister, layer: GateLayer, noise: NoiseLayer | None) -> QRegister:
-    """One time step: perfect gates, then noise on every non-reference qubit."""
-    n = reg.n_qubits
-    rho = reg.rho
-    for u, targets in layer.gates:
-        if any(q >= n for q in targets):
-            raise SimulationError("gate target outside register")
-        rho = apply_unitary(rho, u, targets, n)
-    if noise is not None:
-        nat = noise.natural()
-        for q in reg.system_qubits:
+def evolve(rho: np.ndarray, layers: Iterable[GateLayer], n: int, nat: np.ndarray | None = None,
+           noisy: Iterable[int] | None = None) -> np.ndarray:
+    """Apply gate layers to a raw 2^n x 2^n matrix, then, with a channel's
+    natural rep `nat` given, one noise pass on the `noisy` qubits (default:
+    all).  No validation of the result."""
+    for layer in layers:
+        for u, targets in layer.gates:
+            if any(q >= n for q in targets):
+                raise SimulationError("gate target outside register")
+            rho = apply_unitary(rho, u, targets, n)
+    if nat is not None:
+        for q in range(n) if noisy is None else noisy:
             rho = apply_single_qubit_superop(rho, nat, q, n)
-    return QRegister(rho, reg.roles)
+    return rho
+
+
+def step(reg: QRegister, layer: GateLayer, noise: SuperOp | None) -> QRegister:
+    """One time step: perfect gates, then noise on every non-reference qubit."""
+    nat = None if noise is None else noise.natural()
+    return QRegister(evolve(reg.rho, [layer], reg.n_qubits, nat, reg.system_qubits), reg.roles)
 
 
 def spectrum_entropy_bits(eigs: np.ndarray) -> float:
@@ -332,7 +329,7 @@ def distance(a: np.ndarray, b: np.ndarray, norm: str = "two") -> float:
         raise SimulationError("distance between different dimensions")
     diff = a - b
     if norm == "one":
-        return float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
+        return trace_norm(0.5 * (diff + diff.conj().T))
     if norm == "two":
         return float(np.linalg.norm(diff))
     raise SimulationError(f"unknown norm {norm!r}")
@@ -367,31 +364,5 @@ def epr_fidelity(
     if reg.roles[reference_qubit] != REFERENCE:
         raise SimulationError("reference_qubit is not flagged as reference")
     n = reg.n_qubits
-    rho = reg.rho
-    for layer in decoder:
-        for u, targets in layer.gates:
-            rho = apply_unitary(rho, u, targets, n)
-    pair = partial_trace(rho, [system_qubit, reference_qubit], n)
+    pair = partial_trace(evolve(reg.rho, decoder, n), [system_qubit, reference_qubit], n)
     return float((PHI_PLUS.conj() @ pair @ PHI_PLUS).real)
-
-
-# ---------------------------------------------------------------------------
-# circuit file format
-# ---------------------------------------------------------------------------
-
-
-def layer_from_dict(doc: dict, max_arity: int | None = None) -> GateLayer:
-    gates = []
-    for g in doc.get("gates", []):
-        u = g["u"]
-        if isinstance(u, str):
-            try:
-                u = NAMED_GATES[u]
-            except KeyError:
-                raise SimulationError(f"unknown named gate {u!r}") from None
-        else:
-            u = np.array(
-                [[complex(e[0], e[1]) for e in row] for row in u]
-            )
-        gates.append((u, g["targets"]))
-    return GateLayer(gates, max_arity=max_arity)

@@ -24,16 +24,15 @@ from .densim import (
     REFERENCE,
     ZERO,
     GateLayer,
-    NoiseLayer,
     QRegister,
     SimulationError,
-    NAMED_GATES,
-    apply_unitary,
     dephase_all,
     distance,
     epr_fidelity,
+    evolve,
     information,
     partial_trace,
+    repetition_code,
     step,
     von_neumann_entropy,
 )
@@ -131,7 +130,7 @@ def _random_pair_layer(qubits: Sequence[int], rng: np.random.Generator) -> GateL
     while len(qubits) >= 2:
         a, b = qubits.pop(), qubits.pop()
         gates.append((_haar_unitary(4, rng), (a, b)))
-    return GateLayer(gates, max_arity=2)
+    return GateLayer(gates)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +166,6 @@ def run_depolarizing_decay(
         raise ValueError("decay experiment needs a depolarizing-class channel")
     rng = np.random.default_rng(seed)
     reg = _random_pure_register(n, rng, with_reference)
-    noise = NoiseLayer(channel)
     records = []
     info = information(reg)
     records.append(_decay_record(0, reg, with_reference))
@@ -177,7 +175,7 @@ def run_depolarizing_decay(
             if policy == "random_circuit"
             else GateLayer([])
         )
-        reg = step(reg, layer, noise)
+        reg = step(reg, layer, channel)
         new_info = information(reg)
         if new_info > info + 1e-9:
             raise SimulationError(f"information increased at step {t}")
@@ -247,7 +245,6 @@ def run_stockpile(
     reg = QRegister.from_product([ZERO] * n, [DATA] * n)
     working = list(range(m))
     stockpile = list(range(m, n))
-    noise = NoiseLayer(channel)
     records = []
     achieved = 0
     for t in range(1, budget + 1):
@@ -257,7 +254,7 @@ def run_stockpile(
             for _ in range(ancillas_per_step):
                 working.pop(0)  # retire the oldest working qubit
                 working.append(stockpile.pop(0))
-        reg = step(reg, _random_pair_layer(working, rng), noise)
+        reg = step(reg, _random_pair_layer(working, rng), channel)
         for q in stockpile:
             marginal = partial_trace(reg.rho, [q], n)
             if distance(marginal, ZERO, "two") > 1e-12:
@@ -299,25 +296,6 @@ class EprStorageResult:
     ancillas_consumed: int
 
 
-def _phase_flip_encode_layers() -> list:
-    h, cnot = NAMED_GATES["H"], NAMED_GATES["CNOT"]
-    return [
-        GateLayer([(cnot, (1, 2))]),
-        GateLayer([(cnot, (1, 3))]),
-        GateLayer([(h, (1,)), (h, (2,)), (h, (3,))]),
-    ]
-
-
-def _phase_flip_decode_layers() -> list:
-    h, cnot, toff = NAMED_GATES["H"], NAMED_GATES["CNOT"], NAMED_GATES["TOFFOLI"]
-    return [
-        GateLayer([(h, (1,)), (h, (2,)), (h, (3,))]),
-        GateLayer([(cnot, (1, 2))]),
-        GateLayer([(cnot, (1, 3))]),
-        GateLayer([(toff, (2, 3, 1))]),
-    ]
-
-
 def run_epr_storage(
     code: str,
     p: float,
@@ -340,16 +318,12 @@ def run_epr_storage(
     channel = kraus_to_superop(dephasing_kraus(p))
     if p > 0 and classify(channel).kind != DEPHASING_CLASS:
         raise ValueError("storage experiment needs a dephasing-class channel")
-    noise = NoiseLayer(channel)
 
     rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
     if code == CODE_PHASE_FLIP:
-        rho = np.kron(rho, np.kron(ZERO, ZERO))
+        encode, decode = repetition_code((1, 2, 3), phase_flip=True)
+        rho = evolve(np.kron(rho, np.kron(ZERO, ZERO)), encode, 4)
         reg = QRegister(rho, [REFERENCE, DATA, DATA, DATA])
-        encode = _phase_flip_encode_layers()
-        decode = _phase_flip_decode_layers()
-        for layer in encode:
-            reg = step(reg, layer, None)
     else:
         reg = QRegister(rho, [REFERENCE, DATA])
         decode = []
@@ -359,15 +333,14 @@ def run_epr_storage(
     for t in range(1, steps + 1):
         if code == CODE_PHASE_FLIP and correction_interval > 0 and t % correction_interval == 0:
             # the upper-bound adversary allows arbitrary unitaries between
-            # noise applications, so the whole cycle sits inside one step
-            for layer in decode:
-                reg = step(reg, layer, None)
-            reg = _replace_syndrome(reg)
+            # noise applications, so the whole cycle sits inside one step;
+            # qubits 2 and 3 are discarded and fresh |0> ancillas replace them
+            kept = partial_trace(evolve(reg.rho, decode, 4), [0, 1], 4)
+            rho = evolve(np.kron(kept, np.kron(ZERO, ZERO)), encode, 4)
+            reg = QRegister(rho, reg.roles)
             ancillas += 2
-            for layer in encode:
-                reg = step(reg, layer, None)
         pre_noise = reg
-        reg = step(reg, GateLayer([]), noise)
+        reg = step(reg, GateLayer([]), channel)
         ledger = entropy_ledger_step(pre_noise, reg, channel)
         records.append(_storage_record(t, reg, decode, ledger.max_gap))
         deph_dist = distance(reg.rho, dephase_all(reg).rho, "two")
@@ -388,10 +361,3 @@ def _storage_record(t, reg, decode, max_gap) -> TraceRecord:
         epr_fidelity=epr_fidelity(reg, decode, 1, 0),
         max_gap=max_gap,
     )
-
-
-def _replace_syndrome(reg: QRegister) -> QRegister:
-    """Discard qubits 2 and 3 and append fresh |0> ancillas in their place."""
-    kept = partial_trace(reg.rho, [0, 1], reg.n_qubits)
-    rho = np.kron(kept, np.kron(ZERO, ZERO))
-    return QRegister(rho, reg.roles)

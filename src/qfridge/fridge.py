@@ -27,9 +27,10 @@ from functools import reduce
 
 import numpy as np
 
-from .channels import ChannelError, SuperOp, diamond_upper, identity_channel, kraus_to_superop
+from .channels import ChannelError, SuperOp, diamond_upper, identity_channel, kraus_to_superop, trace_norm
 from .densim import (
     MAX_QUBITS,
+    ZERO,
     apply_single_qubit_superop,
     apply_unitary,
     entropy_bits,
@@ -257,10 +258,8 @@ def _coherence_leak(nat: np.ndarray) -> float:
 
 
 def _report(reset: np.ndarray, waste_entropy: float, mode: str) -> CoolingReport:
-    diff = reset - np.diag([1.0, 0.0])
-    reset_distance = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
     return CoolingReport(
-        reset_state=reset, reset_distance=reset_distance, waste_entropy=waste_entropy, mode=mode
+        reset_state=reset, reset_distance=trace_norm(reset - ZERO), waste_entropy=waste_entropy, mode=mode
     )
 
 

@@ -17,6 +17,10 @@ Two simulation modes:
 * ``factorized`` -- every qubit crossing a component boundary is reduced to
   its single-qubit marginal immediately, as the weak-correlation argument
   licenses.  Layer and noise counts match the exact mode step for step.
+
+The code circuit is :func:`densim.repetition_code` on data qubits 0..2, and
+a correction is its decoder, a swap of the two syndrome qubits with the
+ancillas, and its encoder; every cycle runs on :func:`densim.evolve`.
 """
 
 from __future__ import annotations
@@ -25,16 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import SuperOp, bloch_to_density, canonical_form, fixed_point, power
+from .channels import SuperOp, bloch_to_density, canonical_form, fixed_point, trace_norm
 from .classify import NON_UNITAL_CLASS, classify, relaxation_time
 from .densim import (
     NAMED_GATES,
     ZERO,
+    GateLayer,
     SimulationError,
-    apply_single_qubit_superop,
-    apply_unitary,
     entropy_bits,
+    evolve,
     partial_trace,
+    repetition_code,
 )
 from .experiments import TraceRecord
 from .fridge import FridgeSpec, apply_permutation, build_cooling_circuit, choose_R
@@ -59,7 +64,6 @@ class ProtocolConfig:
     eps1: float = 0.1
     eps2: float = 0.2
     storage_T: int | None = None  # computed from eps1 when omitted
-    correction_interval: int = 1
     mode: str = MODE_FACTORIZED
 
     def throughput_bound(self, r: int) -> int:
@@ -98,10 +102,10 @@ class _Storage:
         self.entries = []  # (state, age in layers), oldest first
         self.drawn = 0
 
-    def tick(self, layers: int) -> None:
-        relax = np.linalg.matrix_power(self.nat_layer, layers)
+    def tick(self) -> None:
+        """Age every entry by one noise layer."""
         self.entries = [
-            ((relax @ state.reshape(4)).reshape(2, 2), age + layers)
+            ((self.nat_layer @ state.reshape(4)).reshape(2, 2), age + 1)
             for state, age in self.entries
         ]
 
@@ -114,7 +118,7 @@ class _Storage:
             state, _ = self.entries.pop(0)
         else:
             state = self.p_state
-        gap = float(np.sum(np.abs(np.linalg.eigvalsh(state - self.p_state))))
+        gap = trace_norm(state - self.p_state)
         if gap >= self.dwell_target:
             raise SimulationError(
                 f"dequeued qubit is {gap} from the fixed point, target {self.dwell_target}"
@@ -131,84 +135,22 @@ def _code_frame(channel: SuperOp) -> str:
     return FRAME_PHASE_FLIP if p_z > max(p_x, p_y) else FRAME_BIT_FLIP
 
 
-def _h_layer():
-    h = NAMED_GATES["H"]
-    return [(h, (0,)), (h, (1,)), (h, (2,))]
-
-
-def _encode_layers(frame: str) -> list:
-    cnot = NAMED_GATES["CNOT"]
-    layers = [[(cnot, (0, 1))], [(cnot, (0, 2))]]
-    if frame == FRAME_PHASE_FLIP:
-        layers.append(_h_layer())
-    return layers
-
-
-def _ideal_decode_layers(frame: str) -> list:
-    cnot, toff = NAMED_GATES["CNOT"], NAMED_GATES["TOFFOLI"]
-    layers = []
-    if frame == FRAME_PHASE_FLIP:
-        layers.append(_h_layer())
-    layers += [[(cnot, (0, 1))], [(cnot, (0, 2))], [(toff, (1, 2, 0))]]
-    return layers
-
-
-def _correction_layers(frame: str, a0: int, a1: int) -> list:
-    cnot, toff, swap = NAMED_GATES["CNOT"], NAMED_GATES["TOFFOLI"], NAMED_GATES["SWAP"]
-    layers = []
-    if frame == FRAME_PHASE_FLIP:
-        layers.append(_h_layer())
-    layers += [
-        [(cnot, (0, 1))],
-        [(cnot, (0, 2))],
-        [(toff, (1, 2, 0))],
-        [(swap, (1, a0)), (swap, (2, a1))],
-        [(cnot, (0, 1))],
-        [(cnot, (0, 2))],
-    ]
-    if frame == FRAME_PHASE_FLIP:
-        layers.append(_h_layer())
-    return layers
-
-
-def _apply_layers(rho, layers, n, nat=None):
-    """Apply gate layers; with `nat` given, one noise pass on all qubits
-    follows each layer."""
-    for gates in layers:
-        for u, targets in gates:
-            rho = apply_unitary(rho, u, targets, n)
-        if nat is not None:
-            for q in range(n):
-                rho = apply_single_qubit_superop(rho, nat, q, n)
-    return rho
-
-
-def _noise_only(rho, n, nat, repeats):
-    for _ in range(repeats):
-        for q in range(n):
-            rho = apply_single_qubit_superop(rho, nat, q, n)
-    return rho
-
-
 def _renorm(rho):
-    """Scrub the multiplicative trace drift that compounds through the
-    per-cycle tensor products."""
+    """Divide out the trace.  A cycle's stale ancillas are partial traces of
+    the previous cycle's state, so with that state's trace T the product of
+    data and two ancillas has trace T^3: without this, rounding drift would
+    compound as T_{k+1} = T_k^3 and the fidelities would collapse."""
     return rho / np.trace(rho).real
 
 
-def _logical_fidelity(rho3, frame, logical_ket) -> float:
-    rho3 = _apply_layers(rho3, _ideal_decode_layers(frame), 3)
-    one = partial_trace(rho3, [0], 3)
-    return float((logical_ket.conj() @ one @ logical_ket).real)
-
-
-def _record(cycle, rho3, frame, logical_ket) -> TraceRecord:
+def _record(cycle, rho3, decode, logical_ket) -> TraceRecord:
     entropy = entropy_bits(rho3)
+    one = partial_trace(evolve(rho3, decode, 3), [0], 3)
     return TraceRecord(
         step=cycle,
         entropy_bits=entropy,
         information_bits=3 - entropy,
-        logical_fidelity=_logical_fidelity(rho3, frame, logical_ket),
+        logical_fidelity=float((logical_ket.conj() @ one @ logical_ket).real),
     )
 
 
@@ -249,6 +191,7 @@ def run_refrigerator_protocol(
     pre_rot = eigvecs[:, ::-1].conj().T  # rotate the fixed point onto |0>
     spec = build_cooling_circuit(q_bias, r, pre_rotation=pre_rot)
     frame = _code_frame(channel)
+    code = repetition_code((0, 1, 2), phase_flip=frame == FRAME_PHASE_FLIP)
 
     if cfg.storage_T is not None:
         storage_t = cfg.storage_T
@@ -256,10 +199,10 @@ def run_refrigerator_protocol(
         storage_t = relaxation_time(channel, cfg.dwell_target(r)).steps
 
     refrig, thru = _run_policy(
-        cfg, channel, spec, frame, logical_ket, rho_p, storage_t, POLICY_REFRIGERATED
+        cfg, channel, spec, code, logical_ket, rho_p, storage_t, POLICY_REFRIGERATED
     )
     stale, _ = _run_policy(
-        cfg, channel, spec, frame, logical_ket, rho_p, storage_t, POLICY_STALE
+        cfg, channel, spec, code, logical_ket, rho_p, storage_t, POLICY_STALE
     )
     if thru > cfg.throughput_bound(r):
         raise SimulationError(
@@ -283,36 +226,30 @@ def run_refrigerator_protocol(
     )
 
 
-def _run_policy(cfg, channel, spec, frame, logical_ket, rho_p, storage_t, policy):
+def _run_policy(cfg, channel, spec, code, logical_ket, rho_p, storage_t, policy):
     nat = channel.natural()
     r = spec.r_block
-    exact_joint = cfg.mode == MODE_EXACT and policy == POLICY_REFRIGERATED
-    correction = _correction_layers(frame, a0=3, a1=3 + r if exact_joint else 4)
+    encode, decode = code
+    a1 = 3 + r if cfg.mode == MODE_EXACT and policy == POLICY_REFRIGERATED else 4
+    swap = NAMED_GATES["SWAP"]
+    correction = decode + [GateLayer([(swap, (1, 3)), (swap, (2, a1))])] + encode
     storage = _Storage(rho_p, nat, storage_t, cfg.dwell_target(r))
 
     # encode the logical input; no noise during preparation
     ket = np.kron(logical_ket, np.array([1, 0], dtype=complex))
     ket = np.kron(ket, np.array([1, 0], dtype=complex))
-    rho = np.outer(ket, ket.conj())
-    rho = _apply_layers(rho, _encode_layers(frame), 3)
+    rho = evolve(np.outer(ket, ket.conj()), encode, 3)
 
     stale_ancillas = [ZERO, ZERO]  # first cycle runs on fresh |0> qubits
     records = []
     for cycle in range(1, cfg.d_prime + 1):
-        if cfg.correction_interval > 1 and cycle % cfg.correction_interval != 0:
-            rho = _noise_only(rho, 3, nat, 1)
-            rho = _renorm(rho)
-            records.append(_record(cycle, rho, frame, logical_ket))
-            storage.tick(1)
-            continue
         if policy == POLICY_REFRIGERATED:
             drawn = [spec.pre_rotation @ storage.dequeue() @ spec.pre_rotation.conj().T
                      for _ in range(2 * r)]
             if cfg.mode == MODE_EXACT:
-                rho = _cycle_exact(rho, drawn, spec, correction, nat, r)
-                block_marginals = [partial_trace(rho, [3 + i], 3 + 2 * r) for i in range(2 * r)]
-                for m in block_marginals:
-                    storage.enqueue(m)
+                rho = _cycle_exact(rho, drawn, spec, correction, nat)
+                for i in range(2 * r):
+                    storage.enqueue(partial_trace(rho, [3 + i], 3 + 2 * r))
                 rho = partial_trace(rho, [0, 1, 2], 3 + 2 * r)
             else:
                 rho, returned = _cycle_factorized(rho, drawn, spec, correction, nat, r)
@@ -321,21 +258,19 @@ def _run_policy(cfg, channel, spec, frame, logical_ket, rho_p, storage_t, policy
         else:
             rho, stale_ancillas = _cycle_stale(rho, stale_ancillas, correction, nat)
         rho = _renorm(rho)
-        storage.tick(1)
-        records.append(_record(cycle, rho, frame, logical_ket))
+        storage.tick()
+        records.append(_record(cycle, rho, decode, logical_ket))
     return records, storage.drawn
 
 
-def _cycle_exact(rho3, drawn, spec, correction, nat, r):
+def _cycle_exact(rho3, drawn, spec, correction, nat):
     # all of one cycle's gates sit between two noise applications: the noise
     # model is per time step, with arbitrary unitaries allowed in between
-    n = 3 + 2 * r
     rho = rho3
     for state in drawn:
         rho = np.kron(rho, state)
     rho = apply_permutation(rho, spec, blocks=2)
-    rho = _apply_layers(rho, correction, n)
-    return _noise_only(rho, n, nat, 1)
+    return evolve(rho, correction, 3 + len(drawn), nat)
 
 
 def _cycle_factorized(rho3, drawn, spec, correction, nat, r):
@@ -350,20 +285,14 @@ def _cycle_factorized(rho3, drawn, spec, correction, nat, r):
         resets.append(partial_trace(block, [0], r))
         wastes.extend(partial_trace(block, [i], r) for i in range(1, r))
     # correction with the two resets injected as product ancillas
-    rho = np.kron(np.kron(rho3, resets[0]), resets[1])
-    rho = _apply_layers(rho, correction, 5)
-    rho = _noise_only(rho, 5, nat, 1)
-    garbage = [_renorm(partial_trace(rho, [3], 5)), _renorm(partial_trace(rho, [4], 5))]
-    rho = partial_trace(rho, [0, 1, 2], 5)
-    wastes = [_noise_only(w, 1, nat, 1) for w in wastes]
-    return rho, garbage + wastes
+    rho, garbage = _cycle_stale(rho3, resets, correction, nat)
+    return rho, garbage + [evolve(w, [], 1, nat) for w in wastes]
 
 
 def _cycle_stale(rho3, ancillas, correction, nat):
     # identical cycle schedule, but the ancillas are last cycle's garbage
     rho = np.kron(np.kron(rho3, ancillas[0]), ancillas[1])
-    rho = _apply_layers(rho, correction, 5)
-    rho = _noise_only(rho, 5, nat, 1)
+    rho = evolve(rho, correction, 5, nat)
     garbage = [_renorm(partial_trace(rho, [3], 5)), _renorm(partial_trace(rho, [4], 5))]
     rho = partial_trace(rho, [0, 1, 2], 5)
     return rho, garbage

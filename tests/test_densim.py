@@ -22,7 +22,6 @@ from qfridge.densim import (
     PSD_ATOL,
     REFERENCE,
     GateLayer,
-    NoiseLayer,
     QRegister,
     SimulationError,
     apply_single_qubit_superop,
@@ -33,8 +32,8 @@ from qfridge.densim import (
     entropy_bits,
     epr_fidelity,
     epr_register,
+    evolve,
     information,
-    layer_from_dict,
     partial_trace,
     relative_entropy,
     step,
@@ -212,7 +211,7 @@ def test_memoised_entropy_equals_fresh_spectrum():
     reg = step(
         QRegister(random_state(rng, 4), [REFERENCE, DATA, DATA, DATA]),
         GateLayer([]),
-        NoiseLayer(kraus_to_superop(depolarizing_kraus(0.2))),
+        kraus_to_superop(depolarizing_kraus(0.2)),
     )
     subsets = [None, [0, 1, 2, 3], [1, 2, 3], [2], [3, 0], [0, 3]]
     for _ in range(2):  # the second pass reads the memo
@@ -248,7 +247,7 @@ def test_entropy_memo_keys():
 def test_step_result_has_its_own_memo():
     reg = epr_register(extra_system=1)
     before = von_neumann_entropy(reg, [1, 2])
-    out = step(reg, GateLayer([]), NoiseLayer(kraus_to_superop(depolarizing_kraus(0.3))))
+    out = step(reg, GateLayer([]), kraus_to_superop(depolarizing_kraus(0.3)))
     after = von_neumann_entropy(out, [1, 2])
     assert after == entropy_bits(partial_trace(out.rho, [1, 2], 3))
     assert after > before + 0.1
@@ -276,6 +275,90 @@ def test_apply_unitary_agrees_with_dense_kron():
         y = sum(b << (n - 1 - q) for q, b in enumerate(bits))
         big[y, x] = 1.0
     assert np.allclose(got, big @ rho @ big.conj().T, atol=1e-12)
+
+
+def apply_unitary_two_loops(rho, u, targets, n):
+    """The hand-built permutation loops apply_unitary once used, kept as an
+    oracle."""
+    k = len(targets)
+    tensor = rho.reshape((2,) * (2 * n))
+    u_t = u.reshape((2,) * (2 * k))
+    # ket side
+    tensor = np.tensordot(u_t, tensor, axes=(list(range(k, 2 * k)), list(targets)))
+    # tensordot moved the gate's output axes to the front; restore axis order
+    dest = list(targets)
+    src = list(range(k))
+    remaining = [ax for ax in range(2 * n) if ax not in dest]
+    perm = [0] * (2 * n)
+    for s, d in zip(src, dest):
+        perm[d] = s
+    for s, d in zip(range(k, 2 * n), remaining):
+        perm[d] = s
+    tensor = tensor.transpose(perm)
+    # bra side
+    bra_targets = [n + q for q in targets]
+    tensor = np.tensordot(np.conj(u_t), tensor, axes=(list(range(k, 2 * k)), bra_targets))
+    dest = bra_targets
+    perm = [0] * (2 * n)
+    for s, d in zip(range(k), dest):
+        perm[d] = s
+    remaining = [ax for ax in range(2 * n) if ax not in dest]
+    for s, d in zip(range(k, 2 * n), remaining):
+        perm[d] = s
+    tensor = tensor.transpose(perm)
+    return tensor.reshape(2**n, 2**n)
+
+
+def random_unitary(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=80)
+@given(n=st.integers(1, 6), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_gate_kernel_matches_two_loop_oracle(n, k, seed):
+    """apply_unitary is bit-identical to the two-loop kernel for 1-3 distinct
+    targets in random order, and evolve equals applying its layers' gates one
+    by one, then the noise on the listed qubits."""
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    rho = random_state(rng, n)
+    u = random_unitary(rng, 2**k)
+    targets = [int(q) for q in rng.permutation(n)[:k]]
+    assert np.array_equal(apply_unitary(rho, u, targets, n), apply_unitary_two_loops(rho, u, targets, n))
+
+    layers = []
+    for _ in range(3):
+        qubits = [int(q) for q in rng.permutation(n)]
+        gates = []
+        while qubits:
+            arity = int(rng.integers(1, min(3, len(qubits)) + 1))
+            gates.append((random_unitary(rng, 2**arity), tuple(qubits[:arity])))
+            qubits = qubits[arity:]
+        layers.append(GateLayer(gates))
+    nat = kraus_to_superop(depolarizing_kraus(0.2)).natural()
+    noisy = [int(q) for q in rng.permutation(n)[: rng.integers(0, n + 1)]]
+    want = rho
+    for layer in layers:
+        for gate, gate_targets in layer.gates:
+            want = apply_unitary_two_loops(want, gate, gate_targets, n)
+    assert np.array_equal(evolve(rho, layers, n), want)
+    for q in noisy:
+        want = apply_single_qubit_superop(want, nat, q, n)
+    assert np.array_equal(evolve(rho, layers, n, nat, noisy), want)
+
+
+def test_evolve_noise_defaults_to_every_qubit():
+    rng = np.random.default_rng(37)
+    rho = random_state(rng, 3)
+    nat = kraus_to_superop(dephasing_kraus(0.2)).natural()
+    want = rho
+    for q in range(3):
+        want = apply_single_qubit_superop(want, nat, q, 3)
+    assert np.array_equal(evolve(rho, [], 3, nat), want)
+    with pytest.raises(SimulationError, match="outside register"):
+        evolve(rho, [GateLayer([(NAMED_GATES["H"], (3,))])], 3)
 
 
 def test_single_qubit_superop_matches_global_action():
@@ -312,13 +395,11 @@ def test_gate_layer_validation():
         GateLayer([(h, (0,)), (h, (0,))])  # overlapping targets
     with pytest.raises(SimulationError):
         GateLayer([(np.eye(2) * 2, (0,))])  # not unitary
-    with pytest.raises(SimulationError):
-        GateLayer([(NAMED_GATES["TOFFOLI"], (0, 1, 2))], max_arity=2)
 
 
 def test_step_noise_skips_reference():
     reg = epr_register()
-    noise = NoiseLayer(kraus_to_superop(depolarizing_kraus(0.3)))
+    noise = kraus_to_superop(depolarizing_kraus(0.3))
     out = step(reg, GateLayer([]), noise)
     # reference marginal untouched
     assert np.allclose(partial_trace(out.rho, [0], 2), np.eye(2) / 2, atol=1e-12)
@@ -394,11 +475,3 @@ def test_epr_fidelity_perfect_and_decoded():
     # an X-decoder restores it
     decode = [GateLayer([(NAMED_GATES["X"], (1,))])]
     assert abs(epr_fidelity(flipped, decode, 1, 0) - 1.0) < 1e-12
-
-
-def test_layer_from_dict_named_and_explicit():
-    doc = {"gates": [{"u": "H", "targets": [0]}, {"u": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], "targets": [1]}]}
-    layer = layer_from_dict(doc)
-    assert len(layer.gates) == 2
-    with pytest.raises(SimulationError):
-        layer_from_dict({"gates": [{"u": "NOPE", "targets": [0]}]})

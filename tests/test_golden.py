@@ -40,6 +40,14 @@ CASES = {
         2,
         ["--sim", "exact"],
     ),
+    # criterion 10's channel and storage time: the stale run's fidelity decays
+    # to 0 by cycle 50 if the per-cycle trace renormalisation is dropped
+    "fridge_protocol_factorized": (
+        "fridge_protocol",
+        {"cycles": 50, "r_block": 1, "storage_T": 1558, "p": 0.01},
+        0,
+        ["--sim", "factorized"],
+    ),
 }
 
 

@@ -90,7 +90,8 @@ def test_storage_dwell_discipline():
     store.enqueue(np.diag([0.2, 0.8]).astype(complex))
     # not yet dwelled: prefilled supply is used instead
     assert np.allclose(store.dequeue(), p_state)
-    store.tick(6)
+    for _ in range(6):
+        store.tick()
     out = store.dequeue()  # the recycled entry, relaxed for 6 layers
     assert not np.allclose(out, p_state)
     assert store.drawn == 3
@@ -101,7 +102,8 @@ def test_storage_dwell_assertion_fires():
     nat = np.eye(4)  # no relaxation at all
     store = _Storage(p_state, nat, storage_T=1, dwell_target=1e-3)
     store.enqueue(np.diag([0.2, 0.8]).astype(complex))
-    store.tick(2)
+    for _ in range(2):
+        store.tick()
     with pytest.raises(SimulationError):
         store.dequeue()
 
