@@ -30,7 +30,6 @@ from .classify import (
     ChannelClass,
     classify,
     entropy_behavior,
-    limit_set,
     relaxation_time,
 )
 from .densim import QRegister, SimulationError, step, von_neumann_entropy

@@ -104,15 +104,13 @@ def dephasing_bound(p: float, eps: float, n: int, mode: str = MODE_SAFE) -> Deph
     )
 
 
-def entropy_ledger_step(
-    before: QRegister, after: QRegister, noise: SuperOp, check: bool = True
-) -> EntropyLedger:
+def entropy_ledger_step(before: QRegister, after: QRegister, noise: SuperOp) -> EntropyLedger:
     """Per-qubit conditional-entropy gaps for one noise layer.
 
     The gap for qubit i conditions on all other qubits (reference included),
     so it reduces to S(noise on i only) - S(before); the chain rule makes the
     global entropy increase at least the largest gap, for every qubit
-    ordering.  With ``check`` set that consequence is asserted.
+    ordering; that consequence is asserted.
     """
     if before.roles != after.roles:
         raise SimulationError("registers have different shapes")
@@ -125,7 +123,7 @@ def entropy_ledger_step(
         gaps.append(entropy_bits(noised) - s_before)
     global_increase = von_neumann_entropy(after) - s_before
     ledger = EntropyLedger(gaps=tuple(gaps), global_increase=global_increase)
-    if check and global_increase < ledger.max_gap - 1e-9:
+    if global_increase < ledger.max_gap - 1e-9:
         raise SimulationError(
             f"chain rule violated: increase {global_increase} < max gap {ledger.max_gap}"
         )

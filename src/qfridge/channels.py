@@ -28,6 +28,11 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (I2, PAULI_X, PAULI_Y, PAULI_Z)
 
+# change of basis between row-major vec(rho) and Pauli coefficients
+# tr(sigma_i rho): rho = (1/2) sum_i c_i sigma_i
+_TO_PAULI = np.array([p.T.reshape(4) for p in PAULIS])
+_FROM_PAULI = 0.5 * np.array([p.reshape(4) for p in PAULIS]).T
+
 
 class ChannelError(ValueError):
     """Invalid channel data or an operation outside its domain."""
@@ -97,28 +102,21 @@ class SuperOp:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Apply the channel to a 2x2 matrix (by linearity, any matrix)."""
         rho = np.asarray(rho, dtype=complex)
-        coeffs = np.array([np.trace(p @ rho) for p in PAULIS])
-        out = self.ptm.astype(complex) @ coeffs
-        return 0.5 * sum(c * p for c, p in zip(out, PAULIS))
+        return (self.natural() @ rho.reshape(4)).reshape(2, 2)
 
     def compose(self, other: "SuperOp") -> "SuperOp":
         """self after other: (self . other)(rho) = self(other(rho))."""
         return SuperOp(self.ptm @ other.ptm)
 
     def natural(self) -> np.ndarray:
-        """4x4 superoperator on row-major-flattened 2x2 matrices.
+        """4x4 superoperator on row-major-flattened 2x2 matrices: the PTM
+        in the vec(rho) basis.
 
         Computed once per instance and returned read-only.
         """
         nat = self.__dict__.get("_natural")
         if nat is None:
-            cols = []
-            for j in range(2):
-                for jp in range(2):
-                    basis = np.zeros((2, 2), dtype=complex)
-                    basis[j, jp] = 1.0
-                    cols.append(self.apply(basis).reshape(4))
-            nat = np.stack(cols, axis=1)
+            nat = _FROM_PAULI @ (self.ptm @ _TO_PAULI)
             nat.setflags(write=False)
             object.__setattr__(self, "_natural", nat)
         return nat

@@ -24,7 +24,6 @@ import numpy as np
 
 from .channels import (
     BlochVector,
-    CanonicalForm,
     ChannelError,
     SuperOp,
     canonical_form,
@@ -51,24 +50,10 @@ class ClassificationError(ChannelError):
 
 
 @dataclass(frozen=True)
-class LimitSet:
-    """Limit of repeated application: a point or a diameter."""
-
-    kind: str  # "point" | "diameter"
-    point: BlochVector | None = None
-    axis: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind == "diameter":
-            axis = np.array(self.axis, dtype=float)
-            if abs(np.linalg.norm(axis) - 1) > 1e-9:
-                raise ChannelError("diameter axis must be unit norm")
-            axis.setflags(write=False)
-            object.__setattr__(self, "axis", axis)
-
-
-@dataclass(frozen=True)
 class ChannelClass:
+    """Verdict of :func:`classify`: the dephasing class carries its unit
+    diameter axis, the non-unital class its fixed point."""
+
     kind: str  # one of the *_CLASS constants
     axis: np.ndarray | None = None
     fixed_point: BlochVector | None = None
@@ -90,33 +75,24 @@ class RelaxationReport:
             raise ChannelError("relaxation report does not meet its target")
 
 
-def limit_set(f: CanonicalForm, tol: float = CLASS_TOL) -> LimitSet:
-    """Limit of repeated application, from the canonical form."""
+def classify(c: SuperOp, tol: float = CLASS_TOL) -> ChannelClass:
+    """Class of a non-unitary channel from the limit of repeated application,
+    read off its canonical form: center / diameter / off-center point."""
+    f = canonical_form(c)
     uncontracted = [i for i in range(3) if abs(f.lam[i]) >= 1 - tol]
     unital = bool(np.linalg.norm(f.t) <= tol)
     if len(uncontracted) == 3 and unital:
         raise ClassificationError("unitary channel: no noise to classify")
     if not unital:
-        return LimitSet(kind="point", point=fixed_point(f, tol=tol))
+        return ChannelClass(kind=NON_UNITAL_CLASS, fixed_point=fixed_point(f, tol=tol))
     if not uncontracted:
-        return LimitSet(kind="point", point=BlochVector(np.zeros(3)))
+        return ChannelClass(kind=DEPOLARIZING_CLASS)
     if len(uncontracted) == 1:
         axis = f.post_rot @ np.eye(3)[uncontracted[0]]
-        return LimitSet(kind="diameter", axis=axis / np.linalg.norm(axis))
+        return ChannelClass(kind=DEPHASING_CLASS, axis=axis / np.linalg.norm(axis))
     raise ClassificationError(
         "ambiguous: two uncontracted axes in a non-unitary channel (CP violation?)"
     )
-
-
-def classify(c: SuperOp, tol: float = CLASS_TOL) -> ChannelClass:
-    """Class of a non-unitary channel: center / diameter / off-center point."""
-    f = canonical_form(c)
-    limit = limit_set(f, tol=tol)
-    if limit.kind == "diameter":
-        return ChannelClass(kind=DEPHASING_CLASS, axis=limit.axis)
-    if is_unital(c, tol=tol):
-        return ChannelClass(kind=DEPOLARIZING_CLASS)
-    return ChannelClass(kind=NON_UNITAL_CLASS, fixed_point=limit.point)
 
 
 def relaxation_time(

@@ -3,8 +3,8 @@
 Subcommands: ``classify`` (channel taxonomy report), ``fridge`` (cooling-run
 report), ``experiment`` (batch runs writing trace JSONL + summary CSV + a run
 manifest).  Exit codes are a stable contract: 0 success, 2 input error, 3
-non-CP channel, 4 infeasible cooling, 5 assertion failure (including a
-diamond-distance estimate that did not stabilize).
+non-CP channel, 4 infeasible cooling, 5 assertion failure (a broken
+invariant, or a diamond-distance estimate that did not stabilize).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .channels import (
     kraus_to_superop,
     load_channel,
 )
-from .classify import ClassificationError, classification_report, relaxation_time
+from .classify import classification_report, relaxation_time
 from .densim import ZERO, SimulationError
 from .experiments import (
     TraceRecord,
@@ -59,6 +60,14 @@ EXIT_NON_CP = 3
 EXIT_INFEASIBLE = 4
 EXIT_ASSERTION = 5
 
+# exception -> (exit code, message prefix).  The first matching row wins:
+# CoolingError is a ChannelError, and it and SimulationError are ValueErrors.
+_EXITS = (
+    (CoolingError, EXIT_INFEASIBLE, "error: no cooling possible"),
+    ((SimulationError, EstimationError), EXIT_ASSERTION, "assertion failure"),
+    ((ChannelError, ValueError, KeyError, OSError), EXIT_INPUT, "error"),
+)
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -77,6 +86,18 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+@contextmanager
+def _exit_codes():
+    """Exit with the contract's code for an exception listed in _EXITS."""
+    try:
+        yield
+    except Exception as exc:
+        for types, code, prefix in _EXITS:
+            if isinstance(exc, types):
+                _fail(code, f"{prefix}: {exc}")
+        raise
+
+
 @click.group()
 @click.version_option(__version__)
 def main():
@@ -92,23 +113,14 @@ def main():
 )
 def cmd_classify(channel_file, relax_targets):
     """Print a JSON taxonomy report for a channel file."""
-    try:
+    with _exit_codes():
         channel = load_channel(channel_file)
         report = classification_report(channel)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, ChannelError) as exc:
-        _fail(EXIT_INPUT, f"error: {exc}")
-    except EstimationError as exc:
-        _fail(EXIT_ASSERTION, f"assertion failure: {exc}")
-    table = []
-    for item in filter(None, (s.strip() for s in relax_targets.split(","))):
-        try:
+        table = []
+        for item in filter(None, (s.strip() for s in relax_targets.split(","))):
             target = float(item)
             rep = relaxation_time(channel, target)
-        except (ValueError, ChannelError) as exc:
-            _fail(EXIT_INPUT, f"error: {exc}")
-        except EstimationError as exc:
-            _fail(EXIT_ASSERTION, f"assertion failure: {exc}")
-        table.append({"target": target, "steps": rep.steps, "achieved": rep.achieved_distance})
+            table.append({"target": target, "steps": rep.steps, "achieved": rep.achieved_distance})
     report["relaxation_table"] = table
     click.echo(json.dumps(report, indent=2, sort_keys=True))
     if not report["cp"]:
@@ -122,7 +134,7 @@ def cmd_classify(channel_file, relax_targets):
 @click.option("--noise", "noise_file", type=click.Path(), default=None)
 def cmd_fridge(q, eps2, r_block, noise_file):
     """Compile and run a cooling block; print a JSON report."""
-    try:
+    with _exit_codes():
         if r_block is None:
             if eps2 is None:
                 _fail(EXIT_INPUT, "error: provide --r or --eps2")
@@ -142,12 +154,6 @@ def cmd_fridge(q, eps2, r_block, noise_file):
             noisy = run_fridge_noisy(spec, noise)
             report["noisy_reset_distance"] = noisy.reset_distance
             report["noisy_waste_entropy"] = noisy.waste_entropy
-    except CoolingError as exc:
-        _fail(EXIT_INFEASIBLE, f"error: no cooling possible: {exc}")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, ChannelError) as exc:
-        _fail(EXIT_INPUT, f"error: {exc}")
-    except EstimationError as exc:
-        _fail(EXIT_ASSERTION, f"assertion failure: {exc}")
     click.echo(json.dumps(report, indent=2, sort_keys=True))
 
 
@@ -169,42 +175,38 @@ def cmd_experiment(name, config_path, seed, out_dir, mode, sim):
     }
     if name not in runners:
         _fail(EXIT_INPUT, f"error: unknown experiment {name!r}")
-    try:
+    with _exit_codes():
         with open(config_path) as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_INPUT, f"error: {exc}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.monotonic()
-    try:
-        records, summary_rows = runners[name](config, seed, mode, sim)
-        failed = None
-    except (SimulationError, CoolingError, EstimationError) as exc:
-        records, summary_rows = [], None
-        failed = str(exc)
-    except (ValueError, KeyError, ChannelError, ClassificationError) as exc:
-        _fail(EXIT_INPUT, f"error: {exc}")
-    write_jsonl(records, out / "trace.jsonl")
-    if summary_rows is None:
-        (out / "summary.csv").write_text(f"error\n{failed}\n")
-    elif summary_rows is _STEP_TRACE:
-        write_csv(records, out / "summary.csv")
-    else:
-        (out / "summary.csv").write_text(
-            "\n".join(",".join(str(c) for c in row) for row in summary_rows) + "\n"
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        started = time.monotonic()
+        try:
+            records, summary_rows = runners[name](config, seed, mode, sim)
+            failure = None
+        except (CoolingError, SimulationError, EstimationError) as exc:
+            # a run that failed, not bad input: write what there is first
+            records, summary_rows, failure = [], None, exc
+        write_jsonl(records, out / "trace.jsonl")
+        if summary_rows is None:
+            (out / "summary.csv").write_text(f"error\n{failure}\n")
+        elif summary_rows is _STEP_TRACE:
+            write_csv(records, out / "summary.csv")
+        else:
+            (out / "summary.csv").write_text(
+                "\n".join(",".join(str(c) for c in row) for row in summary_rows) + "\n"
+            )
+        manifest = RunManifest(
+            command=f"experiment {name}",
+            config=str(config_path),
+            seed=seed,
+            out=str(out),
+            version=__version__,
+            duration_seconds=time.monotonic() - started,
         )
-    manifest = RunManifest(
-        command=f"experiment {name}",
-        config=str(config_path),
-        seed=seed,
-        out=str(out),
-        version=__version__,
-        duration_seconds=time.monotonic() - started,
-    )
-    (out / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2) + "\n")
-    if failed is not None:
-        _fail(EXIT_ASSERTION, f"assertion failure: {failed}")
+        (out / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2) + "\n")
+        if failure is not None:
+            raise failure
 
 
 _STEP_TRACE = object()  # sentinel: summary CSV is the per-step trace table

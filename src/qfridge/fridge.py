@@ -11,12 +11,13 @@ reset population equals the sum of the 2^(R-1) largest eigenvalues of the
 input state, which no unitary can exceed (majorization -- a unitary cannot
 push more weight onto a rank-2^(R-1) subspace than the top eigenvalues hold).
 
-The stages only permute basis states, so a noisy run on an exactly diagonal
-input, under noise that keeps diagonal states diagonal to within eps per
-location, is a Markov chain on the 2^R basis-state probabilities.
-run_fridge_noisy takes that path when 2 F eps <= 1e-12, which bounds its
-trace-norm deviation from the dense density-matrix run; every other run
-takes the dense path, which the tests also use as the oracle.
+Ideal and noisy runs share one runner that applies the stages in order.
+The stages only permute basis states, so on an exactly diagonal input the
+ideal run, and a noisy run under noise that keeps diagonal states diagonal
+to within eps per location, is a Markov chain on the 2^R basis-state
+probabilities.  The runner takes that path when 2 F eps <= 1e-12, which
+bounds its trace-norm deviation from the dense density-matrix run; every
+other run takes the dense path, which the tests also use as the oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .channels import ChannelError, SuperOp, diamond_upper, identity_channel, kr
 from .densim import (
     MAX_QUBITS,
     ZERO,
+    SimulationError,
     apply_single_qubit_superop,
     apply_unitary,
     entropy_bits,
@@ -248,6 +250,21 @@ def _exact_populations(rho: np.ndarray) -> np.ndarray | None:
     return diag.real.copy()
 
 
+def _initial_state(spec: FridgeSpec, rho_in: np.ndarray | None, populations: bool) -> np.ndarray:
+    """The pre-rotated input as its 2^R populations when `populations` is set
+    and it is exactly diagonal (checked with ``==``), else as a dense matrix;
+    always a fresh array."""
+    if rho_in is None and populations:
+        # the thermal block is a product: check one pre-rotated qubit
+        u = spec.pre_rotation
+        single = _exact_populations(u @ np.diag([1 - spec.q, spec.q]) @ u.conj().T)
+        if single is not None:
+            return reduce(np.kron, [single] * spec.r_block, np.ones(1))
+    rho = _prepared_input(spec, rho_in)
+    probs = _exact_populations(rho) if populations else None
+    return rho if probs is None else probs
+
+
 def _coherence_leak(nat: np.ndarray) -> float:
     """How far a channel (natural rep) strays from mapping diagonal states to
     diagonal states: its largest population -> coherence entry, or imaginary
@@ -257,117 +274,70 @@ def _coherence_leak(nat: np.ndarray) -> float:
     return float(max(leak, np.abs(nat[np.ix_(pops, pops)].imag).max()))
 
 
-def _report(reset: np.ndarray, waste_entropy: float, mode: str) -> CoolingReport:
+def _run(spec: FridgeSpec, rho_in: np.ndarray | None, noise: SuperOp | None) -> CoolingReport:
+    """Apply the stages in order, each followed by one noise pass per qubit
+    when `noise` is given.
+
+    The run is a Markov chain on the 2^R populations, in O(F 2^R) time and
+    O(2^R) memory, when the pre-rotated input is exactly diagonal and, with
+    noise, 2 F eps <= POPULATION_ATOL: eps is the largest population ->
+    coherence entry of the noise's natural rep, or imaginary part of its
+    population block, and a telescoping argument over the F locations
+    bounds the trace-norm deviation from the dense run by 2 F eps.  Rounding
+    in a mixed Kraus form leaves eps of 1e-18 to 1e-16 for channels that
+    keep diagonal states diagonal.  Every other run is on the dense state.
+    """
+    r = spec.r_block
+    nat = None if noise is None else noise.natural()
+    diagonal = nat is None or 2 * spec.f_count * _coherence_leak(nat) <= POPULATION_ATOL
+    state = _initial_state(spec, rho_in, diagonal)
+    dense = state.ndim == 2
+    transfer = None if nat is None else nat[np.ix_((0, 3), (0, 3))].real
+    for stage in spec.stages:
+        # state -> S state S^T in place: swap the stage's rows, then its columns
+        _swap_rows(state, stage)
+        if dense:
+            _swap_rows(state.T, stage)
+        if nat is None:
+            continue
+        for q_idx in range(r):
+            if dense:
+                state = apply_single_qubit_superop(state, nat, q_idx, r)
+            else:
+                state = np.matmul(transfer, state.reshape(2**q_idx, 2, -1)).reshape(-1)
+    mode = "ideal" if nat is None else "noisy"
+    if dense:
+        waste_entropy = entropy_bits(partial_trace(state, list(range(1, r)), r)) if r > 1 else 0.0
+        reset = partial_trace(state, [0], r)
+    else:
+        by_reset_bit = state.reshape(2, -1)
+        waste_entropy = spectrum_entropy_bits(by_reset_bit.sum(axis=0)) if r > 1 else 0.0
+        reset = np.diag(by_reset_bit.sum(axis=1)).astype(complex)
     return CoolingReport(
         reset_state=reset, reset_distance=trace_norm(reset - ZERO), waste_entropy=waste_entropy, mode=mode
     )
 
 
-def _dense_report(rho: np.ndarray, r: int, mode: str) -> CoolingReport:
-    waste_entropy = entropy_bits(partial_trace(rho, list(range(1, r)), r)) if r > 1 else 0.0
-    return _report(partial_trace(rho, [0], r), waste_entropy, mode)
-
-
 def run_fridge_ideal(spec: FridgeSpec, rho_in: np.ndarray | None = None) -> CoolingReport:
     """Noiseless cooling of the thermal product block (or a supplied state)."""
-    rho = _prepared_input(spec, rho_in)
-    return _dense_report(apply_permutation(rho, spec), spec.r_block, "ideal")
+    return _run(spec, rho_in, None)
 
 
-def _ideal_reset_distance(spec: FridgeSpec, probs: np.ndarray) -> float:
-    """Reset distance of the ideal run on a diagonal input with basis-state
-    probabilities `probs`: the permutation gathers them, and the reset
-    state is diag(m, 1 - m) with m the mass on reset bit 0."""
-    gathered = probs[np.argsort(spec.permutation)]
-    return float(2 * (1 - gathered[: len(gathered) // 2].sum()))
-
-
-def _run_populations(spec: FridgeSpec, probs: np.ndarray, nat: np.ndarray) -> CoolingReport:
-    """The noisy run as a Markov chain on the 2^R basis-state probabilities."""
-    r = spec.r_block
-    transfer = nat[np.ix_((0, 3), (0, 3))].real
-    for stage in spec.stages:
-        _swap_rows(probs, stage)
-        for q_idx in range(r):
-            probs = np.matmul(transfer, probs.reshape(2**q_idx, 2, -1)).reshape(-1)
-    by_reset_bit = probs.reshape(2, -1)
-    waste_entropy = spectrum_entropy_bits(by_reset_bit.sum(axis=0)) if r > 1 else 0.0
-    return _report(np.diag(by_reset_bit.sum(axis=1)).astype(complex), waste_entropy, "noisy")
-
-
-def _run_dense(spec: FridgeSpec, rho: np.ndarray, nat: np.ndarray) -> CoolingReport:
-    r = spec.r_block
-    for stage in spec.stages:
-        # rho -> S rho S^T in place (rho is a fresh array): swap the stage's
-        # rows, then its columns.
-        _swap_rows(rho, stage)
-        _swap_rows(rho.T, stage)
-        for q_idx in range(r):
-            rho = apply_single_qubit_superop(rho, nat, q_idx, r)
-    return _dense_report(rho, r, "noisy")
-
-
-def run_fridge_noisy(
-    spec: FridgeSpec,
-    noise: SuperOp,
-    rho_in: np.ndarray | None = None,
-    check_bound: bool = True,
-) -> CoolingReport:
+def run_fridge_noisy(spec: FridgeSpec, noise: SuperOp, rho_in: np.ndarray | None = None) -> CoolingReport:
     """Cooling with one noise application per location (R per stage).
 
-    The stages only permute basis states, so a diagonal input stays diagonal
-    under any noise that maps diagonal states to diagonal states, and the run
-    is a Markov chain on the 2^R basis-state probabilities.  That path runs
-    in O(F 2^R) time and memory O(2^R), with no 2^R x 2^R array, when both
-
-    * the pre-rotated input is exactly diagonal (checked with ``==``; for the
-      default thermal input on one pre-rotated qubit), and
-    * the noise leaks at most eps into the coherences, with
-      2 F eps <= POPULATION_ATOL (1e-12).  eps is the largest
-      population -> coherence entry of its natural representation, or
-      imaginary part of its population block; rounding in a mixed Kraus form
-      leaves eps of 1e-18 to 1e-16 for channels that keep diagonal states
-      diagonal.
-
-    A telescoping argument over the F locations bounds the trace-norm
-    deviation of the vector path from the dense density-matrix run by
-    2 F eps.  Every other input takes the dense path, which is also the
-    tests' oracle.
-
-    When `check_bound` is set, asserts the run stays within the ideal reset
-    distance plus F x d, where d is ``diamond_upper`` of the noise against
-    the identity.  d bounds the diamond distance from above, so the bound
-    is a theorem: replacing the noise by the identity one location at a
-    time moves the state by at most d in trace norm, F times over.  On the
-    probability-vector path the ideal reset distance comes from the input
-    populations, with no dense ideal run.
+    Asserts the run stays within the ideal reset distance plus F x d, where
+    d is ``diamond_upper`` of the noise against the identity.  d bounds the
+    diamond distance from above, so the bound is a theorem: replacing the
+    noise by the identity one location at a time moves the state by at most
+    d in trace norm, F times over.  A broken bound raises SimulationError.
     """
-    nat = noise.natural()
-    rho = probs = None
-    if 2 * spec.f_count * _coherence_leak(nat) <= POPULATION_ATOL:
-        if rho_in is None:
-            # the thermal block is a product: check one pre-rotated qubit
-            u = spec.pre_rotation
-            single = _exact_populations(u @ np.diag([1 - spec.q, spec.q]) @ u.conj().T)
-            if single is not None:
-                probs = reduce(np.kron, [single] * spec.r_block, np.ones(1))
-        else:
-            rho = _prepared_input(spec, rho_in)
-            probs = _exact_populations(rho)
-    if probs is not None:
-        ideal_distance = _ideal_reset_distance(spec, probs)  # the run permutes probs in place
-        report = _run_populations(spec, probs, nat)
-    else:
-        rho = _prepared_input(spec, rho_in) if rho is None else rho
-        report = _run_dense(spec, rho, nat)
-    if check_bound:
-        if probs is None:
-            ideal_distance = run_fridge_ideal(spec, rho_in=rho_in).reset_distance
-        d = diamond_upper(noise, kraus_to_superop(identity_channel()))
-        bound = ideal_distance + spec.f_count * d
-        if report.reset_distance > bound + 1e-9:
-            raise CoolingError(
-                f"noisy reset distance {report.reset_distance} breaks the "
-                f"ideal + F*d bound {bound}"
-            )
+    report = _run(spec, rho_in, noise)
+    d = diamond_upper(noise, kraus_to_superop(identity_channel()))
+    bound = run_fridge_ideal(spec, rho_in=rho_in).reset_distance + spec.f_count * d
+    if report.reset_distance > bound + 1e-9:
+        raise SimulationError(
+            f"noisy reset distance {report.reset_distance} breaks the "
+            f"ideal + F*d bound {bound}"
+        )
     return report

@@ -51,7 +51,6 @@ POLICY_REFRIGERATED = "refrigerated"
 POLICY_STALE = "stale"
 
 FRAME_BIT_FLIP = "z"
-FRAME_PHASE_FLIP = "x"
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ class ProtocolResult:
     throughput: int
     throughput_bound: int
     fridge: FridgeSpec
-    code_frame: str
+    code_frame: str  # always FRAME_BIT_FLIP until a logical-channel witness picks the frame
     mode: str
 
 
@@ -124,15 +123,6 @@ class _Storage:
                 f"dequeued qubit is {gap} from the fixed point, target {self.dwell_target}"
             )
         return state
-
-
-def _code_frame(channel: SuperOp) -> str:
-    """Pick the repetition-code basis matching the dominant error axis."""
-    lam = np.abs(canonical_form(channel).lam)
-    p_x = (1 + lam[0] - lam[1] - lam[2]) / 4
-    p_y = (1 - lam[0] + lam[1] - lam[2]) / 4
-    p_z = (1 - lam[0] - lam[1] + lam[2]) / 4
-    return FRAME_PHASE_FLIP if p_z > max(p_x, p_y) else FRAME_BIT_FLIP
 
 
 def _renorm(rho):
@@ -190,8 +180,7 @@ def run_refrigerator_protocol(
     eigvals, eigvecs = np.linalg.eigh(rho_p)
     pre_rot = eigvecs[:, ::-1].conj().T  # rotate the fixed point onto |0>
     spec = build_cooling_circuit(q_bias, r, pre_rotation=pre_rot)
-    frame = _code_frame(channel)
-    code = repetition_code((0, 1, 2), phase_flip=frame == FRAME_PHASE_FLIP)
+    code = repetition_code((0, 1, 2))
 
     if cfg.storage_T is not None:
         storage_t = cfg.storage_T
@@ -221,7 +210,7 @@ def run_refrigerator_protocol(
         throughput=thru,
         throughput_bound=cfg.throughput_bound(r),
         fridge=spec,
-        code_frame=frame,
+        code_frame=FRAME_BIT_FLIP,
         mode=cfg.mode,
     )
 

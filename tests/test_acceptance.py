@@ -212,7 +212,7 @@ def test_criterion_6_chain_rule():
         for q in range(4):
             rho = apply_single_qubit_superop(rho, nat, q, 4)
         after = QRegister(rho, [DATA] * 4)
-        ledger = entropy_ledger_step(before, after, channel, check=False)
+        ledger = entropy_ledger_step(before, after, channel)
         slack = ledger.global_increase - ledger.max_gap
         worst = min(worst, slack)
         assert slack >= -1e-9
@@ -281,7 +281,7 @@ def test_criterion_8_fridge_exactness():
     # noisy runs stay inside the ideal + F*d location bound (checked in-run)
     spec = build_cooling_circuit(0.1, 3)
     for p in (0.005, 0.01, 0.02):
-        run_fridge_noisy(spec, kraus_to_superop(amplitude_damping_kraus(p)), check_bound=True)
+        run_fridge_noisy(spec, kraus_to_superop(amplitude_damping_kraus(p)))
     print(
         f"criterion 8: PASS - population {pop:.15f}, grids ok, entropy "
         f"conservation err {worst_s:.2e}, noisy bound held for p <= 0.02"

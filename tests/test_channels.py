@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfridge.channels import (
+    PAULIS,
     BlochVector,
     CanonicalForm,
     ChannelError,
@@ -114,6 +115,35 @@ def test_natural_rep_is_computed_once_and_read_only():
     with pytest.raises(ValueError):
         first[0, 0] = 0.0
     assert np.array_equal(kraus_to_superop(amplitude_damping_kraus(0.3)).natural(), first)
+
+
+def natural_by_basis(c):
+    """natural() as the PTM applied to each basis matrix |j><j'| through
+    Pauli coefficients, the construction it once used; kept as an oracle."""
+    cols = []
+    for j in range(2):
+        for jp in range(2):
+            basis = np.zeros((2, 2), dtype=complex)
+            basis[j, jp] = 1.0
+            out = c.ptm.astype(complex) @ np.array([np.trace(p @ basis) for p in PAULIS])
+            cols.append((0.5 * sum(x * p for x, p in zip(out, PAULIS))).reshape(4))
+    return np.stack(cols, axis=1)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n_kraus=st.integers(1, 4))
+def test_natural_rep_matches_basis_oracle(seed, n_kraus):
+    c = kraus_to_superop(random_cp_channel(np.random.default_rng(seed), n_kraus))
+    assert np.max(np.abs(c.natural() - natural_by_basis(c))) <= 1e-15
+
+
+@given(
+    kind=st.sampled_from([amplitude_damping_kraus, dephasing_kraus, depolarizing_kraus]),
+    p=st.floats(0, 1),
+)
+def test_natural_rep_of_named_channels_equals_basis_oracle(kind, p):
+    c = kraus_to_superop(kind(p))
+    assert np.array_equal(c.natural(), natural_by_basis(c))
 
 
 def test_compose_matches_sequential_application():

@@ -26,7 +26,6 @@ from qfridge.classify import (
     classification_report,
     classify,
     entropy_behavior,
-    limit_set,
     relaxation_time,
 )
 from qfridge.protocol import ProtocolConfig
@@ -56,11 +55,16 @@ def test_unitary_channel_rejected():
 
 
 def test_limit_set_kinds():
-    assert limit_set(canonical_form(kraus_to_superop(depolarizing_kraus(0.1)))).kind == "point"
-    lim = limit_set(canonical_form(kraus_to_superop(dephasing_kraus(0.1))))
-    assert lim.kind == "diameter"
-    fp = limit_set(canonical_form(kraus_to_superop(amplitude_damping_kraus(0.1)))).point
-    assert np.allclose(fp.w, [0, 0, 1], atol=1e-12)
+    # the center, a unit-norm diameter, and an off-center point
+    center = classify(kraus_to_superop(depolarizing_kraus(0.1)))
+    assert center.kind == DEPOLARIZING_CLASS
+    assert center.axis is None and center.fixed_point is None
+    diameter = classify(kraus_to_superop(dephasing_kraus(0.1)))
+    assert diameter.kind == DEPHASING_CLASS
+    assert abs(np.linalg.norm(diameter.axis) - 1) <= 1e-12
+    point = classify(kraus_to_superop(amplitude_damping_kraus(0.1)))
+    assert point.kind == NON_UNITAL_CLASS and point.axis is None
+    assert np.allclose(point.fixed_point.w, [0, 0, 1], atol=1e-12)
 
 
 def test_classify_invariant_under_unitary_dressing():

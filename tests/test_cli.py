@@ -7,7 +7,13 @@ import pytest
 from click.testing import CliRunner
 
 from qfridge import cli, fridge
-from qfridge.channels import EstimationError, amplitude_damping_kraus, dephasing_kraus, kraus_to_dict
+from qfridge.channels import (
+    EstimationError,
+    amplitude_damping_kraus,
+    dephasing_kraus,
+    depolarizing_kraus,
+    kraus_to_dict,
+)
 from qfridge.cli import main
 
 
@@ -217,3 +223,44 @@ def test_experiment_estimation_error_writes_partial_outputs(runner, tmp_path, mo
     assert (out / "trace.jsonl").read_text().strip() == ""
     assert "did not stabilize" in (out / "summary.csv").read_text()
     assert json.loads((out / "manifest.json").read_text())["command"] == "experiment fridge_protocol"
+
+
+def test_fridge_noisy_r12_allocates_no_dense_state(runner, tmp_path, monkeypatch):
+    # the ideal run and the F*d check also run on the 2^R populations: no
+    # 2^R x 2^R input is prepared and no register is reduced
+    def dense(*args):
+        raise AssertionError("dense 2^R x 2^R work on a diagonal run")
+
+    for name in ("apply_single_qubit_superop", "partial_trace", "_prepared_input"):
+        monkeypatch.setattr(fridge, name, dense)
+    noise = write_channel(tmp_path / "ad.json", amplitude_damping_kraus(1e-3))
+    result = runner.invoke(main, ["fridge", "--q", "0.1", "--r", "12", "--noise", noise])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert doc["R"] == 12 and doc["F"] % 12 == 0
+    assert 0 <= doc["noisy_reset_distance"] <= 2
+    assert 0 <= doc["noisy_waste_entropy"] <= 11
+
+
+def test_cooling_error_exits_4_from_every_command(runner, tmp_path):
+    result = runner.invoke(main, ["fridge", "--q", "0.1", "--eps2", "0"])
+    assert result.exit_code == 4
+    assert "eps2 must be positive" in result.output
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"p": 0.01, "r_block": None, "eps2": 0}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", "fridge_protocol", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 4
+    assert "eps2 must be positive" in result.output
+    # an infeasible run still writes its outputs before the exit
+    assert "eps2 must be positive" in (out / "summary.csv").read_text()
+    assert json.loads((out / "manifest.json").read_text())["command"] == "experiment fridge_protocol"
+
+
+def test_broken_location_bound_exits_5(runner, tmp_path, monkeypatch):
+    # a failed F*d check is a broken invariant, not an infeasible request
+    monkeypatch.setattr(fridge, "diamond_upper", lambda a, b: 0.0)
+    noise = write_channel(tmp_path / "dep.json", depolarizing_kraus(0.05))
+    result = runner.invoke(main, ["fridge", "--q", "0.1", "--r", "3", "--noise", noise])
+    assert result.exit_code == 5
+    assert "ideal + F*d bound" in result.output

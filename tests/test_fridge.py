@@ -209,21 +209,8 @@ def test_index_map_ideal_run_equals_dense_permutation(q, r, seed):
     assert np.array_equal(report.reset_state, partial_trace(dense, [0], r))
 
 
-def _dense_reference(spec, noise, rho=None):
-    """Oracle: every stage as a dense 2^R x 2^R unitary, R noise passes each;
-    returns (reset state, reset distance, waste entropy)."""
-    r = spec.r_block
-    if rho is None:
-        rho = np.diag([1 - spec.q, spec.q]).astype(complex)
-        for _ in range(r - 1):
-            rho = np.kron(rho, np.diag([1 - spec.q, spec.q]))
-    nat = noise.natural()
-    for q_idx in range(r):
-        rho = apply_unitary(rho, spec.pre_rotation, [q_idx], r)
-    for i in range(len(spec.stages)):
-        rho = apply_unitary(rho, spec.stage_unitary(i), list(range(r)), r)
-        for q_idx in range(r):
-            rho = apply_single_qubit_superop(rho, nat, q_idx, r)
+def _reduced(rho, r):
+    """(reset state, reset distance, waste entropy) of a dense final state."""
     reset = partial_trace(rho, [0], r)
     distance = np.sum(np.abs(np.linalg.eigvalsh(reset - np.diag([1.0, 0.0]))))
     entropy = 0.0
@@ -232,6 +219,29 @@ def _dense_reference(spec, noise, rho=None):
         waste = waste[waste > 1e-12]
         entropy = -np.sum(waste * np.log2(waste))
     return reset, distance, entropy
+
+
+def _thermal_block(q, r):
+    rho = np.diag([1 - q, q]).astype(complex)
+    for _ in range(r - 1):
+        rho = np.kron(rho, np.diag([1 - q, q]))
+    return rho
+
+
+def _dense_reference(spec, noise, rho=None):
+    """Oracle: every stage as a dense 2^R x 2^R unitary, R noise passes each;
+    returns (reset state, reset distance, waste entropy)."""
+    r = spec.r_block
+    if rho is None:
+        rho = _thermal_block(spec.q, r)
+    nat = noise.natural()
+    for q_idx in range(r):
+        rho = apply_unitary(rho, spec.pre_rotation, [q_idx], r)
+    for i in range(len(spec.stages)):
+        rho = apply_unitary(rho, spec.stage_unitary(i), list(range(r)), r)
+        for q_idx in range(r):
+            rho = apply_single_qubit_superop(rho, nat, q_idx, r)
+    return _reduced(rho, r)
 
 
 def _assert_matches_reference(report, reference):
@@ -247,8 +257,26 @@ def test_noisy_run_matches_dense_stage_by_stage_reference(q, r, gamma, seed):
     spec = build_cooling_circuit(q, r)
     rho = _random_psd(np.random.default_rng(seed), 2**r)
     noise = kraus_to_superop(amplitude_damping_kraus(gamma))
-    report = run_fridge_noisy(spec, noise, rho_in=rho, check_bound=False)
+    report = run_fridge_noisy(spec, noise, rho_in=rho)
     _assert_matches_reference(report, _dense_reference(spec, noise, rho))
+
+
+@settings(max_examples=40)
+@given(q=_biases, r=st.integers(1, 6), source=st.sampled_from(["thermal", "diagonal", "dense"]), seed=_seeds)
+def test_ideal_run_matches_permutation_unitary(q, r, source, seed):
+    # diagonal inputs run on the populations, dense ones on the density matrix
+    rng = np.random.default_rng(seed)
+    spec = build_cooling_circuit(q, r)
+    rho = {
+        "thermal": None,
+        "diagonal": np.diag(rng.dirichlet(np.ones(2**r))).astype(complex),
+        "dense": _random_psd(rng, 2**r),
+    }[source]
+    report = run_fridge_ideal(spec, rho_in=rho)
+    assert report.mode == "ideal"
+    p = spec.permutation_unitary()
+    block = _thermal_block(q, r) if rho is None else rho
+    _assert_matches_reference(report, _reduced(p @ block @ p.T, r))
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -302,7 +330,7 @@ def test_vector_path_matches_dense_oracle(q, r, kind, strength, flip, phases, di
     rho = np.diag(rng.dirichlet(np.ones(2**r))).astype(complex) if diagonal_input else None
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_dense_passes(mp)
-        report = run_fridge_noisy(spec, noise, rho_in=rho, check_bound=False)
+        report = run_fridge_noisy(spec, noise, rho_in=rho)
     assert not calls
     _assert_matches_reference(report, _dense_reference(spec, noise, rho))
 
@@ -321,23 +349,24 @@ def test_bound_check_takes_ideal_distance_from_populations(q, r, flip, phases, d
     u = np.diag(phases) @ (np.eye(2)[::-1] if flip else np.eye(2))
     spec = build_cooling_circuit(q, r, pre_rotation=u)
     rho = np.diag(rng.dirichlet(np.ones(2**r))).astype(complex) if diagonal_input else None
-    expected = run_fridge_ideal(spec, rho_in=rho).reset_distance
+    p = spec.permutation_unitary()
+    prepared = fridge._prepared_input(spec, rho)
+    expected = _reduced(p @ prepared @ p.T, r)[1]
     seen = []
 
-    def recorded(*args):
-        seen.append(ideal_reset_distance(*args))
+    def recorded(*args, **kwargs):
+        seen.append(run_fridge_ideal(*args, **kwargs))
         return seen[-1]
 
-    def no_dense_ideal(*args, **kwargs):
-        raise AssertionError("dense ideal run inside the bound check")
+    def no_partial_trace(*args):
+        raise AssertionError("dense reduction on a diagonal input")
 
-    ideal_reset_distance = fridge._ideal_reset_distance
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fridge, "_ideal_reset_distance", recorded)
-        mp.setattr(fridge, "run_fridge_ideal", no_dense_ideal)
+        mp.setattr(fridge, "run_fridge_ideal", recorded)
+        mp.setattr(fridge, "partial_trace", no_partial_trace)
         run_fridge_noisy(spec, kraus_to_superop(amplitude_damping_kraus(0.01)), rho_in=rho)
     assert len(seen) == 1
-    assert abs(seen[0] - expected) <= 1e-12
+    assert abs(seen[0].reset_distance - expected) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -352,7 +381,7 @@ def test_off_diagonal_runs_fall_back_to_dense_kernel(monkeypatch, pre_rotation, 
     spec = build_cooling_circuit(0.1, 4, pre_rotation=pre_rotation)
     noise = kraus_to_superop(noise)
     calls = _count_dense_passes(monkeypatch)
-    report = run_fridge_noisy(spec, noise, check_bound=False)
+    report = run_fridge_noisy(spec, noise)
     assert len(calls) == len(spec.stages) * spec.r_block
     _assert_matches_reference(report, _dense_reference(spec, noise))
 
