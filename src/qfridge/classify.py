@@ -17,7 +17,6 @@ unitary dressing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,10 @@ from .channels import (
     power,
     replacement_channel,
 )
+from .densim import spectrum_entropy_bits
 
 CLASS_TOL = 1e-8
+MAX_RELAXATION_STEPS = 1 << 22  # relaxation_time's search limit
 
 DEPOLARIZING_CLASS = "depolarizing"
 DEPHASING_CLASS = "dephasing"
@@ -75,16 +76,16 @@ class RelaxationReport:
             raise ChannelError("relaxation report does not meet its target")
 
 
-def classify(c: SuperOp, tol: float = CLASS_TOL) -> ChannelClass:
+def classify(c: SuperOp) -> ChannelClass:
     """Class of a non-unitary channel from the limit of repeated application,
     read off its canonical form: center / diameter / off-center point."""
     f = canonical_form(c)
-    uncontracted = [i for i in range(3) if abs(f.lam[i]) >= 1 - tol]
-    unital = bool(np.linalg.norm(f.t) <= tol)
+    uncontracted = [i for i in range(3) if abs(f.lam[i]) >= 1 - CLASS_TOL]
+    unital = bool(np.linalg.norm(f.t) <= CLASS_TOL)
     if len(uncontracted) == 3 and unital:
         raise ClassificationError("unitary channel: no noise to classify")
     if not unital:
-        return ChannelClass(kind=NON_UNITAL_CLASS, fixed_point=fixed_point(f, tol=tol))
+        return ChannelClass(kind=NON_UNITAL_CLASS, fixed_point=fixed_point(f, tol=CLASS_TOL))
     if not uncontracted:
         return ChannelClass(kind=DEPOLARIZING_CLASS)
     if len(uncontracted) == 1:
@@ -95,11 +96,7 @@ def classify(c: SuperOp, tol: float = CLASS_TOL) -> ChannelClass:
     )
 
 
-def relaxation_time(
-    c: SuperOp,
-    target: float,
-    max_steps: int = 1 << 22,
-) -> RelaxationReport:
+def relaxation_time(c: SuperOp, target: float) -> RelaxationReport:
     """Minimal T with ``diamond_upper(C^T, C_P)`` below `target`, by doubling
     then bisection.
 
@@ -125,8 +122,8 @@ def relaxation_time(
     d_hi = dist(hi)
     while d_hi >= target:
         hi *= 2
-        if hi > max_steps:
-            raise ChannelError(f"relaxation target {target} not reached in {max_steps} steps")
+        if hi > MAX_RELAXATION_STEPS:
+            raise ChannelError(f"relaxation target {target} not reached in {MAX_RELAXATION_STEPS} steps")
         d_hi = dist(hi)
     lo = hi // 2  # dist(lo) >= target (or lo == 0)
     while hi - lo > 1:
@@ -139,14 +136,9 @@ def relaxation_time(
     return RelaxationReport(steps=hi, achieved_distance=d_hi, target=target)
 
 
-def _binary_entropy(x: float) -> float:
-    if x <= 0 or x >= 1:
-        return 0.0
-    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
-
-
 def _bloch_entropy(w: np.ndarray) -> float:
-    return _binary_entropy(0.5 * (1 + min(np.linalg.norm(w), 1.0)))
+    x = 0.5 * (1 + min(np.linalg.norm(w), 1.0))
+    return spectrum_entropy_bits(np.array([x, 1 - x]))
 
 
 def entropy_behavior(c: SuperOp, samples: int = 200, seed: int = 0) -> str:
@@ -181,14 +173,14 @@ def entropy_behavior(c: SuperOp, samples: int = 200, seed: int = 0) -> str:
     return NON_DECREASING
 
 
-def classification_report(c: SuperOp, tol: float = CLASS_TOL) -> dict:
+def classification_report(c: SuperOp) -> dict:
     """JSON-ready report used by the command line front end."""
     from .channels import choi_positive, cp_check, pauli_probs
 
     f = canonical_form(c)
     cp = bool(cp_check(f) and choi_positive(c))
     try:
-        verdict = classify(c, tol=tol)
+        verdict = classify(c)
     except ClassificationError:
         if cp:
             raise
@@ -198,7 +190,7 @@ def classification_report(c: SuperOp, tol: float = CLASS_TOL) -> dict:
         "class": verdict.kind,
         "lambda": [float(x) for x in f.lam],
         "t": [float(x) for x in f.t],
-        "unital": is_unital(c, tol=tol),
+        "unital": is_unital(c, tol=CLASS_TOL),
         "cp": cp,
     }
     if verdict.axis is not None:

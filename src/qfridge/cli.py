@@ -212,10 +212,10 @@ def cmd_experiment(name, config_path, seed, out_dir, mode, sim):
 _STEP_TRACE = object()  # sentinel: summary CSV is the per-step trace table
 
 
-def _channel_from_config(config, default_p_key="p"):
+def _channel_from_config(config):
     if "channel" in config:
         return channel_from_dict(config["channel"])
-    return kraus_to_superop(amplitude_damping_kraus(config[default_p_key]))
+    return kraus_to_superop(amplitude_damping_kraus(config["p"]))
 
 
 def _run_depol_decay(config, seed, mode, sim):

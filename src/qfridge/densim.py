@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import SuperOp, trace_norm
+from .channels import SuperOp
 
 MAX_QUBITS = 12
 TRACE_ATOL = 1e-10
@@ -37,7 +37,6 @@ PSD_ATOL = 1e-9
 EIG_CLAMP = 1e-12
 
 DATA = "data"
-ANCILLA = "ancilla"
 REFERENCE = "reference"
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -319,20 +318,6 @@ def dephase_all(reg: QRegister) -> QRegister:
     idx = np.arange(2**n)
     keep = ((idx[:, None] ^ idx[None, :]) & mask_bits) == 0
     return QRegister(np.where(keep, reg.rho, 0.0), reg.roles)
-
-
-def distance(a: np.ndarray, b: np.ndarray, norm: str = "two") -> float:
-    """Schatten 1-norm or Frobenius (2-)norm of a - b."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise SimulationError("distance between different dimensions")
-    diff = a - b
-    if norm == "one":
-        return trace_norm(0.5 * (diff + diff.conj().T))
-    if norm == "two":
-        return float(np.linalg.norm(diff))
-    raise SimulationError(f"unknown norm {norm!r}")
 
 
 def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:

@@ -27,7 +27,6 @@ from .densim import (
     QRegister,
     SimulationError,
     dephase_all,
-    distance,
     epr_fidelity,
     evolve,
     information,
@@ -257,7 +256,7 @@ def run_stockpile(
         reg = step(reg, _random_pair_layer(working, rng), channel)
         for q in stockpile:
             marginal = partial_trace(reg.rho, [q], n)
-            if distance(marginal, ZERO, "two") > 1e-12:
+            if np.linalg.norm(marginal - ZERO) > 1e-12:
                 raise SimulationError(f"stockpile qubit {q} disturbed by dephasing")
         achieved = t
         records.append(
@@ -343,7 +342,7 @@ def run_epr_storage(
         reg = step(reg, GateLayer([]), channel)
         ledger = entropy_ledger_step(pre_noise, reg, channel)
         records.append(_storage_record(t, reg, decode, ledger.max_gap))
-        deph_dist = distance(reg.rho, dephase_all(reg).rho, "two")
+        deph_dist = np.linalg.norm(reg.rho - dephase_all(reg).rho)
         if deph_dist <= separability_eps:
             fid = records[-1].epr_fidelity
             if fid > 0.5 + deph_dist + 1e-9:

@@ -34,7 +34,6 @@ from .densim import (
     ZERO,
     SimulationError,
     apply_single_qubit_superop,
-    apply_unitary,
     entropy_bits,
     partial_trace,
     spectrum_entropy_bits,
@@ -43,6 +42,7 @@ from .densim import (
 # largest trace-norm deviation from the dense run that run_fridge_noisy's
 # probability-vector path may add (the float-reordering allowance)
 POPULATION_ATOL = 1e-12
+MAX_R_SEARCH = 4096  # largest block size choose_R considers
 
 
 class CoolingError(ChannelError):
@@ -53,8 +53,10 @@ class CoolingError(ChannelError):
 class FridgeSpec:
     """Compiled cooling run: bias, block size, permutation, and location count.
 
-    ``q`` is the minority population of the (rotated) fixed point, so q < 1/2
-    strictly.  ``permutation[x]`` is the output basis label for input label x.
+    ``q`` is the minority population of the fixed point, so q < 1/2 strictly;
+    the block is cooled in its computational basis, so a caller whose fixed
+    point lies elsewhere rotates the input first.  ``permutation[x]`` is the
+    output basis label for input label x.
     ``stages`` holds the compiled circuit as a tuple of ``np.intp`` index
     arrays, one per stage: ``(x, y)`` swaps basis labels x and y, and an empty
     array is a wait stage.  Their product, in order, is ``permutation``.
@@ -64,7 +66,6 @@ class FridgeSpec:
     q: float
     r_block: int
     permutation: tuple
-    pre_rotation: np.ndarray
     stages: tuple
     f_count: int
 
@@ -124,7 +125,6 @@ class CoolingReport:
     reset_state: np.ndarray
     reset_distance: float
     waste_entropy: float
-    mode: str  # "ideal" | "noisy"
 
     def __post_init__(self):
         if not 0 <= self.reset_distance <= 2:
@@ -161,7 +161,7 @@ def top_mass(q: float, r: int) -> float:
     return min(mass, 1.0)
 
 
-def choose_R(q: float, eps2: float, max_r: int = 4096) -> int:
+def choose_R(q: float, eps2: float) -> int:
     """Minimal block size with reset 1-norm residual 2(1 - top_mass) < eps2."""
     if not 0 <= q <= 0.5:
         raise CoolingError(f"bias q={q} outside [0, 1/2]")
@@ -169,15 +169,13 @@ def choose_R(q: float, eps2: float, max_r: int = 4096) -> int:
         raise CoolingError("eps2 must be positive")
     if q == 0.5:
         raise CoolingError("unreachable: fixed point is the center, no cooling possible")
-    for r in range(1, max_r + 1):
+    for r in range(1, MAX_R_SEARCH + 1):
         if 2 * (1 - top_mass(q, r)) < eps2:
             return r
-    raise CoolingError(f"no block size up to {max_r} meets eps2={eps2}")
+    raise CoolingError(f"no block size up to {MAX_R_SEARCH} meets eps2={eps2}")
 
 
-def build_cooling_circuit(
-    q: float, r: int, pre_rotation: np.ndarray | None = None
-) -> FridgeSpec:
+def build_cooling_circuit(q: float, r: int) -> FridgeSpec:
     """Sorting permutation for bias q on R qubits, compiled to transposition
     stages.
 
@@ -214,32 +212,13 @@ def build_cooling_circuit(
     stages = [np.array(pair, dtype=np.intp) for pair in transpositions]
     if not stages:
         stages.append(np.array([], dtype=np.intp))  # wait stage
-    if pre_rotation is None:
-        pre_rotation = np.eye(2, dtype=complex)
     return FridgeSpec(
         q=q,
         r_block=r,
         permutation=tuple(permutation),
-        pre_rotation=np.asarray(pre_rotation, dtype=complex),
         stages=tuple(stages),
         f_count=len(stages) * r,
     )
-
-
-def _prepared_input(spec: FridgeSpec, rho_in: np.ndarray | None) -> np.ndarray:
-    """Dense input block (the thermal block by default), pre-rotated; always a
-    fresh array, so rho_in is never touched."""
-    r = spec.r_block
-    if rho_in is None:
-        single = np.diag([1 - spec.q, spec.q]).astype(complex)
-        rho = reduce(np.kron, [single] * r, np.ones((1, 1)))
-    else:
-        rho = np.asarray(rho_in, dtype=complex)
-    if rho.shape != (2**r, 2**r):
-        raise CoolingError("input state dimension does not match block size")
-    for q_idx in range(r):
-        rho = apply_unitary(rho, spec.pre_rotation, [q_idx], r)
-    return rho
 
 
 def _exact_populations(rho: np.ndarray) -> np.ndarray | None:
@@ -251,16 +230,16 @@ def _exact_populations(rho: np.ndarray) -> np.ndarray | None:
 
 
 def _initial_state(spec: FridgeSpec, rho_in: np.ndarray | None, populations: bool) -> np.ndarray:
-    """The pre-rotated input as its 2^R populations when `populations` is set
-    and it is exactly diagonal (checked with ``==``), else as a dense matrix;
-    always a fresh array."""
-    if rho_in is None and populations:
-        # the thermal block is a product: check one pre-rotated qubit
-        u = spec.pre_rotation
-        single = _exact_populations(u @ np.diag([1 - spec.q, spec.q]) @ u.conj().T)
-        if single is not None:
-            return reduce(np.kron, [single] * spec.r_block, np.ones(1))
-    rho = _prepared_input(spec, rho_in)
+    """The input block (the thermal block by default) as its 2^R populations
+    when `populations` is set and it is exactly diagonal (checked with
+    ``==``), else as a dense matrix; always a fresh array."""
+    r = spec.r_block
+    if rho_in is None:
+        probs = reduce(np.kron, [np.array([1 - spec.q, spec.q])] * r, np.ones(1))
+        return probs if populations else np.diag(probs).astype(complex)
+    rho = np.array(rho_in, dtype=complex)
+    if rho.shape != (2**r, 2**r):
+        raise CoolingError("input state dimension does not match block size")
     probs = _exact_populations(rho) if populations else None
     return rho if probs is None else probs
 
@@ -279,7 +258,7 @@ def _run(spec: FridgeSpec, rho_in: np.ndarray | None, noise: SuperOp | None) -> 
     when `noise` is given.
 
     The run is a Markov chain on the 2^R populations, in O(F 2^R) time and
-    O(2^R) memory, when the pre-rotated input is exactly diagonal and, with
+    O(2^R) memory, when the input is exactly diagonal and, with
     noise, 2 F eps <= POPULATION_ATOL: eps is the largest population ->
     coherence entry of the noise's natural rep, or imaginary part of its
     population block, and a telescoping argument over the F locations
@@ -305,7 +284,6 @@ def _run(spec: FridgeSpec, rho_in: np.ndarray | None, noise: SuperOp | None) -> 
                 state = apply_single_qubit_superop(state, nat, q_idx, r)
             else:
                 state = np.matmul(transfer, state.reshape(2**q_idx, 2, -1)).reshape(-1)
-    mode = "ideal" if nat is None else "noisy"
     if dense:
         waste_entropy = entropy_bits(partial_trace(state, list(range(1, r)), r)) if r > 1 else 0.0
         reset = partial_trace(state, [0], r)
@@ -313,9 +291,7 @@ def _run(spec: FridgeSpec, rho_in: np.ndarray | None, noise: SuperOp | None) -> 
         by_reset_bit = state.reshape(2, -1)
         waste_entropy = spectrum_entropy_bits(by_reset_bit.sum(axis=0)) if r > 1 else 0.0
         reset = np.diag(by_reset_bit.sum(axis=1)).astype(complex)
-    return CoolingReport(
-        reset_state=reset, reset_distance=trace_norm(reset - ZERO), waste_entropy=waste_entropy, mode=mode
-    )
+    return CoolingReport(reset_state=reset, reset_distance=trace_norm(reset - ZERO), waste_entropy=waste_entropy)
 
 
 def run_fridge_ideal(spec: FridgeSpec, rho_in: np.ndarray | None = None) -> CoolingReport:

@@ -15,8 +15,14 @@ Two simulation modes:
   density matrix (3 + 2R qubits), keeping reset/waste/data correlations;
   factorization happens only when qubits return to storage.
 * ``factorized`` -- every qubit crossing a component boundary is reduced to
-  its single-qubit marginal immediately, as the weak-correlation argument
-  licenses.  Layer and noise counts match the exact mode step for step.
+  its single-qubit marginal immediately.  Each cooling block is in product
+  with the data and with the other block, and the correction touches only
+  its reset qubit, so every recorded quantity, and every marginal returned
+  to storage, is exactly what exact mode gives.
+
+Storage qubits relax toward the channel's fixed point.  The protocol rotates
+each drawn qubit so that point lands on |0>; the fridge cools in its own
+computational basis.
 
 The code circuit is :func:`densim.repetition_code` on data qubits 0..2, and
 a correction is its decoder, a swap of the two syndrome qubits with the
@@ -25,6 +31,7 @@ ancillas, and its encoder; every cycle runs on :func:`densim.evolve`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +59,13 @@ POLICY_STALE = "stale"
 
 FRAME_BIT_FLIP = "z"
 
+N_PRIME = 5  # computation-component qubits: the simulated 3 data + 2 ancillas
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Resource counts and error budgets for a protocol run."""
 
-    n_prime: int = 5  # computation-component qubits: 3 data + 2 ancilla slots
     d_prime: int = 50  # cycles
     r_block: int | None = None  # block size; sized from (q, eps2) when omitted
     eps1: float = 0.1
@@ -66,10 +74,10 @@ class ProtocolConfig:
     mode: str = MODE_FACTORIZED
 
     def throughput_bound(self, r: int) -> int:
-        return self.n_prime * r * self.d_prime
+        return N_PRIME * r * self.d_prime
 
     def dwell_target(self, r: int) -> float:
-        return self.eps1 / (self.n_prime * self.d_prime * r)
+        return self.eps1 / (N_PRIME * self.d_prime * r)
 
 
 @dataclass(frozen=True)
@@ -82,7 +90,6 @@ class ProtocolResult:
     throughput_bound: int
     fridge: FridgeSpec
     code_frame: str  # always FRAME_BIT_FLIP until a logical-channel witness picks the frame
-    mode: str
 
 
 class _Storage:
@@ -91,6 +98,8 @@ class _Storage:
     Prefilled with an unbounded supply of fixed-point states; recycled
     entries only requalify after dwelling storage_T noise layers.  Every
     dequeue (prefilled or recycled) counts toward the throughput ledger.
+    An entry is aged only when it is drawn: the noise layers it sat through
+    are applied then, as one matrix power.
     """
 
     def __init__(self, p_state, nat_layer, storage_T, dwell_target):
@@ -98,23 +107,23 @@ class _Storage:
         self.nat_layer = nat_layer
         self.storage_T = storage_T
         self.dwell_target = dwell_target
-        self.entries = []  # (state, age in layers), oldest first
+        self.entries = deque()  # (state, layer count at enqueue), oldest first
+        self.layers = 0
         self.drawn = 0
 
     def tick(self) -> None:
-        """Age every entry by one noise layer."""
-        self.entries = [
-            ((self.nat_layer @ state.reshape(4)).reshape(2, 2), age + 1)
-            for state, age in self.entries
-        ]
+        """Count one noise layer."""
+        self.layers += 1
 
     def enqueue(self, state: np.ndarray) -> None:
-        self.entries.append((np.asarray(state, dtype=complex), 0))
+        self.entries.append((np.asarray(state, dtype=complex), self.layers))
 
     def dequeue(self) -> np.ndarray:
         self.drawn += 1
-        if self.entries and self.entries[0][1] >= self.storage_T:
-            state, _ = self.entries.pop(0)
+        if self.entries and self.layers - self.entries[0][1] >= self.storage_T:
+            state, enqueued = self.entries.popleft()
+            aged = np.linalg.matrix_power(self.nat_layer, self.layers - enqueued)
+            state = (aged @ state.reshape(4)).reshape(2, 2)
         else:
             state = self.p_state
         gap = trace_norm(state - self.p_state)
@@ -179,7 +188,7 @@ def run_refrigerator_protocol(
     rho_p = bloch_to_density(w)
     eigvals, eigvecs = np.linalg.eigh(rho_p)
     pre_rot = eigvecs[:, ::-1].conj().T  # rotate the fixed point onto |0>
-    spec = build_cooling_circuit(q_bias, r, pre_rotation=pre_rot)
+    spec = build_cooling_circuit(q_bias, r)
     code = repetition_code((0, 1, 2))
 
     if cfg.storage_T is not None:
@@ -188,10 +197,10 @@ def run_refrigerator_protocol(
         storage_t = relaxation_time(channel, cfg.dwell_target(r)).steps
 
     refrig, thru = _run_policy(
-        cfg, channel, spec, code, logical_ket, rho_p, storage_t, POLICY_REFRIGERATED
+        cfg, channel, spec, pre_rot, code, logical_ket, rho_p, storage_t, POLICY_REFRIGERATED
     )
     stale, _ = _run_policy(
-        cfg, channel, spec, code, logical_ket, rho_p, storage_t, POLICY_STALE
+        cfg, channel, spec, pre_rot, code, logical_ket, rho_p, storage_t, POLICY_STALE
     )
     if thru > cfg.throughput_bound(r):
         raise SimulationError(
@@ -211,11 +220,10 @@ def run_refrigerator_protocol(
         throughput_bound=cfg.throughput_bound(r),
         fridge=spec,
         code_frame=FRAME_BIT_FLIP,
-        mode=cfg.mode,
     )
 
 
-def _run_policy(cfg, channel, spec, code, logical_ket, rho_p, storage_t, policy):
+def _run_policy(cfg, channel, spec, pre_rot, code, logical_ket, rho_p, storage_t, policy):
     nat = channel.natural()
     r = spec.r_block
     encode, decode = code
@@ -233,8 +241,7 @@ def _run_policy(cfg, channel, spec, code, logical_ket, rho_p, storage_t, policy)
     records = []
     for cycle in range(1, cfg.d_prime + 1):
         if policy == POLICY_REFRIGERATED:
-            drawn = [spec.pre_rotation @ storage.dequeue() @ spec.pre_rotation.conj().T
-                     for _ in range(2 * r)]
+            drawn = [pre_rot @ storage.dequeue() @ pre_rot.conj().T for _ in range(2 * r)]
             if cfg.mode == MODE_EXACT:
                 rho = _cycle_exact(rho, drawn, spec, correction, nat)
                 for i in range(2 * r):

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, report shapes, output files, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,15 +228,22 @@ def test_experiment_estimation_error_writes_partial_outputs(runner, tmp_path, mo
 
 def test_fridge_noisy_r12_allocates_no_dense_state(runner, tmp_path, monkeypatch):
     # the ideal run and the F*d check also run on the 2^R populations: no
-    # 2^R x 2^R input is prepared and no register is reduced
+    # register is reduced, and the peak allocation stays far below the
+    # 268 MB of one dense 2^12 x 2^12 complex state
     def dense(*args):
         raise AssertionError("dense 2^R x 2^R work on a diagonal run")
 
-    for name in ("apply_single_qubit_superop", "partial_trace", "_prepared_input"):
+    for name in ("apply_single_qubit_superop", "partial_trace"):
         monkeypatch.setattr(fridge, name, dense)
     noise = write_channel(tmp_path / "ad.json", amplitude_damping_kraus(1e-3))
-    result = runner.invoke(main, ["fridge", "--q", "0.1", "--r", "12", "--noise", noise])
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["fridge", "--q", "0.1", "--r", "12", "--noise", noise])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert result.exit_code == 0, result.output
+    assert peak < 64 * 2**20
     doc = json.loads(result.output)
     assert doc["R"] == 12 and doc["F"] % 12 == 0
     assert 0 <= doc["noisy_reset_distance"] <= 2

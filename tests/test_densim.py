@@ -1,4 +1,4 @@
-"""Density-matrix simulator: gates, noise, partial trace, entropies, distances."""
+"""Density-matrix simulator: gates, noise, partial trace, entropies."""
 
 import re
 from unittest import mock
@@ -28,7 +28,6 @@ from qfridge.densim import (
     apply_unitary,
     conditional_entropy,
     dephase_all,
-    distance,
     entropy_bits,
     epr_fidelity,
     epr_register,
@@ -437,13 +436,6 @@ def test_dephase_all_spares_reference():
     out = dephase_all(reg)
     # Bell diagonal part survives: classical correlation remains
     assert abs(out.rho[0, 0] - 0.5) < 1e-12 and abs(out.rho[0, 3]) < 1e-12
-
-
-def test_distance_norms():
-    assert abs(distance(ZERO, ONE, "one") - 2.0) < 1e-12
-    assert abs(distance(ZERO, ONE, "two") - np.sqrt(2)) < 1e-12
-    with pytest.raises(SimulationError):
-        distance(ZERO, ONE, "three")
 
 
 def test_relative_entropy_properties():

@@ -87,9 +87,9 @@ def test_choose_r_center_infeasible():
 def test_spec_validation():
     wait = (np.array([], dtype=np.intp),)
     with pytest.raises(CoolingError):
-        FridgeSpec(q=0.6, r_block=2, permutation=(0, 1, 2, 3), pre_rotation=np.eye(2), stages=wait, f_count=2)
+        FridgeSpec(q=0.6, r_block=2, permutation=(0, 1, 2, 3), stages=wait, f_count=2)
     with pytest.raises(CoolingError):
-        FridgeSpec(q=0.1, r_block=2, permutation=(0, 0, 2, 3), pre_rotation=np.eye(2), stages=wait, f_count=2)
+        FridgeSpec(q=0.1, r_block=2, permutation=(0, 0, 2, 3), stages=wait, f_count=2)
 
 
 def test_register_cap_is_an_input_error():
@@ -98,7 +98,7 @@ def test_register_cap_is_an_input_error():
         build_cooling_circuit(0.1, 13)
     assert not isinstance(info.value, CoolingError)
     with pytest.raises(ChannelError, match="register cap"):
-        FridgeSpec(q=0.1, r_block=13, permutation=(), pre_rotation=np.eye(2), stages=(), f_count=13)
+        FridgeSpec(q=0.1, r_block=13, permutation=(), stages=(), f_count=13)
 
 
 def test_stages_are_transposition_index_maps():
@@ -151,16 +151,6 @@ def test_ideal_run_entropy_conservation():
         assert report.waste_entropy <= r * h2(q) + 1e-10
 
 
-def test_pre_rotation_feeds_rotated_input():
-    # fixed point along +x: pre-rotation must map it to the computational basis
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    spec = build_cooling_circuit(0.1, 3, pre_rotation=h)
-    single = 0.9 * h.conj().T @ np.diag([1.0, 0.0]) @ h + 0.1 * h.conj().T @ np.diag([0.0, 1.0]) @ h
-    rho = np.kron(np.kron(single, single), single).astype(complex)
-    report = run_fridge_ideal(spec, rho_in=rho)
-    assert abs(report.reset_state[0, 0].real - top_mass(0.1, 3)) < 1e-12
-
-
 def test_sorting_beats_random_unitaries_at_r2():
     """Majorization optimality probe: no unitary pushes more reset weight than
     the top-half eigenvalue mass."""
@@ -181,7 +171,6 @@ def test_noisy_run_within_location_bound():
     spec = build_cooling_circuit(0.1, 3)
     noise = kraus_to_superop(amplitude_damping_kraus(0.02))
     report = run_fridge_noisy(spec, noise)
-    assert report.mode == "noisy"
     ideal = run_fridge_ideal(spec)
     # noise is weak: the noisy reset stays in the same ballpark
     assert report.reset_distance < ideal.reset_distance + 3 * spec.f_count * 0.04
@@ -228,6 +217,13 @@ def _thermal_block(q, r):
     return rho
 
 
+def _rotated(rho, u, r):
+    """rho with the single-qubit unitary u applied to each of its r qubits."""
+    for q_idx in range(r):
+        rho = apply_unitary(rho, u, [q_idx], r)
+    return rho
+
+
 def _dense_reference(spec, noise, rho=None):
     """Oracle: every stage as a dense 2^R x 2^R unitary, R noise passes each;
     returns (reset state, reset distance, waste entropy)."""
@@ -235,8 +231,6 @@ def _dense_reference(spec, noise, rho=None):
     if rho is None:
         rho = _thermal_block(spec.q, r)
     nat = noise.natural()
-    for q_idx in range(r):
-        rho = apply_unitary(rho, spec.pre_rotation, [q_idx], r)
     for i in range(len(spec.stages)):
         rho = apply_unitary(rho, spec.stage_unitary(i), list(range(r)), r)
         for q_idx in range(r):
@@ -273,7 +267,6 @@ def test_ideal_run_matches_permutation_unitary(q, r, source, seed):
         "dense": _random_psd(rng, 2**r),
     }[source]
     report = run_fridge_ideal(spec, rho_in=rho)
-    assert report.mode == "ideal"
     p = spec.permutation_unitary()
     block = _thermal_block(q, r) if rho is None else rho
     _assert_matches_reference(report, _reduced(p @ block @ p.T, r))
@@ -324,10 +317,11 @@ def _count_dense_passes(monkeypatch):
 def test_vector_path_matches_dense_oracle(q, r, kind, strength, flip, phases, diagonal_input, seed):
     rng = np.random.default_rng(seed)
     noise = kraus_to_superop(_mixed_kraus_form(_DIAGONAL_NOISE[kind](strength), rng))
-    # a monomial pre-rotation keeps diagonal states exactly diagonal
+    # a monomial rotation keeps diagonal states exactly diagonal
     u = np.diag(phases) @ (np.eye(2)[::-1] if flip else np.eye(2))
-    spec = build_cooling_circuit(q, r, pre_rotation=u)
-    rho = np.diag(rng.dirichlet(np.ones(2**r))).astype(complex) if diagonal_input else None
+    spec = build_cooling_circuit(q, r)
+    rho = np.diag(rng.dirichlet(np.ones(2**r))).astype(complex) if diagonal_input else _thermal_block(q, r)
+    rho = _rotated(rho, u, r)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_dense_passes(mp)
         report = run_fridge_noisy(spec, noise, rho_in=rho)
@@ -347,11 +341,11 @@ def test_vector_path_matches_dense_oracle(q, r, kind, strength, flip, phases, di
 def test_bound_check_takes_ideal_distance_from_populations(q, r, flip, phases, diagonal_input, seed):
     rng = np.random.default_rng(seed)
     u = np.diag(phases) @ (np.eye(2)[::-1] if flip else np.eye(2))
-    spec = build_cooling_circuit(q, r, pre_rotation=u)
-    rho = np.diag(rng.dirichlet(np.ones(2**r))).astype(complex) if diagonal_input else None
+    spec = build_cooling_circuit(q, r)
+    rho = np.diag(rng.dirichlet(np.ones(2**r))).astype(complex) if diagonal_input else _thermal_block(q, r)
+    rho = _rotated(rho, u, r)
     p = spec.permutation_unitary()
-    prepared = fridge._prepared_input(spec, rho)
-    expected = _reduced(p @ prepared @ p.T, r)[1]
+    expected = _reduced(p @ rho @ p.T, r)[1]
     seen = []
 
     def recorded(*args, **kwargs):
@@ -370,20 +364,21 @@ def test_bound_check_takes_ideal_distance_from_populations(q, r, flip, phases, d
 
 
 @pytest.mark.parametrize(
-    "pre_rotation, noise",
+    "rotation, noise",
     [
         (_H, amplitude_damping_kraus(0.05)),
         (np.eye(2), KrausSet([_H @ k @ _H for k in amplitude_damping_kraus(0.05).ops])),
     ],
     ids=["hadamard_pre_rotation", "hadamard_conjugated_damping"],
 )
-def test_off_diagonal_runs_fall_back_to_dense_kernel(monkeypatch, pre_rotation, noise):
-    spec = build_cooling_circuit(0.1, 4, pre_rotation=pre_rotation)
+def test_off_diagonal_runs_fall_back_to_dense_kernel(monkeypatch, rotation, noise):
+    spec = build_cooling_circuit(0.1, 4)
+    rho = _rotated(_thermal_block(0.1, 4), rotation, 4)
     noise = kraus_to_superop(noise)
     calls = _count_dense_passes(monkeypatch)
-    report = run_fridge_noisy(spec, noise)
+    report = run_fridge_noisy(spec, noise, rho_in=rho)
     assert len(calls) == len(spec.stages) * spec.r_block
-    _assert_matches_reference(report, _dense_reference(spec, noise))
+    _assert_matches_reference(report, _dense_reference(spec, noise, rho))
 
 
 @settings(max_examples=25)

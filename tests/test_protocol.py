@@ -1,18 +1,24 @@
 """Refrigerated-memory protocol: cycles, storage discipline, baselines, modes."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
+from qfridge import protocol
 from qfridge.channels import (
+    KrausSet,
     amplitude_damping_kraus,
     dephasing_kraus,
     kraus_to_superop,
     thermal_kraus,
+    trace_norm,
 )
 from qfridge.densim import SimulationError
 from qfridge.protocol import (
     MODE_EXACT,
     MODE_FACTORIZED,
+    N_PRIME,
     ProtocolConfig,
     _Storage,
     run_refrigerator_protocol,
@@ -66,7 +72,7 @@ def test_throughput_accounting():
     result = run_refrigerator_protocol(cfg, channel)
     r = result.fridge.r_block
     assert result.throughput == 2 * r * cfg.d_prime
-    assert result.throughput <= result.throughput_bound == cfg.n_prime * r * cfg.d_prime
+    assert result.throughput <= result.throughput_bound == N_PRIME * r * cfg.d_prime
 
 
 def test_exact_and_factorized_agree_on_minimal_instance():
@@ -116,3 +122,85 @@ def test_thermal_channel_full_pipeline():
     assert result.fridge.r_block == 3
     assert result.fridge.permutation != tuple(range(8))
     assert result.margin >= -1e-12
+
+
+class _AgedEveryCycle(_Storage):
+    """Oracle: every entry takes one noise layer on each tick, and a draw
+    takes the oldest entry as it stands (entries hold their age in layers)."""
+
+    def tick(self):
+        self.entries = deque(
+            ((self.nat_layer @ state.reshape(4)).reshape(2, 2), age + 1) for state, age in self.entries
+        )
+
+    def enqueue(self, state):
+        self.entries.append((np.asarray(state, dtype=complex), 0))
+
+    def dequeue(self):
+        self.drawn += 1
+        if self.entries and self.entries[0][1] >= self.storage_T:
+            state, _ = self.entries.popleft()
+        else:
+            state = self.p_state
+        if trace_norm(state - self.p_state) >= self.dwell_target:
+            raise SimulationError("dequeued qubit is too far from the fixed point")
+        return state
+
+
+def _recording(storage_cls, recycled):
+    """storage_cls that appends, per draw, whether it came from a recycled entry."""
+
+    class Recording(storage_cls):
+        def dequeue(self):
+            state = super().dequeue()
+            recycled.append(state is not self.p_state)
+            return state
+
+    return Recording
+
+
+def test_recycled_draws_match_per_cycle_aging(monkeypatch):
+    # storage_T (searched: 45) is below D' = 60, so the last cycles draw
+    # qubits that went back to storage earlier in the run
+    channel = kraus_to_superop(amplitude_damping_kraus(0.3))
+    cfg = ProtocolConfig(d_prime=60, r_block=1)
+    runs = {}
+    for name, storage_cls in (("draw_time", _Storage), ("every_cycle", _AgedEveryCycle)):
+        recycled = []
+        monkeypatch.setattr(protocol, "_Storage", _recording(storage_cls, recycled))
+        runs[name] = run_refrigerator_protocol(cfg, channel), recycled
+    result, recycled = runs["draw_time"]
+    assert result.storage_T == 45
+    assert sum(recycled) == 2 * (cfg.d_prime - result.storage_T)
+    assert runs["every_cycle"][1] == recycled
+    oracle = runs["every_cycle"][0]
+    for policy in ("refrigerated", "stale"):
+        for got, want in zip(getattr(result, policy), getattr(oracle, policy)):
+            assert abs(got.logical_fidelity - want.logical_fidelity) <= 1e-12
+            assert abs(got.entropy_bits - want.entropy_bits) <= 1e-12
+
+
+class _FirstBlock(Exception):
+    pass
+
+
+@pytest.mark.parametrize("frame", ["hadamard", "bit_flip"])
+def test_draws_enter_fridge_in_its_basis(monkeypatch, frame):
+    # thermal damping conjugated by H or X puts the fixed point on +x or -z;
+    # the protocol rotates each draw so the fridge sees diag(1 - q, q) per qubit
+    u = {
+        "hadamard": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+        "bit_flip": np.array([[0, 1], [1, 0]], dtype=complex),
+    }[frame]
+    channel = kraus_to_superop(KrausSet([u @ k @ u.conj().T for k in thermal_kraus(0.05, 0.1).ops]))
+    blocks = []
+
+    def capture(rho, spec):
+        blocks.append(rho)
+        raise _FirstBlock
+
+    monkeypatch.setattr(protocol, "apply_permutation", capture)
+    with pytest.raises(_FirstBlock):
+        run_refrigerator_protocol(ProtocolConfig(d_prime=5, r_block=2, storage_T=40), channel)
+    single = np.diag([0.9, 0.1])
+    assert np.max(np.abs(blocks[0] - np.kron(single, single))) <= 1e-12
