@@ -3,7 +3,9 @@
 Circuits follow a strict alternation: a layer of perfect gates, then one
 application of a single-qubit noise channel to every non-reference qubit.
 Reference qubits are exempt from noise; they model a perfect bystander system
-used to witness entanglement.
+used to witness entanglement.  No noise falls between one `evolve` call's
+layers, so a constant layer list compiles exactly into one unitary
+(`compile_layers`), applied as one dense U rho U^dag.
 
 Registers are capped at 12 qubits (dense 4096x4096 complex matrices).
 
@@ -78,6 +80,8 @@ class GateLayer:
         for u, targets in gates:
             u = np.asarray(u, dtype=complex)
             targets = tuple(int(q) for q in targets)
+            if len(set(targets)) != len(targets) or any(q < 0 for q in targets):
+                raise SimulationError(f"gate targets {targets} are not distinct qubits")
             dim = 2 ** len(targets)
             if u.shape != (dim, dim):
                 raise SimulationError(
@@ -240,15 +244,36 @@ def partial_trace(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def evolve(rho: np.ndarray, layers: Iterable[GateLayer], n: int, nat: np.ndarray | None = None,
-           noisy: Iterable[int] | None = None) -> np.ndarray:
-    """Apply gate layers to a raw 2^n x 2^n matrix, then, with a channel's
-    natural rep `nat` given, one noise pass on the `noisy` qubits (default:
-    all).  No validation of the result."""
+def _gates(layers: Iterable[GateLayer], n: int):
+    """Each (gate, targets) of the layers in order, targets checked against n."""
     for layer in layers:
         for u, targets in layer.gates:
             if any(q >= n for q in targets):
                 raise SimulationError("gate target outside register")
+            yield u, targets
+
+
+def compile_layers(layers: Iterable[GateLayer], n: int) -> np.ndarray:
+    """The 2^n x 2^n product unitary of the layers (the first layer acts
+    first), built by contracting each gate into the ket axes of the identity."""
+    tensor = np.eye(2**n, dtype=complex).reshape((2,) * (2 * n))
+    for u, targets in _gates(layers, n):
+        tensor = _contract(u.reshape((2,) * (2 * len(targets))), tensor, list(targets))
+    return tensor.reshape(2**n, 2**n)
+
+
+def evolve(rho: np.ndarray, layers: Iterable[GateLayer] | np.ndarray, n: int,
+           nat: np.ndarray | None = None, noisy: Iterable[int] | None = None) -> np.ndarray:
+    """Apply gates to a raw 2^n x 2^n matrix: layers gate by gate, or their
+    `compile_layers` unitary U as one U rho U^dag.  Then, with a channel's
+    natural rep `nat` given, one noise pass on the `noisy` qubits (default:
+    all).  No validation of the result."""
+    if isinstance(layers, np.ndarray):
+        if layers.shape != (2**n, 2**n):
+            raise SimulationError(f"compiled unitary of shape {layers.shape} does not fit {n} qubits")
+        rho = layers @ rho @ layers.conj().T
+    else:
+        for u, targets in _gates(layers, n):
             rho = apply_unitary(rho, u, targets, n)
     if nat is not None:
         for q in range(n) if noisy is None else noisy:
@@ -340,12 +365,13 @@ def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
 
 def epr_fidelity(
     reg: QRegister,
-    decoder: Iterable[GateLayer],
+    decoder: Iterable[GateLayer] | np.ndarray,
     system_qubit: int,
     reference_qubit: int,
 ) -> float:
-    """Apply decoder layers (noiselessly), reduce to (system, reference), and
-    return the overlap with the |Phi+> Bell state."""
+    """Apply the decoder (noiselessly; layers or their compiled unitary, as
+    `evolve` takes them), reduce to (system, reference), and return the
+    overlap with the |Phi+> Bell state."""
     if reg.roles[reference_qubit] != REFERENCE:
         raise SimulationError("reference_qubit is not flagged as reference")
     n = reg.n_qubits

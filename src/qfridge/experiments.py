@@ -26,6 +26,7 @@ from .densim import (
     GateLayer,
     QRegister,
     SimulationError,
+    compile_layers,
     dephase_all,
     epr_fidelity,
     evolve,
@@ -320,7 +321,7 @@ def run_epr_storage(
 
     rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
     if code == CODE_PHASE_FLIP:
-        encode, decode = repetition_code((1, 2, 3), phase_flip=True)
+        encode, decode = (compile_layers(c, 4) for c in repetition_code((1, 2, 3), phase_flip=True))
         rho = evolve(np.kron(rho, np.kron(ZERO, ZERO)), encode, 4)
         reg = QRegister(rho, [REFERENCE, DATA, DATA, DATA])
     else:

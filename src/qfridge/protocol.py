@@ -26,7 +26,8 @@ computational basis.
 
 The code circuit is :func:`densim.repetition_code` on data qubits 0..2, and
 a correction is its decoder, a swap of the two syndrome qubits with the
-ancillas, and its encoder; every cycle runs on :func:`densim.evolve`.
+ancillas, and its encoder, compiled once per run into one unitary
+(:func:`densim.compile_layers`); every cycle runs on :func:`densim.evolve`.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .densim import (
     ZERO,
     GateLayer,
     SimulationError,
+    compile_layers,
     entropy_bits,
     evolve,
     partial_trace,
@@ -227,9 +229,10 @@ def _run_policy(cfg, channel, spec, pre_rot, code, logical_ket, rho_p, storage_t
     nat = channel.natural()
     r = spec.r_block
     encode, decode = code
-    a1 = 3 + r if cfg.mode == MODE_EXACT and policy == POLICY_REFRIGERATED else 4
+    a1, n = (3 + r, 3 + 2 * r) if cfg.mode == MODE_EXACT and policy == POLICY_REFRIGERATED else (4, 5)
     swap = NAMED_GATES["SWAP"]
-    correction = decode + [GateLayer([(swap, (1, 3)), (swap, (2, a1))])] + encode
+    correction = compile_layers(decode + [GateLayer([(swap, (1, 3)), (swap, (2, a1))])] + encode, n)
+    encode, decode = compile_layers(encode, 3), compile_layers(decode, 3)
     storage = _Storage(rho_p, nat, storage_t, cfg.dwell_target(r))
 
     # encode the logical input; no noise during preparation

@@ -26,6 +26,7 @@ from qfridge.densim import (
     SimulationError,
     apply_single_qubit_superop,
     apply_unitary,
+    compile_layers,
     conditional_entropy,
     dephase_all,
     entropy_bits,
@@ -348,6 +349,30 @@ def test_gate_kernel_matches_two_loop_oracle(n, k, seed):
     assert np.array_equal(evolve(rho, layers, n, nat, noisy), want)
 
 
+@settings(max_examples=60)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), with_noise=st.booleans())
+def test_compiled_layers_match_the_gate_path(n, seed, with_noise):
+    """evolve on the compile_layers unitary equals evolve on the layers, for
+    three layers of Haar 1-3-qubit gates and a Hadamard layer, with and
+    without a noise pass on random qubits."""
+    rng = np.random.default_rng(seed)
+    rho = random_state(rng, n)
+    layers = []
+    for _ in range(3):
+        qubits = [int(q) for q in rng.permutation(n)]
+        gates = []
+        while qubits:
+            arity = int(rng.integers(1, min(3, len(qubits)) + 1))
+            gates.append((random_unitary(rng, 2**arity), tuple(qubits[:arity])))
+            qubits = qubits[arity:]
+        layers.append(GateLayer(gates))
+    layers.append(GateLayer([(NAMED_GATES["H"], (q,)) for q in range(n)]))
+    nat = kraus_to_superop(depolarizing_kraus(0.2)).natural() if with_noise else None
+    noisy = [int(q) for q in rng.permutation(n)[: rng.integers(0, n + 1)]]
+    want = evolve(rho, layers, n, nat, noisy)
+    assert np.max(np.abs(evolve(rho, compile_layers(layers, n), n, nat, noisy) - want)) <= 1e-12
+
+
 def test_evolve_noise_defaults_to_every_qubit():
     rng = np.random.default_rng(37)
     rho = random_state(rng, 3)
@@ -356,8 +381,13 @@ def test_evolve_noise_defaults_to_every_qubit():
     for q in range(3):
         want = apply_single_qubit_superop(want, nat, q, 3)
     assert np.array_equal(evolve(rho, [], 3, nat), want)
+    outside = [GateLayer([(NAMED_GATES["H"], (3,))])]
     with pytest.raises(SimulationError, match="outside register"):
-        evolve(rho, [GateLayer([(NAMED_GATES["H"], (3,))])], 3)
+        evolve(rho, outside, 3)
+    with pytest.raises(SimulationError, match="outside register"):
+        compile_layers(outside, 3)
+    with pytest.raises(SimulationError, match="does not fit"):
+        evolve(rho, compile_layers([], 2), 3)
 
 
 def test_single_qubit_superop_matches_global_action():
@@ -394,6 +424,10 @@ def test_gate_layer_validation():
         GateLayer([(h, (0,)), (h, (0,))])  # overlapping targets
     with pytest.raises(SimulationError):
         GateLayer([(np.eye(2) * 2, (0,))])  # not unitary
+    with pytest.raises(SimulationError, match="not distinct"):
+        GateLayer([(h, (-1,))])  # negative target
+    with pytest.raises(SimulationError, match="not distinct"):
+        GateLayer([(NAMED_GATES["CNOT"], (0, 0))])  # repeated target
 
 
 def test_step_noise_skips_reference():
