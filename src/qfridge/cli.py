@@ -53,7 +53,7 @@ from .fridge import (
     run_fridge_noisy,
     top_mass,
 )
-from .protocol import MODE_FACTORIZED, ProtocolConfig, run_refrigerator_protocol
+from .protocol import ProtocolConfig, run_refrigerator_protocol
 
 EXIT_INPUT = 2
 EXIT_NON_CP = 3
@@ -163,8 +163,7 @@ def cmd_fridge(q, eps2, r_block, noise_file):
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--mode", type=click.Choice([MODE_PAPER, MODE_SAFE]), default=MODE_SAFE)
-@click.option("--sim", type=click.Choice(["exact", "factorized"]), default=MODE_FACTORIZED)
-def cmd_experiment(name, config_path, seed, out_dir, mode, sim):
+def cmd_experiment(name, config_path, seed, out_dir, mode):
     """Run a named experiment; write trace JSONL, summary CSV, and a manifest."""
     runners = {
         "depol_decay": _run_depol_decay,
@@ -182,7 +181,7 @@ def cmd_experiment(name, config_path, seed, out_dir, mode, sim):
         out.mkdir(parents=True, exist_ok=True)
         started = time.monotonic()
         try:
-            records, summary_rows = runners[name](config, seed, mode, sim)
+            records, summary_rows = runners[name](config, seed, mode)
             failure = None
         except (CoolingError, SimulationError, EstimationError) as exc:
             # a run that failed, not bad input: write what there is first
@@ -218,7 +217,7 @@ def _channel_from_config(config):
     return kraus_to_superop(amplitude_damping_kraus(config["p"]))
 
 
-def _run_depol_decay(config, seed, mode, sim):
+def _run_depol_decay(config, seed, mode):
     from .channels import depolarizing_kraus
 
     channel = kraus_to_superop(depolarizing_kraus(config["p"]))
@@ -233,7 +232,7 @@ def _run_depol_decay(config, seed, mode, sim):
     return list(result.records), _STEP_TRACE
 
 
-def _run_stockpile(config, seed, mode, sim):
+def _run_stockpile(config, seed, mode):
     result = run_stockpile(
         a_exp=config["a"],
         b_exp=config["b"],
@@ -245,7 +244,7 @@ def _run_stockpile(config, seed, mode, sim):
     return list(result.records), _STEP_TRACE
 
 
-def _run_epr_storage(config, seed, mode, sim):
+def _run_epr_storage(config, seed, mode):
     result = run_epr_storage(
         code=config.get("code", "none"),
         p=config["p"],
@@ -257,7 +256,7 @@ def _run_epr_storage(config, seed, mode, sim):
     return list(result.records), _STEP_TRACE
 
 
-def _run_fridge_protocol(config, seed, mode, sim):
+def _run_fridge_protocol(config, seed, mode):
     channel = _channel_from_config(config)
     cfg = ProtocolConfig(
         d_prime=config.get("cycles", 50),
@@ -265,7 +264,6 @@ def _run_fridge_protocol(config, seed, mode, sim):
         eps1=config.get("eps1", 0.1),
         eps2=config.get("eps2", 0.2),
         storage_T=config.get("storage_T"),
-        mode=sim,
     )
     result = run_refrigerator_protocol(cfg, channel, seed=seed)
     records = []
@@ -282,7 +280,7 @@ def _run_fridge_protocol(config, seed, mode, sim):
     return records, _STEP_TRACE
 
 
-def _run_bounds(config, seed, mode, sim):
+def _run_bounds(config, seed, mode):
     p = config["p"]
     eps = config.get("eps", 0.5)
     n = config["n"]

@@ -20,6 +20,7 @@ from .channels import SuperOp, dephasing_kraus, kraus_to_superop
 from .classify import DEPHASING_CLASS, DEPOLARIZING_CLASS, classify
 from .densim import (
     DATA,
+    MAX_QUBITS,
     PHI_PLUS,
     REFERENCE,
     ZERO,
@@ -230,8 +231,8 @@ def run_stockpile(
     and are consumed as fresh ancillas.  The run halts at the step budget
     ceil(n^b) or when the stockpile empties, whichever is first.
     """
-    if n > 10:
-        raise SimulationError("stockpile experiment capped at 10 qubits")
+    if n > MAX_QUBITS:
+        raise SimulationError(f"stockpile of {n} qubits exceeds cap {MAX_QUBITS}")
     channel = kraus_to_superop(dephasing_kraus(p))
     if classify(channel).kind != DEPHASING_CLASS:
         raise ValueError("stockpile experiment needs a dephasing-class channel")

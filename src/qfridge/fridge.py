@@ -105,19 +105,14 @@ def _swap_rows(a: np.ndarray, stage: np.ndarray) -> None:
     a[stage] = a[stage[::-1]]
 
 
-def apply_permutation(rho: np.ndarray, spec: FridgeSpec, blocks: int = 1) -> np.ndarray:
-    """rho -> P rho P^T with the compiled permutation P acting on each of the
-    last `blocks` R-qubit blocks of the register; leading qubits are idle.
+def apply_permutation(rho: np.ndarray, spec: FridgeSpec) -> np.ndarray:
+    """rho -> P rho P^T with the compiled permutation P on the R-qubit block.
 
     An exact index gather, so it equals the product of the 0/1 stage matrices
     bit for bit.
     """
-    dim = 2**spec.r_block
     inverse = np.argsort(spec.permutation)
-    index = np.arange(rho.shape[0] // dim**blocks)
-    for _ in range(blocks):
-        index = (index[:, None] * dim + inverse).ravel()
-    return rho[np.ix_(index, index)]
+    return rho[np.ix_(inverse, inverse)]
 
 
 @dataclass(frozen=True)

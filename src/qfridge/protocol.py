@@ -9,16 +9,13 @@ qubits and the fridge waste go back to the storage house.  A stale baseline
 reuses the previous cycle's syndrome garbage as ancillas without any cooling,
 under an identical layer schedule.
 
-Two simulation modes:
-
-* ``exact`` -- data and the cycle's drawn storage qubits evolve in one joint
-  density matrix (3 + 2R qubits), keeping reset/waste/data correlations;
-  factorization happens only when qubits return to storage.
-* ``factorized`` -- every qubit crossing a component boundary is reduced to
-  its single-qubit marginal immediately.  Each cooling block is in product
-  with the data and with the other block, and the correction touches only
-  its reset qubit, so every recorded quantity, and every marginal returned
-  to storage, is exactly what exact mode gives.
+The simulation reduces every qubit that crosses a component boundary to its
+single-qubit marginal, and that loses nothing a run records.  Each cooling
+block is in product with the data and with the other block, the correction
+touches only a block's reset qubit, the other block qubits take only local
+noise, and storage keeps only single-qubit marginals.  So the data state and
+every marginal returned to storage equal what one joint register of the data
+and all 2R drawn qubits would give.
 
 Storage qubits relax toward the channel's fixed point.  The protocol rotates
 each drawn qubit so that point lands on |0>; the fridge cools in its own
@@ -73,6 +70,8 @@ class ProtocolConfig:
     eps1: float = 0.1
     eps2: float = 0.2
     storage_T: int | None = None  # computed from eps1 when omitted
+    # either value runs the one marginal simulation; the field goes once the
+    # benchmark workloads stop passing it
     mode: str = MODE_FACTORIZED
 
     def throughput_bound(self, r: int) -> int:
@@ -185,13 +184,14 @@ def run_refrigerator_protocol(
     purity = float(np.linalg.norm(w))
     q_bias = max(0.0, (1 - purity) / 2)
     r = cfg.r_block if cfg.r_block is not None else choose_R(q_bias, cfg.eps2)
-    if cfg.mode == MODE_EXACT and 3 + 2 * r > 8:
-        raise SimulationError("exact mode overflows the 8-qubit cap")
     rho_p = bloch_to_density(w)
     eigvals, eigvecs = np.linalg.eigh(rho_p)
     pre_rot = eigvecs[:, ::-1].conj().T  # rotate the fixed point onto |0>
     spec = build_cooling_circuit(q_bias, r)
-    code = repetition_code((0, 1, 2))
+    encode, decode = repetition_code((0, 1, 2))
+    swap = NAMED_GATES["SWAP"]
+    correction = decode + [GateLayer([(swap, (1, 3)), (swap, (2, 4))])] + encode
+    code = compile_layers(encode, 3), compile_layers(decode, 3), compile_layers(correction, 5)
 
     if cfg.storage_T is not None:
         storage_t = cfg.storage_T
@@ -228,11 +228,7 @@ def run_refrigerator_protocol(
 def _run_policy(cfg, channel, spec, pre_rot, code, logical_ket, rho_p, storage_t, policy):
     nat = channel.natural()
     r = spec.r_block
-    encode, decode = code
-    a1, n = (3 + r, 3 + 2 * r) if cfg.mode == MODE_EXACT and policy == POLICY_REFRIGERATED else (4, 5)
-    swap = NAMED_GATES["SWAP"]
-    correction = compile_layers(decode + [GateLayer([(swap, (1, 3)), (swap, (2, a1))])] + encode, n)
-    encode, decode = compile_layers(encode, 3), compile_layers(decode, 3)
+    encode, decode, correction = code
     storage = _Storage(rho_p, nat, storage_t, cfg.dwell_target(r))
 
     # encode the logical input; no noise during preparation
@@ -245,31 +241,15 @@ def _run_policy(cfg, channel, spec, pre_rot, code, logical_ket, rho_p, storage_t
     for cycle in range(1, cfg.d_prime + 1):
         if policy == POLICY_REFRIGERATED:
             drawn = [pre_rot @ storage.dequeue() @ pre_rot.conj().T for _ in range(2 * r)]
-            if cfg.mode == MODE_EXACT:
-                rho = _cycle_exact(rho, drawn, spec, correction, nat)
-                for i in range(2 * r):
-                    storage.enqueue(partial_trace(rho, [3 + i], 3 + 2 * r))
-                rho = partial_trace(rho, [0, 1, 2], 3 + 2 * r)
-            else:
-                rho, returned = _cycle_factorized(rho, drawn, spec, correction, nat, r)
-                for m in returned:
-                    storage.enqueue(m)
+            rho, returned = _cycle_factorized(rho, drawn, spec, correction, nat, r)
+            for m in returned:
+                storage.enqueue(m)
         else:
             rho, stale_ancillas = _cycle_stale(rho, stale_ancillas, correction, nat)
         rho = _renorm(rho)
         storage.tick()
         records.append(_record(cycle, rho, decode, logical_ket))
     return records, storage.drawn
-
-
-def _cycle_exact(rho3, drawn, spec, correction, nat):
-    # all of one cycle's gates sit between two noise applications: the noise
-    # model is per time step, with arbitrary unitaries allowed in between
-    rho = rho3
-    for state in drawn:
-        rho = np.kron(rho, state)
-    rho = apply_permutation(rho, spec, blocks=2)
-    return evolve(rho, correction, 3 + len(drawn), nat)
 
 
 def _cycle_factorized(rho3, drawn, spec, correction, nat, r):

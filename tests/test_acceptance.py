@@ -64,12 +64,10 @@ from qfridge.fridge import (
     run_fridge_noisy,
     top_mass,
 )
-from qfridge.protocol import (
-    MODE_EXACT,
-    MODE_FACTORIZED,
-    ProtocolConfig,
-    run_refrigerator_protocol,
-)
+from qfridge import protocol
+from qfridge.protocol import ProtocolConfig, run_refrigerator_protocol
+
+from test_protocol import cycle_joint
 
 PS = (0.01, 0.05, 0.1, 0.2, 0.3)
 
@@ -311,26 +309,21 @@ def test_criterion_9_relaxation():
     )
 
 
-def test_criterion_10_protocol_demonstration():
+def test_criterion_10_protocol_demonstration(monkeypatch):
     channel = kraus_to_superop(amplitude_damping_kraus(0.01))
-    result = run_refrigerator_protocol(
-        ProtocolConfig(d_prime=50, mode=MODE_FACTORIZED), channel, seed=0
-    )
+    result = run_refrigerator_protocol(ProtocolConfig(d_prime=50), channel, seed=0)
     assert result.refrigerated[-1].logical_fidelity >= result.stale[-1].logical_fidelity
-    exact = run_refrigerator_protocol(
-        ProtocolConfig(d_prime=20, mode=MODE_EXACT), channel, seed=0
-    )
-    fact = run_refrigerator_protocol(
-        ProtocolConfig(d_prime=20, mode=MODE_FACTORIZED), channel, seed=0
-    )
-    assert 3 + 2 * exact.fridge.r_block <= 8
+    fact = run_refrigerator_protocol(ProtocolConfig(d_prime=20), channel, seed=0)
+    # the joint-register oracle: data and every drawn qubit in one register
+    monkeypatch.setattr(protocol, "_cycle_factorized", cycle_joint)
+    exact = run_refrigerator_protocol(ProtocolConfig(d_prime=20), channel, seed=0)
     worst = max(
         abs(a.logical_fidelity - b.logical_fidelity)
         for a, b in zip(exact.refrigerated, fact.refrigerated)
     )
-    assert worst <= 0.05
+    assert worst <= 1e-12
     print(
         f"criterion 10: PASS - margin {result.margin:.6f} "
         f"(refrigerated {result.refrigerated[-1].logical_fidelity:.6f} vs stale "
-        f"{result.stale[-1].logical_fidelity:.6f}), exact/factorized gap {worst:.2e}"
+        f"{result.stale[-1].logical_fidelity:.6f}), joint-register oracle gap {worst:.2e}"
     )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qfridge.channels import depolarizing_kraus, kraus_to_superop
-from qfridge.densim import SimulationError
+from qfridge.densim import MAX_QUBITS, QRegister, SimulationError
 from qfridge.experiments import (
     CODE_NONE,
     CODE_PHASE_FLIP,
@@ -102,6 +102,12 @@ class TestStockpile:
         calls = eigvalsh.call_args_list + cholesky.call_args_list
         assert calls
         assert all(call.args[0].shape[-1] < 1024 for call in calls)
+
+    def test_register_cap_checked_before_allocating(self):
+        # the 2^n x 2^n product state is never built for an oversized n
+        with mock.patch.object(QRegister, "from_product", side_effect=AssertionError("allocated")):
+            with pytest.raises(SimulationError):
+                run_stockpile(0.5, 0.5, MAX_QUBITS + 1, 0.05)
 
 
 class TestEprStorage:

@@ -176,8 +176,8 @@ def test_noisy_run_within_location_bound():
     assert report.reset_distance < ideal.reset_distance + 3 * spec.f_count * 0.04
 
 
-def _random_psd(rng, dim, rank=None):
-    g = rng.normal(size=(dim, rank or dim)) + 1j * rng.normal(size=(dim, rank or dim))
+def _random_psd(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -379,20 +379,6 @@ def test_off_diagonal_runs_fall_back_to_dense_kernel(monkeypatch, rotation, nois
     report = run_fridge_noisy(spec, noise, rho_in=rho)
     assert len(calls) == len(spec.stages) * spec.r_block
     _assert_matches_reference(report, _dense_reference(spec, noise, rho))
-
-
-@settings(max_examples=25)
-@given(q=_biases, r=st.integers(1, 4), seed=_seeds)
-def test_two_block_gather_matches_dense_permutation_on_both_blocks(q, r, seed):
-    # the exact-mode protocol register: 3 data qubits, then two R-qubit blocks;
-    # R = 4 is the first size whose permutation is not its own inverse
-    spec = build_cooling_circuit(q, r)
-    n = 3 + 2 * r
-    rho = _random_psd(np.random.default_rng(seed), 2**n, rank=4)
-    p = spec.permutation_unitary()
-    dense = apply_unitary(rho, p, list(range(3, 3 + r)), n)
-    dense = apply_unitary(dense, p, list(range(3 + r, n)), n)
-    assert np.array_equal(apply_permutation(rho, spec, blocks=2), dense)
 
 
 def test_input_dimension_check():

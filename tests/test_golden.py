@@ -38,7 +38,7 @@ CASES = {
         "fridge_protocol",
         {"cycles": 4, "r_block": 2, "storage_T": 300, "p": 0.01},
         2,
-        ["--sim", "exact"],
+        [],
     ),
     # criterion 10's channel and storage time: the stale run's fidelity decays
     # to 0 by cycle 50 if the per-cycle trace renormalisation is dropped
@@ -46,7 +46,7 @@ CASES = {
         "fridge_protocol",
         {"cycles": 50, "r_block": 1, "storage_T": 1558, "p": 0.01},
         0,
-        ["--sim", "factorized"],
+        [],
     ),
 }
 

@@ -1,9 +1,13 @@
-"""Refrigerated-memory protocol: cycles, storage discipline, baselines, modes."""
+"""Refrigerated-memory protocol: cycles, storage discipline, baselines, and
+the marginal simulation against a joint-register oracle."""
 
 from collections import deque
+from contextlib import suppress
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfridge import protocol
 from qfridge.channels import (
@@ -14,10 +18,16 @@ from qfridge.channels import (
     thermal_kraus,
     trace_norm,
 )
-from qfridge.densim import SimulationError
+from qfridge.densim import (
+    NAMED_GATES,
+    GateLayer,
+    SimulationError,
+    apply_unitary,
+    evolve,
+    partial_trace,
+    repetition_code,
+)
 from qfridge.protocol import (
-    MODE_EXACT,
-    MODE_FACTORIZED,
     N_PRIME,
     ProtocolConfig,
     _Storage,
@@ -35,13 +45,6 @@ def test_rejects_unknown_mode():
     cfg = ProtocolConfig(d_prime=2, mode="approximate")
     with pytest.raises(SimulationError):
         run_refrigerator_protocol(cfg, kraus_to_superop(amplitude_damping_kraus(0.1)))
-
-
-def test_exact_mode_size_cap():
-    # q = 0.1 forces R = 3 at the default eps2, overflowing 3 + 2R = 9 > 8
-    cfg = ProtocolConfig(d_prime=2, mode=MODE_EXACT)
-    with pytest.raises(SimulationError):
-        run_refrigerator_protocol(cfg, kraus_to_superop(thermal_kraus(0.1, 0.1)))
 
 
 def test_near_noiseless_run_keeps_fidelity():
@@ -75,16 +78,14 @@ def test_throughput_accounting():
     assert result.throughput <= result.throughput_bound == N_PRIME * r * cfg.d_prime
 
 
-def test_exact_and_factorized_agree_on_minimal_instance():
+def test_exact_and_factorized_agree_on_minimal_instance(monkeypatch):
     channel = kraus_to_superop(amplitude_damping_kraus(0.01))
-    exact = run_refrigerator_protocol(
-        ProtocolConfig(d_prime=15, storage_T=100, mode=MODE_EXACT), channel
-    )
-    fact = run_refrigerator_protocol(
-        ProtocolConfig(d_prime=15, storage_T=100, mode=MODE_FACTORIZED), channel
-    )
+    cfg = ProtocolConfig(d_prime=15, storage_T=100)
+    fact = run_refrigerator_protocol(cfg, channel)
+    monkeypatch.setattr(protocol, "_cycle_factorized", cycle_joint)
+    exact = run_refrigerator_protocol(cfg, channel)
     for a, b in zip(exact.refrigerated, fact.refrigerated):
-        assert abs(a.logical_fidelity - b.logical_fidelity) < 0.05
+        assert abs(a.logical_fidelity - b.logical_fidelity) <= 1e-12
 
 
 def test_storage_dwell_discipline():
@@ -204,3 +205,71 @@ def test_draws_enter_fridge_in_its_basis(monkeypatch, frame):
         run_refrigerator_protocol(ProtocolConfig(d_prime=5, r_block=2, storage_T=40), channel)
     single = np.diag([0.9, 0.1])
     assert np.max(np.abs(blocks[0] - np.kron(single, single))) <= 1e-12
+
+
+def cycle_joint(rho3, drawn, spec, correction, nat, r):
+    """Oracle for ``protocol._cycle_factorized``: the data and all 2R drawn
+    qubits evolve in one 3 + 2R-qubit register, block b on qubits
+    3 + bR .. 3 + (b + 1)R - 1, with the correction rebuilt on that register
+    (the compiled 5-qubit one is not used).  Returns the data state and the
+    storage marginals in the protocol's order: both syndrome qubits, then
+    block 0's wastes, then block 1's."""
+    n = 3 + 2 * r
+    rho = rho3
+    for state in drawn:
+        rho = np.kron(rho, state)
+    p = spec.permutation_unitary()
+    for first in (3, 3 + r):
+        rho = apply_unitary(rho, p, list(range(first, first + r)), n)
+    encode, decode = repetition_code((0, 1, 2))
+    swap = NAMED_GATES["SWAP"]
+    rho = evolve(rho, decode + [GateLayer([(swap, (1, 3)), (swap, (2, 3 + r))])] + encode, n, nat)
+    order = [3, 3 + r, *range(4, 3 + r), *range(4 + r, n)]
+    return partial_trace(rho, [0, 1, 2], n), [partial_trace(rho, [q], n) for q in order]
+
+
+def _policy_records(channel, cfg, ket, cycle=None):
+    """Per-cycle (fidelity, entropy) of the refrigerated and the stale run,
+    with `cycle` in place of the refrigerated cycle when given.  The run's
+    verdict is left out: strong noise on an arbitrary input can make the
+    refrigerated run lose, and then the protocol raises after both runs."""
+    runs = []
+    run_policy = protocol._run_policy
+
+    def recording(*args):
+        runs.append(run_policy(*args))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_run_policy", recording)
+        if cycle is not None:
+            mp.setattr(protocol, "_cycle_factorized", cycle)
+        with suppress(SimulationError):
+            run_refrigerator_protocol(cfg, channel, logical_ket=ket)
+    assert len(runs) == 2
+    return np.array([[(rec.logical_fidelity, rec.entropy_bits) for rec in records] for records, _ in runs])
+
+
+@settings(max_examples=8)
+@given(
+    thermal=st.booleans(),
+    gamma=st.floats(0.3, 0.5),
+    excited=st.floats(0.02, 0.15),
+    r=st.integers(1, 3),
+    cycles=st.integers(20, 60),
+    theta=st.floats(0, np.pi),
+    phi=st.floats(0, 2 * np.pi),
+)
+# the searched storage_T (49) is below D' = 60, so the last cycles draw
+# recycled qubits, and the order in which a cycle returns qubits to storage
+# decides which later draw gets which
+@example(thermal=False, gamma=0.3, excited=0.0, r=2, cycles=60, theta=np.pi, phi=0.0)
+def test_marginal_simulation_matches_joint_register(thermal, gamma, excited, r, cycles, theta, phi):
+    kraus = thermal_kraus(gamma, excited) if thermal else amplitude_damping_kraus(gamma)
+    channel = kraus_to_superop(kraus)
+    # the oracle's 9-qubit register costs ~0.1 s a cycle at R = 3
+    cfg = ProtocolConfig(d_prime=cycles if r < 3 else min(cycles, 4), r_block=r)
+    ket = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    got = _policy_records(channel, cfg, ket)
+    want = _policy_records(channel, cfg, ket, cycle_joint)
+    assert np.max(np.abs(got - want)) <= 1e-12

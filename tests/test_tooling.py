@@ -1,4 +1,5 @@
-"""The benchmark must keep working against the program's API.
+"""The benchmark and the README's CLI examples must keep working against the
+program's API.
 
 ``perfbench/tracer.py`` wraps each ``(module, attribute)`` named in its
 ``TARGETS`` table, and ``perfbench/workloads.py`` calls the program through
@@ -10,9 +11,13 @@ trees, so nothing under ``perfbench/`` is imported or written.
 import ast
 import importlib
 import inspect
+import shlex
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from qfridge.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 
@@ -82,4 +87,30 @@ def test_every_workload_call_binds():
             except TypeError as err:
                 problems.append(f"{text}: {err}")
     assert sum(call is not None for *_, call in refs) >= 15
+    assert problems == []
+
+
+def readme_cli_examples() -> list:
+    """The ``qfridge ...`` lines of the sh block in the README's CLI section,
+    each split into words."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("qfridge ")]
+
+
+def test_readme_cli_examples_use_declared_options():
+    examples = readme_cli_examples()
+    assert len(examples) >= 5
+    problems = []
+    for words in examples:
+        command = main.commands.get(words[1])
+        if command is None:
+            problems.append(f"{shlex.join(words)}: no subcommand {words[1]!r}")
+            continue
+        declared = {opt for param in command.params for opt in param.opts}
+        problems.extend(
+            f"{shlex.join(words)}: no option {word!r}"
+            for word in words[2:]
+            if word.startswith("--") and word.split("=")[0] not in declared
+        )
     assert problems == []
