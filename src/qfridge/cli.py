@@ -4,7 +4,7 @@ Subcommands: ``classify`` (channel taxonomy report), ``fridge`` (cooling-run
 report), ``experiment`` (batch runs writing trace JSONL + summary CSV + a run
 manifest).  Exit codes are a stable contract: 0 success, 2 input error, 3
 non-CP channel, 4 infeasible cooling, 5 assertion failure (a broken
-invariant, or a diamond-distance estimate that did not stabilize).
+invariant).
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .bounds import (
 )
 from .channels import (
     ChannelError,
-    EstimationError,
     amplitude_damping_kraus,
     channel_from_dict,
+    depolarizing_kraus,
     kraus_to_superop,
     load_channel,
 )
@@ -64,7 +64,7 @@ EXIT_ASSERTION = 5
 # CoolingError is a ChannelError, and it and SimulationError are ValueErrors.
 _EXITS = (
     (CoolingError, EXIT_INFEASIBLE, "error: no cooling possible"),
-    ((SimulationError, EstimationError), EXIT_ASSERTION, "assertion failure"),
+    (SimulationError, EXIT_ASSERTION, "assertion failure"),
     ((ChannelError, ValueError, KeyError, OSError), EXIT_INPUT, "error"),
 )
 
@@ -177,13 +177,15 @@ def cmd_experiment(name, config_path, seed, out_dir, mode):
     with _exit_codes():
         with open(config_path) as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            _fail(EXIT_INPUT, "error: config must be a JSON object")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         started = time.monotonic()
         try:
             records, summary_rows = runners[name](config, seed, mode)
             failure = None
-        except (CoolingError, SimulationError, EstimationError) as exc:
+        except (CoolingError, SimulationError) as exc:
             # a run that failed, not bad input: write what there is first
             records, summary_rows, failure = [], None, exc
         write_jsonl(records, out / "trace.jsonl")
@@ -218,8 +220,6 @@ def _channel_from_config(config):
 
 
 def _run_depol_decay(config, seed, mode):
-    from .channels import depolarizing_kraus
-
     channel = kraus_to_superop(depolarizing_kraus(config["p"]))
     result = run_depolarizing_decay(
         n=config["n"],

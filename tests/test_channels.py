@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfridge.channels import (
@@ -10,7 +10,6 @@ from qfridge.channels import (
     BlochVector,
     CanonicalForm,
     ChannelError,
-    EstimationError,
     KrausSet,
     SuperOp,
     amplitude_damping_kraus,
@@ -257,17 +256,21 @@ def test_is_unital():
 class TestChannelDistance:
     def test_identical_channels(self):
         c = kraus_to_superop(dephasing_kraus(0.1))
-        d = channel_distance(c, c, restarts=4)
-        assert d.lower <= 1e-12 and d.upper <= 1e-10
+        d = channel_distance(c, c)
+        assert d.lower <= 1e-12 and d.upper <= 1e-12
 
     def test_sandwich_order(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             a = kraus_to_superop(random_cp_channel(rng))
             b = kraus_to_superop(random_cp_channel(rng))
-            d = channel_distance(a, b, restarts=8)
-            assert d.lower <= d.upper + 1e-10
-            assert 0 <= d.lower and d.upper <= 2 + 1e-9
+            d = channel_distance(a, b)
+            assert 0 <= d.lower <= d.upper <= 2 + 1e-9
+
+    def test_restarts_is_inert(self):
+        a = kraus_to_superop(amplitude_damping_kraus(0.3))
+        b = kraus_to_superop(depolarizing_kraus(0.2))
+        assert channel_distance(a, b, restarts=16) == channel_distance(a, b)
 
     def test_dephasing_vs_identity_known_value(self):
         # Z with prob p against the identity: diamond distance 2p
@@ -275,22 +278,14 @@ class TestChannelDistance:
         d = channel_distance(
             kraus_to_superop(dephasing_kraus(p)), kraus_to_superop(identity_channel())
         )
-        assert abs(d.lower - 2 * p) < 1e-9
-        assert abs(d.upper - 2 * p) < 1e-6
+        assert abs(d.lower - 2 * p) < 1e-12
+        assert abs(d.upper - 2 * p) < 1e-12
 
     def test_replacement_channels_trace_distance(self):
         a = replacement_channel(BlochVector([0, 0, 1.0]))
         b = replacement_channel(BlochVector([0, 0, -1.0]))
-        d = channel_distance(a, b, restarts=8)
-        assert abs(d.upper - 2.0) < 1e-9
-
-    def test_no_converged_restart_raises(self):
-        # the first iteration compares against 0, so a nonzero distance
-        # cannot stabilize within one iteration
-        a = kraus_to_superop(dephasing_kraus(0.1))
-        b = kraus_to_superop(identity_channel())
-        with pytest.raises(EstimationError):
-            channel_distance(a, b, max_iter=1)
+        d = channel_distance(a, b)
+        assert abs(d.upper - 2.0) < 1e-12
 
 
 class TestDiamondUpper:
@@ -315,11 +310,13 @@ def test_diamond_upper_bounds_the_ascent(channel_seed):
     assert upper <= 2
     assert abs(upper - diamond_upper(b, a)) <= 1e-12
     assert diamond_upper(a, a) <= 1e-12
-    try:
-        attained = channel_distance(a, b, restarts=8).upper
-    except EstimationError:
+    d = channel_distance(a, b)
+    assert d.upper == max(upper, d.lower)
+    attained = _channel_distance_loop(a, b)
+    if attained is None:
         return
-    assert attained - 1e-12 <= upper
+    # an attained value may pass a tight bound by rounding
+    assert d.lower <= attained <= d.upper + 1e-12
 
 
 def _apply_system_superop_2d(nat, rho):
@@ -330,8 +327,17 @@ def _apply_system_superop_2d(nat, rho):
     return t
 
 
-def _channel_distance_loop(a, b, restarts, max_iter, tol, seed):
-    """Reference: the ascent run one restart after another."""
+def _channel_distance_loop(a, b, restarts=8, max_iter=500, tol=1e-12, seed=0):
+    """Best value attained by an alternating ascent on the diamond-distance
+    maximization over pure inputs on system plus one ancilla qubit.
+
+    For a fixed input the optimal observable is the sign of the output
+    difference; for a fixed observable the optimal input is the top
+    eigenvector of the pulled-back observable.  Each value is the one at
+    some input, so the result is a lower bound on the distance, and it is at
+    least the Choi value.  Returns None when no restart moves by less than
+    ``tol`` within ``max_iter`` iterations.
+    """
     delta_nat = a.natural() - b.natural()
     delta_adj = delta_nat.conj().T
     lower = float(np.sum(np.abs(np.linalg.eigvalsh(choi_matrix(a) - choi_matrix(b)))))
@@ -363,37 +369,7 @@ def _channel_distance_loop(a, b, restarts, max_iter, tol, seed):
                 break
             val = new_val
         best = max(best, val)
-    if not any_converged:
-        raise EstimationError("diamond distance refinement did not stabilize")
-    return lower, max(best, lower)
-
-
-@settings(max_examples=60)
-@given(
-    channel_seed=st.integers(0, 2**32 - 1),
-    seed=st.integers(0, 2**32 - 1),
-    restarts=st.integers(0, 8),
-    max_iter=st.integers(1, 60),
-    tol=st.sampled_from([1e-12, 1e-3, 0.5]),
-)
-# the best value here belongs to a restart that did not converge
-@example(channel_seed=1584013173, seed=1301898152, restarts=8, max_iter=2, tol=0.5)
-def test_batched_ascent_matches_restart_loop(channel_seed, seed, restarts, max_iter, tol):
-    # Small max_iter leaves some restarts unconverged; they still count.  A
-    # coarse tol stops some restarts early, below the ones still climbing.
-    rng = np.random.default_rng(channel_seed)
-    a = kraus_to_superop(random_cp_channel(rng))
-    b = kraus_to_superop(random_cp_channel(rng))
-    try:
-        expected = _channel_distance_loop(a, b, restarts, max_iter, tol, seed)
-    except EstimationError:
-        with pytest.raises(EstimationError):
-            channel_distance(a, b, restarts, max_iter, tol, seed)
-        return
-    d = channel_distance(a, b, restarts, max_iter, tol, seed)
-    # same arithmetic per restart, so the values agree bit for bit
-    assert (d.lower, d.upper) == expected
-    assert 0 <= d.lower <= d.upper <= 2 + 1e-9
+    return max(best, lower) if any_converged else None
 
 
 def test_channel_dict_roundtrip(tmp_path):

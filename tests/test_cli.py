@@ -9,13 +9,13 @@ from click.testing import CliRunner
 
 from qfridge import cli, fridge
 from qfridge.channels import (
-    EstimationError,
     amplitude_damping_kraus,
     dephasing_kraus,
     depolarizing_kraus,
     kraus_to_dict,
 )
 from qfridge.cli import main
+from qfridge.densim import SimulationError
 
 
 @pytest.fixture
@@ -61,6 +61,23 @@ def test_classify_malformed_json_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"kraus": [[[1, 0], [0, 0]]]}, "[re, im] pairs"),
+        ({"kraus": "x"}, "[re, im] pairs"),
+        (5, "must be a JSON object"),
+    ],
+    ids=["real-entries", "string", "number"],
+)
+def test_classify_malformed_channel_exit_2(runner, tmp_path, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["classify", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
 def test_classify_non_cp_exit_3(runner, tmp_path):
     f = tmp_path / "noncp.json"
     f.write_text(json.dumps({"ptm": np.diag([1, 1, 0.9, 1]).tolist()}))
@@ -102,6 +119,18 @@ def test_experiment_unknown_name_exit_2(runner, tmp_path):
         main, ["experiment", "teleport", "--config", str(cfg), "--out", str(tmp_path / "o")]
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("name", ["bounds", "depol_decay"])
+@pytest.mark.parametrize("config", ['"x"', "[1, 2]"], ids=["string", "array"])
+def test_experiment_config_not_an_object_exit_2(runner, tmp_path, name, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", name, "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "config must be a JSON object" in result.output
+    assert not out.exists()
 
 
 def test_experiment_epr_zero_noise(runner, tmp_path):
@@ -192,8 +221,8 @@ def test_fridge_noisy_r9_runs_without_the_dense_kernel(runner, tmp_path, monkeyp
     assert 0 <= doc["noisy_waste_entropy"] <= 8
 
 
-def _raise_estimation_error(*args, **kwargs):
-    raise EstimationError("diamond distance refinement did not stabilize")
+def _raise_simulation_error(*args, **kwargs):
+    raise SimulationError("invariant broken")
 
 
 @pytest.mark.parametrize(
@@ -204,25 +233,25 @@ def _raise_estimation_error(*args, **kwargs):
         ("run_fridge_ideal", ["fridge", "--q", "0.1", "--r", "3"]),
     ],
 )
-def test_estimation_error_exit_5(runner, tmp_path, monkeypatch, target, args):
-    monkeypatch.setattr(cli, target, _raise_estimation_error)
+def test_simulation_error_exit_5(runner, tmp_path, monkeypatch, target, args):
+    monkeypatch.setattr(cli, target, _raise_simulation_error)
     channel = write_channel(tmp_path / "ad.json", amplitude_damping_kraus(0.1))
     result = runner.invoke(main, [channel if a == "CHANNEL" else a for a in args])
     assert result.exit_code == 5
-    assert "did not stabilize" in result.output
+    assert "assertion failure: invariant broken" in result.output
 
 
-def test_experiment_estimation_error_writes_partial_outputs(runner, tmp_path, monkeypatch):
-    # handled like a SimulationError: outputs are written before the exit
-    monkeypatch.setattr(cli, "run_refrigerator_protocol", _raise_estimation_error)
+def test_experiment_simulation_error_writes_partial_outputs(runner, tmp_path, monkeypatch):
+    # a failed run, not bad input: outputs are written before the exit
+    monkeypatch.setattr(cli, "run_refrigerator_protocol", _raise_simulation_error)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"p": 0.02, "cycles": 4, "storage_T": 20}))
     out = tmp_path / "out"
     result = runner.invoke(main, ["experiment", "fridge_protocol", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 5
-    assert "did not stabilize" in result.output
+    assert "invariant broken" in result.output
     assert (out / "trace.jsonl").read_text().strip() == ""
-    assert "did not stabilize" in (out / "summary.csv").read_text()
+    assert "invariant broken" in (out / "summary.csv").read_text()
     assert json.loads((out / "manifest.json").read_text())["command"] == "experiment fridge_protocol"
 
 

@@ -1,5 +1,6 @@
 """The benchmark and the README's CLI examples must keep working against the
-program's API.
+program's API, and every exception the program defines must map onto the
+CLI's exit-code contract.
 
 ``perfbench/tracer.py`` wraps each ``(module, attribute)`` named in its
 ``TARGETS`` table, and ``perfbench/workloads.py`` calls the program through
@@ -11,9 +12,12 @@ trees, so nothing under ``perfbench/`` is imported or written.
 import ast
 import importlib
 import inspect
+import pkgutil
 import shlex
 from pathlib import Path
 
+import qfridge
+from qfridge import cli
 from qfridge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,3 +118,27 @@ def test_readme_cli_examples_use_declared_options():
             if word.startswith("--") and word.split("=")[0] not in declared
         )
     assert problems == []
+
+
+def program_exceptions() -> list:
+    """Every Exception subclass defined in a qfridge module."""
+    found = []
+    for info in pkgutil.iter_modules(qfridge.__path__, "qfridge."):
+        module = importlib.import_module(info.name)
+        found.extend(
+            cls
+            for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, Exception) and cls.__module__ == module.__name__
+        )
+    return found
+
+
+def test_every_program_exception_has_an_exit_code():
+    exceptions = program_exceptions()
+    assert len(exceptions) >= 5
+    unmapped = [
+        f"{cls.__module__}.{cls.__name__}"
+        for cls in exceptions
+        if not any(issubclass(cls, types) for types, _, _ in cli._EXITS)
+    ]
+    assert unmapped == []
