@@ -21,8 +21,8 @@ from .channels import SuperOp
 from .densim import (
     QRegister,
     SimulationError,
-    apply_single_qubit_superop,
     entropy_bits,
+    evolve,
     relative_entropy,
     von_neumann_entropy,
 )
@@ -119,8 +119,7 @@ def entropy_ledger_step(before: QRegister, after: QRegister, noise: SuperOp) -> 
     s_before = von_neumann_entropy(before)
     gaps = []
     for q in before.system_qubits:
-        noised = apply_single_qubit_superop(before.rho, nat, q, n)
-        gaps.append(entropy_bits(noised) - s_before)
+        gaps.append(entropy_bits(evolve(before.rho, [], n, nat, [q])) - s_before)
     global_increase = von_neumann_entropy(after) - s_before
     ledger = EntropyLedger(gaps=tuple(gaps), global_increase=global_increase)
     if global_increase < ledger.max_gap - 1e-9:

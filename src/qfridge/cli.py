@@ -165,25 +165,20 @@ def cmd_fridge(q, eps2, r_block, noise_file):
 @click.option("--mode", type=click.Choice([MODE_PAPER, MODE_SAFE]), default=MODE_SAFE)
 def cmd_experiment(name, config_path, seed, out_dir, mode):
     """Run a named experiment; write trace JSONL, summary CSV, and a manifest."""
-    runners = {
-        "depol_decay": _run_depol_decay,
-        "stockpile": _run_stockpile,
-        "epr_storage": _run_epr_storage,
-        "fridge_protocol": _run_fridge_protocol,
-        "bounds": _run_bounds,
-    }
-    if name not in runners:
+    if name not in _EXPERIMENTS:
         _fail(EXIT_INPUT, f"error: unknown experiment {name!r}")
+    runner, types = _EXPERIMENTS[name]
     with _exit_codes():
         with open(config_path) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             _fail(EXIT_INPUT, "error: config must be a JSON object")
+        _check_config_types(types, config)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         started = time.monotonic()
         try:
-            records, summary_rows = runners[name](config, seed, mode)
+            records, summary_rows = runner(config, seed, mode)
             failure = None
         except (CoolingError, SimulationError) as exc:
             # a run that failed, not bad input: write what there is first
@@ -211,6 +206,16 @@ def cmd_experiment(name, config_path, seed, out_dir, mode):
 
 
 _STEP_TRACE = object()  # sentinel: summary CSV is the per-step trace table
+
+def _check_config_types(types, config):
+    """Raise ValueError (an input error) for a config value of the wrong JSON
+    type, before any output is made; true and false count only as booleans."""
+    for key, value in config.items():
+        accepted = types.get(key)
+        if accepted is None:
+            continue
+        if not isinstance(value, accepted) or (isinstance(value, bool) and accepted is not bool):
+            raise ValueError(f"config value {key!r} has the wrong type: {json.dumps(value)}")
 
 
 def _channel_from_config(config):
@@ -329,6 +334,23 @@ def _run_bounds(config, seed, mode):
     if mode == MODE_SAFE and worst_concavity < -1e-9:
         raise SimulationError(f"safe concavity margin went negative: {worst_concavity}")
     return records, rows
+
+
+_NUMBER = (int, float)
+_INT_OR_NULL = (int, type(None))
+# name -> (runner, config key -> accepted JSON value types; other keys are ignored)
+_EXPERIMENTS = {
+    "depol_decay": (_run_depol_decay, {
+        "p": _NUMBER, "n": int, "steps": int, "policy": str, "with_reference": bool}),
+    "stockpile": (_run_stockpile, {
+        "a": _NUMBER, "b": _NUMBER, "n": int, "p": _NUMBER, "ancillas_per_step": int}),
+    "epr_storage": (_run_epr_storage, {
+        "code": str, "p": _NUMBER, "steps": int, "correction_interval": int, "separability_eps": _NUMBER}),
+    "fridge_protocol": (_run_fridge_protocol, {
+        "channel": dict, "p": _NUMBER, "cycles": int, "r_block": _INT_OR_NULL,
+        "eps1": _NUMBER, "eps2": _NUMBER, "storage_T": _INT_OR_NULL}),
+    "bounds": (_run_bounds, {"p": _NUMBER, "eps": _NUMBER, "n": int, "samples": int, "dim": int}),
+}
 
 
 if __name__ == "__main__":

@@ -7,6 +7,16 @@ used to witness entanglement.  No noise falls between one `evolve` call's
 layers, so a constant layer list compiles exactly into one unitary
 (`compile_layers`), applied as one dense U rho U^dag.
 
+A noise pass whose natural rep is exactly a real diagonal matrix (dephasing
+along z; diag(1, 0, 0, 1) is its p = 1/2 limit) multiplies each qubit's
+(ket, bra) entries of one copy of rho in place.  Every other channel goes
+through the general tensor kernel, `apply_single_qubit_superop`, one qubit at
+a time.  Both give the same bytes on a real diagonal rep; a complex factor
+(a z-rotation in the channel) keeps the kernel, because numpy's complex
+product and BLAS's round differently.  `dephase_all` and the entropy
+ledger's single-qubit passes (`bounds.entropy_ledger_step`) run through the
+same pass.
+
 Registers are capped at 12 qubits (dense 4096x4096 complex matrices).
 
 A QRegister is validated once, when it is built: shape, unit trace,
@@ -53,6 +63,9 @@ PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 PHI_PLUS.setflags(write=False)
 ZERO = np.diag([1.0, 0.0]).astype(complex)
 ZERO.setflags(write=False)
+# natural rep of complete dephasing: keeps populations, zeroes coherences
+_DEPHASE = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
+_DEPHASE.setflags(write=False)
 
 NAMED_GATES = {
     "H": _H,
@@ -267,7 +280,9 @@ def evolve(rho: np.ndarray, layers: Iterable[GateLayer] | np.ndarray, n: int,
     """Apply gates to a raw 2^n x 2^n matrix: layers gate by gate, or their
     `compile_layers` unitary U as one U rho U^dag.  Then, with a channel's
     natural rep `nat` given, one noise pass on the `noisy` qubits (default:
-    all).  No validation of the result."""
+    all), in the listed order.  A rep that equals a real diagonal matrix
+    exactly scales a copy of rho in place, qubit by qubit; any other goes
+    through `apply_single_qubit_superop`.  No validation of the result."""
     if isinstance(layers, np.ndarray):
         if layers.shape != (2**n, 2**n):
             raise SimulationError(f"compiled unitary of shape {layers.shape} does not fit {n} qubits")
@@ -275,10 +290,24 @@ def evolve(rho: np.ndarray, layers: Iterable[GateLayer] | np.ndarray, n: int,
     else:
         for u, targets in _gates(layers, n):
             rho = apply_unitary(rho, u, targets, n)
-    if nat is not None:
-        for q in range(n) if noisy is None else noisy:
+    if nat is None:
+        return rho
+    qubits = range(n) if noisy is None else noisy
+    factors = nat.diagonal()
+    # exactly a real diagonal matrix: no nonzero entry off the diagonal and no
+    # imaginary part on it (counted, as the protocol's 1-qubit passes are cheap)
+    if np.count_nonzero(nat) != np.count_nonzero(factors) or factors.imag.any():
+        for q in qubits:
             rho = apply_single_qubit_superop(rho, nat, q, n)
-    return rho
+        return rho
+    factors = factors.real
+    # nat @ flat adds only exact zeros to these products: the same bytes
+    tensor = rho.reshape((2,) * (2 * n)).copy()
+    for q in qubits:
+        shape = [1] * (2 * n)
+        shape[q] = shape[n + q] = 2
+        tensor *= factors.reshape(shape)
+    return tensor.reshape(2**n, 2**n)
 
 
 def step(reg: QRegister, layer: GateLayer, noise: SuperOp | None) -> QRegister:
@@ -335,14 +364,9 @@ def information(reg: QRegister) -> float:
 
 
 def dephase_all(reg: QRegister) -> QRegister:
-    """Zero every element whose bra/ket indices differ on a non-reference qubit."""
-    n = reg.n_qubits
-    mask_bits = 0
-    for q in reg.system_qubits:
-        mask_bits |= 1 << (n - 1 - q)
-    idx = np.arange(2**n)
-    keep = ((idx[:, None] ^ idx[None, :]) & mask_bits) == 0
-    return QRegister(np.where(keep, reg.rho, 0.0), reg.roles)
+    """Zero every element whose bra/ket indices differ on a non-reference
+    qubit: one noise pass of the p = 1/2 dephasing channel."""
+    return QRegister(evolve(reg.rho, [], reg.n_qubits, _DEPHASE, reg.system_qubits), reg.roles)
 
 
 def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:

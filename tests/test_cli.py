@@ -133,6 +133,30 @@ def test_experiment_config_not_an_object_exit_2(runner, tmp_path, name, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name, config, key",
+    [
+        ("depol_decay", {"p": 0.05, "n": "4", "steps": 2}, "n"),
+        ("bounds", {"p": "0.3", "n": 2}, "p"),
+        ("depol_decay", {"p": 0.05, "n": True, "steps": 2}, "n"),
+        ("epr_storage", {"p": 0.05, "steps": 2, "code": None}, "code"),
+    ],
+    ids=["string-int", "string-float", "bool-int", "null-string"],
+)
+def test_experiment_config_wrong_type_exit_2(runner, tmp_path, name, config, key):
+    """A wrong-typed config value is an input error, reported in one line
+    before the output directory is made."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", name, "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip().splitlines() == [
+        f"error: config value {key!r} has the wrong type: {json.dumps(config[key])}"
+    ]
+    assert not out.exists()
+
+
 def test_experiment_epr_zero_noise(runner, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"p": 0.0, "steps": 4}))

@@ -390,6 +390,96 @@ def test_evolve_noise_defaults_to_every_qubit():
         evolve(rho, compile_layers([], 2), 3)
 
 
+def superop_loop(rho, nat, qubits, n):
+    for q in qubits:
+        rho = apply_single_qubit_superop(rho, nat, q, n)
+    return rho
+
+
+def count_superop_calls():
+    return mock.patch("qfridge.densim.apply_single_qubit_superop", wraps=apply_single_qubit_superop)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.one_of(st.just(0.5), st.floats(0, 0.5)),
+    theta=st.one_of(st.just(0.0), st.floats(0, 2 * np.pi)),
+    subset=st.sampled_from(["empty", "all", "random"]),
+    from_kraus=st.booleans(),
+)
+def test_diagonal_noise_pass_matches_the_tensor_kernel(n, seed, p, theta, subset, from_kraus):
+    """A diagonal natural rep (dephasing, rotated about z or not, p = 1/2
+    included) gives exactly the bytes of the per-qubit tensor kernel, on the
+    listed qubits in their order.  A real rep scales rho without the kernel;
+    a complex one goes through it.  The input, read-only as in a register, is
+    left unchanged."""
+    rng = np.random.default_rng(seed)
+    if from_kraus:
+        rot = np.diag([1, np.exp(1j * theta)])
+        nat = kraus_to_superop(KrausSet([rot @ k for k in dephasing_kraus(p).ops])).natural()
+    else:
+        c = (1 - 2 * p) * np.exp(1j * theta)
+        nat = np.diag([1, c, np.conj(c), 1]).astype(complex)
+    assert np.array_equal(nat, np.diag(nat.diagonal()))
+    noisy = {"empty": [], "all": list(range(n))}.get(subset)
+    if noisy is None:
+        noisy = [int(q) for q in rng.permutation(n)[: rng.integers(1, n + 1)]]
+    reg = QRegister(random_state(rng, n), [DATA] * n)
+    before = reg.rho.copy()
+    with count_superop_calls() as kernel:
+        got = evolve(reg.rho, [], n, nat, noisy)
+    assert np.array_equal(got, superop_loop(reg.rho, nat, noisy, n))
+    assert np.array_equal(reg.rho, before)
+    real = not nat.diagonal().imag.any()
+    assert kernel.call_count == (0 if real else len(noisy))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mixed_kraus_dephasing_takes_the_tensor_path(seed):
+    """Dephasing written in a Haar-mixed Kraus form carries ~1e-17 of
+    rounding off the real diagonal of its natural rep (off-diagonal entries,
+    or imaginary parts on the diagonal), so its noise pass runs the tensor
+    kernel."""
+    rng = np.random.default_rng(seed)
+    ops = dephasing_kraus(0.1).ops
+    v = random_unitary(rng, len(ops))
+    mixed = [sum(v[i, j] * op for j, op in enumerate(ops)) for i in range(len(ops))]
+    nat = kraus_to_superop(KrausSet(mixed)).natural()
+    residue = np.abs(nat - np.diag(nat.diagonal().real))
+    assert 0 < np.max(residue) < 1e-15
+    n = 3
+    rho = random_state(rng, n)
+    with count_superop_calls() as kernel:
+        got = evolve(rho, [], n, nat)
+    assert kernel.call_count == n
+    exact = kraus_to_superop(dephasing_kraus(0.1)).natural()
+    assert np.max(np.abs(got - evolve(rho, [], n, exact))) <= 1e-15
+
+
+def dephase_all_mask(reg):
+    """The XOR-index oracle: keep rho_ij only where i and j agree on every
+    non-reference qubit."""
+    n = reg.n_qubits
+    mask_bits = 0
+    for q in reg.system_qubits:
+        mask_bits |= 1 << (n - 1 - q)
+    idx = np.arange(2**n)
+    keep = ((idx[:, None] ^ idx[None, :]) & mask_bits) == 0
+    return np.where(keep, reg.rho, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_dephase_all_matches_the_xor_mask(n, seed):
+    rng = np.random.default_rng(seed)
+    roles = [REFERENCE if r else DATA for r in rng.integers(0, 2, size=n)]
+    roles[int(rng.integers(n))] = REFERENCE
+    reg = QRegister(random_state(rng, n), roles)
+    assert np.array_equal(dephase_all(reg).rho, dephase_all_mask(reg))
+
+
 def test_single_qubit_superop_matches_global_action():
     rng = np.random.default_rng(32)
     n = 3
