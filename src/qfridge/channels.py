@@ -62,10 +62,6 @@ class KrausSet:
             raise ChannelError("Kraus set is not trace preserving")
         object.__setattr__(self, "ops", mats)
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        return sum(k @ rho @ k.conj().T for k in self.ops)
-
 
 @dataclass(frozen=True)
 class SuperOp:
@@ -94,15 +90,6 @@ class SuperOp:
 
     def apply_bloch(self, w: np.ndarray) -> np.ndarray:
         return self.shift + self.linear @ np.asarray(w, dtype=float)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Apply the channel to a 2x2 matrix (by linearity, any matrix)."""
-        rho = np.asarray(rho, dtype=complex)
-        return (self.natural() @ rho.reshape(4)).reshape(2, 2)
-
-    def compose(self, other: "SuperOp") -> "SuperOp":
-        """self after other: (self . other)(rho) = self(other(rho))."""
-        return SuperOp(self.ptm @ other.ptm)
 
     def natural(self) -> np.ndarray:
         """4x4 superoperator on row-major-flattened 2x2 matrices: the PTM
@@ -203,11 +190,6 @@ def bloch_to_density(w: Sequence[float]) -> np.ndarray:
     return BlochVector(w).density()
 
 
-def density_to_bloch(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    return np.array([np.trace(p @ rho).real for p in PAULIS[1:]])
-
-
 # ---------------------------------------------------------------------------
 # named channels
 # ---------------------------------------------------------------------------
@@ -248,18 +230,6 @@ def thermal_kraus(gamma: float, excited: float) -> KrausSet:
     k2 = np.sqrt(s) * np.array([[np.sqrt(1 - gamma), 0], [0, 1]], dtype=complex)
     k3 = np.sqrt(s) * np.array([[0, 0], [np.sqrt(gamma), 0]], dtype=complex)
     return KrausSet([k0, k1, k2, k3])
-
-
-def pauli_channel_kraus(p_x: float, p_y: float, p_z: float) -> KrausSet:
-    p0 = 1 - p_x - p_y - p_z
-    probs = (p0, p_x, p_y, p_z)
-    if any(p < -1e-12 for p in probs):
-        raise ChannelError("Pauli probabilities out of range")
-    return KrausSet([np.sqrt(max(p, 0.0)) * s for p, s in zip(probs, PAULIS)])
-
-
-def unitary_kraus(u: np.ndarray) -> KrausSet:
-    return KrausSet([np.asarray(u, dtype=complex)])
 
 
 # ---------------------------------------------------------------------------

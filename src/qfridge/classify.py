@@ -36,6 +36,7 @@ from .densim import spectrum_entropy_bits
 
 CLASS_TOL = 1e-8
 MAX_RELAXATION_STEPS = 1 << 22  # relaxation_time's search limit
+ENTROPY_SAMPLES = 200  # random states entropy_behavior probes
 
 DEPOLARIZING_CLASS = "depolarizing"
 DEPHASING_CLASS = "dephasing"
@@ -141,16 +142,15 @@ def _bloch_entropy(w: np.ndarray) -> float:
     return spectrum_entropy_bits(np.array([x, 1 - x]))
 
 
-def entropy_behavior(c: SuperOp, samples: int = 200, seed: int = 0) -> str:
-    """Empirical entropy response over random single-qubit states."""
-    if samples < 1:
-        raise ChannelError("entropy_behavior needs at least one sample")
-    rng = np.random.default_rng(seed)
+def entropy_behavior(c: SuperOp) -> str:
+    """Empirical entropy response over ENTROPY_SAMPLES random single-qubit
+    states, drawn from a fixed seed."""
+    rng = np.random.default_rng(0)
     # deterministic probes along the canonical axes catch invariant diameters
     # that random sampling misses with probability one
     f = canonical_form(c)
     probes = [sign * 0.5 * f.pre_rot[i] for i in range(3) for sign in (1, -1)]
-    for _ in range(samples):
+    for _ in range(ENTROPY_SAMPLES):
         w = rng.normal(size=3)
         w *= rng.random() ** (1 / 3) / np.linalg.norm(w)
         probes.append(w)

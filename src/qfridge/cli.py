@@ -174,15 +174,15 @@ def cmd_experiment(name, config_path, seed, out_dir, mode):
         if not isinstance(config, dict):
             _fail(EXIT_INPUT, "error: config must be a JSON object")
         _check_config_types(types, config)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         started = time.monotonic()
         try:
-            records, summary_rows = runner(config, seed, mode)
+            records, summary_rows = runner(_Config(config), seed, mode)
             failure = None
         except (CoolingError, SimulationError) as exc:
             # a run that failed, not bad input: write what there is first
             records, summary_rows, failure = [], None, exc
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         write_jsonl(records, out / "trace.jsonl")
         if summary_rows is None:
             (out / "summary.csv").write_text(f"error\n{failure}\n")
@@ -207,13 +207,22 @@ def cmd_experiment(name, config_path, seed, out_dir, mode):
 
 _STEP_TRACE = object()  # sentinel: summary CSV is the per-step trace table
 
+
+class _Config(dict):
+    """An experiment config whose missing required key is an input error."""
+
+    def __missing__(self, key):
+        raise ValueError(f"config is missing required key {key!r}")
+
+
 def _check_config_types(types, config):
-    """Raise ValueError (an input error) for a config value of the wrong JSON
-    type, before any output is made; true and false count only as booleans."""
+    """Raise ValueError (an input error) for an unknown config key or a value
+    of the wrong JSON type, before any output is made; true and false count
+    only as booleans."""
     for key, value in config.items():
         accepted = types.get(key)
         if accepted is None:
-            continue
+            raise ValueError(f"unknown config key {key!r}")
         if not isinstance(value, accepted) or (isinstance(value, bool) and accepted is not bool):
             raise ValueError(f"config value {key!r} has the wrong type: {json.dumps(value)}")
 
@@ -254,9 +263,6 @@ def _run_epr_storage(config, seed, mode):
         code=config.get("code", "none"),
         p=config["p"],
         steps=config["steps"],
-        seed=seed,
-        correction_interval=config.get("correction_interval", 5),
-        separability_eps=config.get("separability_eps", 0.1),
     )
     return list(result.records), _STEP_TRACE
 
@@ -338,14 +344,14 @@ def _run_bounds(config, seed, mode):
 
 _NUMBER = (int, float)
 _INT_OR_NULL = (int, type(None))
-# name -> (runner, config key -> accepted JSON value types; other keys are ignored)
+# name -> (runner, config key -> accepted JSON value types; no other key is allowed)
 _EXPERIMENTS = {
     "depol_decay": (_run_depol_decay, {
         "p": _NUMBER, "n": int, "steps": int, "policy": str, "with_reference": bool}),
     "stockpile": (_run_stockpile, {
         "a": _NUMBER, "b": _NUMBER, "n": int, "p": _NUMBER, "ancillas_per_step": int}),
     "epr_storage": (_run_epr_storage, {
-        "code": str, "p": _NUMBER, "steps": int, "correction_interval": int, "separability_eps": _NUMBER}),
+        "code": str, "p": _NUMBER, "steps": int}),
     "fridge_protocol": (_run_fridge_protocol, {
         "channel": dict, "p": _NUMBER, "cycles": int, "r_block": _INT_OR_NULL,
         "eps1": _NUMBER, "eps2": _NUMBER, "storage_T": _INT_OR_NULL}),

@@ -179,17 +179,6 @@ def _support(rho: np.ndarray) -> np.ndarray:
     return rho[np.ix_(idx, idx)]
 
 
-def epr_register(extra_system: int = 0) -> QRegister:
-    """Reference qubit 0 maximally entangled with system qubit 1, plus
-    optional extra system qubits in |0>."""
-    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    roles = [REFERENCE, DATA]
-    for _ in range(extra_system):
-        rho = np.kron(rho, ZERO)
-        roles.append(DATA)
-    return QRegister(rho, roles)
-
-
 def repetition_code(data: Sequence[int], phase_flip: bool = False) -> tuple:
     """(encode, decode) gate layers of the 3-qubit repetition code on the data
     qubits (d0, d1, d2), d0 holding the logical qubit.  Decoding undoes the
@@ -348,13 +337,6 @@ def von_neumann_entropy(reg: QRegister, subset: Sequence[int] | None = None) -> 
             raise SimulationError(f"reduced state has eigenvalue {eigs[0]}")
         reg._entropies[key] = spectrum_entropy_bits(eigs)
     return reg._entropies[key]
-
-
-def conditional_entropy(reg: QRegister, a: Sequence[int], b: Sequence[int]) -> float:
-    """S(A|B) = S(AB) - S(B) in bits."""
-    if set(a) & set(b):
-        raise SimulationError("conditional entropy subsets overlap")
-    return von_neumann_entropy(reg, list(a) + list(b)) - von_neumann_entropy(reg, b)
 
 
 def information(reg: QRegister) -> float:

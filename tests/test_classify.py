@@ -10,10 +10,8 @@ from qfridge.channels import (
     dephasing_kraus,
     depolarizing_kraus,
     kraus_to_superop,
-    pauli_channel_kraus,
     power,
     thermal_kraus,
-    unitary_kraus,
 )
 from qfridge.classify import (
     CAN_DECREASE,
@@ -29,6 +27,8 @@ from qfridge.classify import (
     relaxation_time,
 )
 from qfridge.protocol import ProtocolConfig
+
+from oracles import compose, pauli_channel_kraus, unitary_kraus
 
 
 def random_unitary(rng):
@@ -79,7 +79,7 @@ def test_classify_invariant_under_unitary_dressing():
         u = kraus_to_superop(unitary_kraus(random_unitary(rng)))
         v = kraus_to_superop(unitary_kraus(random_unitary(rng)))
         for kind, c in base.items():
-            assert classify(u.compose(c).compose(v)).kind == kind
+            assert classify(compose(compose(u, c), v)).kind == kind
 
 
 def test_non_unital_iteration_converges_to_fixed_point():

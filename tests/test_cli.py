@@ -157,6 +157,33 @@ def test_experiment_config_wrong_type_exit_2(runner, tmp_path, name, config, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name, config, message",
+    [
+        ("stockpile", {"a": 0.5, "b": 0.5, "n": 13, "p": 0.05}, "stockpile needs 1 to 12 qubits, got 13"),
+        ("depol_decay", {"p": 0.05, "n": 9, "steps": 2}, "decay experiment needs 1 to 8 system qubits, got 9"),
+        ("depol_decay", {"p": 0.05, "n": -1, "steps": 2}, "decay experiment needs 1 to 8 system qubits, got -1"),
+        ("epr_storage", {"p": 0.05, "steps": -3}, "step count -3 must not be negative"),
+        ("stockpile", {"a": 0.5, "b": 0.5, "n": 6, "p": 0.05, "ancillas_per_step": -2},
+         "ancillas per step -2 must not be negative"),
+        ("epr_storage", {"p": 0.05, "steps": 2, "correction_interval": 5}, "unknown config key 'correction_interval'"),
+        ("depol_decay", {"n": 4, "steps": 2}, "config is missing required key 'p'"),
+    ],
+    ids=["stockpile-n13", "decay-n9", "decay-n-1", "epr-negative-steps", "stockpile-negative-ancillas",
+         "unknown-key", "missing-key"],
+)
+def test_experiment_bad_input_exit_2(runner, tmp_path, name, config, message):
+    """An out-of-range, unknown or missing config value is an input error,
+    reported in one line, and leaves no output directory."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", name, "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip().splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_experiment_epr_zero_noise(runner, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"p": 0.0, "steps": 4}))

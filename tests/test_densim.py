@@ -27,11 +27,9 @@ from qfridge.densim import (
     apply_single_qubit_superop,
     apply_unitary,
     compile_layers,
-    conditional_entropy,
     dephase_all,
     entropy_bits,
     epr_fidelity,
-    epr_register,
     evolve,
     information,
     partial_trace,
@@ -39,6 +37,8 @@ from qfridge.densim import (
     step,
     von_neumann_entropy,
 )
+
+from oracles import conditional_entropy, epr_register
 
 ZERO = np.diag([1.0, 0.0]).astype(complex)
 ONE = np.diag([0.0, 1.0]).astype(complex)

@@ -73,8 +73,10 @@ class TestDepolarizingDecay:
             run_depolarizing_decay(2, kraus_to_superop(amplitude_damping_kraus(0.1)), 3)
 
     def test_size_cap(self):
-        with pytest.raises(SimulationError):
+        # an oversized register is an input error, not a broken invariant
+        with pytest.raises(ValueError, match="1 to 8 system qubits") as info:
             run_depolarizing_decay(9, kraus_to_superop(depolarizing_kraus(0.1)), 2)
+        assert not isinstance(info.value, SimulationError)
 
 
 class TestStockpile:
@@ -106,31 +108,32 @@ class TestStockpile:
     def test_register_cap_checked_before_allocating(self):
         # the 2^n x 2^n product state is never built for an oversized n
         with mock.patch.object(QRegister, "from_product", side_effect=AssertionError("allocated")):
-            with pytest.raises(SimulationError):
+            with pytest.raises(ValueError, match=f"1 to {MAX_QUBITS} qubits") as info:
                 run_stockpile(0.5, 0.5, MAX_QUBITS + 1, 0.05)
+        assert not isinstance(info.value, SimulationError)
 
 
 class TestEprStorage:
     def test_uncoded_closed_form(self):
         p = 0.1
-        result = run_epr_storage(CODE_NONE, p, 30, seed=10)
+        result = run_epr_storage(CODE_NONE, p, 30)
         for t, rec in enumerate(result.records):
             want = (1 + (1 - 2 * p) ** t) / 2
             assert abs(rec.epr_fidelity - want) < 1e-9
 
     def test_zero_noise_perfect(self):
-        result = run_epr_storage(CODE_PHASE_FLIP, 0.0, 8, seed=11)
+        result = run_epr_storage(CODE_PHASE_FLIP, 0.0, 8)
         assert abs(result.records[-1].epr_fidelity - 1.0) < 1e-9
 
     def test_coded_beats_uncoded(self):
         p = 0.02
-        coded = run_epr_storage(CODE_PHASE_FLIP, p, 10, seed=12)
-        uncoded = run_epr_storage(CODE_NONE, p, 10, seed=12)
+        coded = run_epr_storage(CODE_PHASE_FLIP, p, 10)
+        uncoded = run_epr_storage(CODE_NONE, p, 10)
         assert coded.records[10].epr_fidelity > uncoded.records[10].epr_fidelity
         assert coded.ancillas_consumed == 4  # two correction cycles
 
     def test_ledger_column_present(self):
-        result = run_epr_storage(CODE_NONE, 0.1, 3, seed=13)
+        result = run_epr_storage(CODE_NONE, 0.1, 3)
         assert all(r.max_gap is not None for r in result.records[1:])
 
     def test_unknown_code(self):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfridge import fridge
@@ -29,6 +29,8 @@ from qfridge.fridge import (
     run_fridge_noisy,
     top_mass,
 )
+
+from oracles import permutation_unitary, stage_unitary
 
 
 def h2(x):
@@ -85,11 +87,12 @@ def test_choose_r_center_infeasible():
 
 
 def test_spec_validation():
-    wait = (np.array([], dtype=np.intp),)
     with pytest.raises(CoolingError):
-        FridgeSpec(q=0.6, r_block=2, permutation=(0, 1, 2, 3), stages=wait, f_count=2)
+        FridgeSpec(q=0.6, r_block=2, permutation=(0, 1, 2, 3))
     with pytest.raises(CoolingError):
-        FridgeSpec(q=0.1, r_block=2, permutation=(0, 0, 2, 3), stages=wait, f_count=2)
+        FridgeSpec(q=0.1, r_block=2, permutation=(0, 0, 2, 3))
+    with pytest.raises(TypeError):
+        FridgeSpec(q=0.1, r_block=2, permutation=(0, 1, 2, 3), f_count=2)
 
 
 def test_register_cap_is_an_input_error():
@@ -98,7 +101,7 @@ def test_register_cap_is_an_input_error():
         build_cooling_circuit(0.1, 13)
     assert not isinstance(info.value, CoolingError)
     with pytest.raises(ChannelError, match="register cap"):
-        FridgeSpec(q=0.1, r_block=13, permutation=(), stages=(), f_count=13)
+        FridgeSpec(q=0.1, r_block=13, permutation=())
 
 
 def test_stages_are_transposition_index_maps():
@@ -117,15 +120,15 @@ def test_build_cooling_circuit_q01_r3():
     # stage product realizes the permutation
     u = np.eye(8)
     for i in range(len(spec.stages)):
-        u = spec.stage_unitary(i) @ u
-    assert np.allclose(u, spec.permutation_unitary())
+        u = stage_unitary(spec, i) @ u
+    assert np.allclose(u, permutation_unitary(spec))
 
 
 def test_identity_permutation_gets_wait_stage():
     spec = build_cooling_circuit(0.1, 2)
     assert spec.permutation == (0, 1, 2, 3)
     assert len(spec.stages) == 1 and spec.f_count == 2
-    assert np.allclose(spec.stage_unitary(0), np.eye(4))
+    assert np.allclose(stage_unitary(spec, 0), np.eye(4))
 
 
 def test_ideal_run_reset_population():
@@ -186,12 +189,52 @@ _biases = st.floats(0, 0.5, exclude_max=True)
 _seeds = st.integers(0, 2**32 - 1)
 
 
+def cycle_transpositions(permutation) -> list:
+    """Oracle decomposition: for each cycle, found from ascending start
+    labels, the start swapped with each later member in cycle order."""
+    seen = set()
+    pairs = []
+    for start, x in enumerate(permutation):
+        if start in seen:
+            continue
+        seen.add(start)
+        while x != start:
+            pairs.append((start, x))
+            seen.add(x)
+            x = permutation[x]
+    return pairs
+
+
+_blocks_and_permutations = st.integers(1, 8).flatmap(
+    lambda r: st.tuples(st.just(r), st.permutations(range(2**r)))
+)
+
+
+@settings(max_examples=40)
+@given(q=_biases, r_and_permutation=_blocks_and_permutations)
+@example(q=0.0, r_and_permutation=(3, [7, 6, 5, 4, 3, 2, 1, 0]))
+def test_spec_derives_its_stages_from_the_permutation(q, r_and_permutation):
+    r, permutation = r_and_permutation
+    for spec in (build_cooling_circuit(q, r), FridgeSpec(q, r, tuple(permutation))):
+        # a permutation matrix is fixed by where it sends distinct entries
+        labels = np.arange(2**r)
+        for i in range(len(spec.stages)):
+            labels = stage_unitary(spec, i) @ labels
+        assert np.array_equal(labels, permutation_unitary(spec) @ np.arange(2**r))
+        # one stage per transposition, or one wait stage
+        want = cycle_transpositions(spec.permutation) or [()]
+        assert spec.f_count == len(want) * r
+        assert len(spec.stages) == len(want)
+        assert all(np.array_equal(got, pair) for got, pair in zip(spec.stages, want))
+        assert all(stage.dtype == np.intp for stage in spec.stages)
+
+
 @settings(max_examples=40)
 @given(q=_biases, r=st.integers(1, 6), seed=_seeds)
 def test_index_map_ideal_run_equals_dense_permutation(q, r, seed):
     spec = build_cooling_circuit(q, r)
     rho = _random_psd(np.random.default_rng(seed), 2**r)
-    p = spec.permutation_unitary()
+    p = permutation_unitary(spec)
     dense = p @ rho @ p.T
     assert np.array_equal(apply_permutation(rho, spec), dense)
     report = run_fridge_ideal(spec, rho_in=rho)
@@ -232,7 +275,7 @@ def _dense_reference(spec, noise, rho=None):
         rho = _thermal_block(spec.q, r)
     nat = noise.natural()
     for i in range(len(spec.stages)):
-        rho = apply_unitary(rho, spec.stage_unitary(i), list(range(r)), r)
+        rho = apply_unitary(rho, stage_unitary(spec, i), list(range(r)), r)
         for q_idx in range(r):
             rho = apply_single_qubit_superop(rho, nat, q_idx, r)
     return _reduced(rho, r)
@@ -267,7 +310,7 @@ def test_ideal_run_matches_permutation_unitary(q, r, source, seed):
         "dense": _random_psd(rng, 2**r),
     }[source]
     report = run_fridge_ideal(spec, rho_in=rho)
-    p = spec.permutation_unitary()
+    p = permutation_unitary(spec)
     block = _thermal_block(q, r) if rho is None else rho
     _assert_matches_reference(report, _reduced(p @ block @ p.T, r))
 
@@ -344,7 +387,7 @@ def test_bound_check_takes_ideal_distance_from_populations(q, r, flip, phases, d
     spec = build_cooling_circuit(q, r)
     rho = np.diag(rng.dirichlet(np.ones(2**r))).astype(complex) if diagonal_input else _thermal_block(q, r)
     rho = _rotated(rho, u, r)
-    p = spec.permutation_unitary()
+    p = permutation_unitary(spec)
     expected = _reduced(p @ rho @ p.T, r)[1]
     seen = []
 

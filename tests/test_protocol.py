@@ -34,6 +34,8 @@ from qfridge.protocol import (
     run_refrigerator_protocol,
 )
 
+from oracles import permutation_unitary
+
 
 def test_rejects_unital_channel():
     cfg = ProtocolConfig(d_prime=2)
@@ -218,7 +220,7 @@ def cycle_joint(rho3, drawn, spec, correction, nat, r):
     rho = rho3
     for state in drawn:
         rho = np.kron(rho, state)
-    p = spec.permutation_unitary()
+    p = permutation_unitary(spec)
     for first in (3, 3 + r):
         rho = apply_unitary(rho, p, list(range(first, first + r)), n)
     encode, decode = repetition_code((0, 1, 2))

@@ -1,6 +1,7 @@
 """The benchmark and the README's CLI examples must keep working against the
-program's API, and every exception the program defines must map onto the
-CLI's exit-code contract.
+program's API, every exception the program defines must map onto the
+CLI's exit-code contract, and every public function must have a caller in
+the program or the benchmark.
 
 ``perfbench/tracer.py`` wraps each ``(module, attribute)`` named in its
 ``TARGETS`` table, and ``perfbench/workloads.py`` calls the program through
@@ -14,6 +15,7 @@ import importlib
 import inspect
 import pkgutil
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import qfridge
@@ -21,6 +23,7 @@ from qfridge import cli
 from qfridge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qfridge"
 PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 WORKLOADS = PERFBENCH / "workloads.py"
@@ -142,3 +145,54 @@ def test_every_program_exception_has_an_exit_code():
         if not any(issubclass(cls, types) for types, _, _ in cli._EXITS)
     ]
     assert unmapped == []
+
+
+def _names(node) -> Counter:
+    """Every identifier a syntax tree names: variables, attributes, and the
+    dotted parts of string constants (the tracer names its targets as
+    strings)."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.update(sub.value.split("."))
+    return names
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of the public module-level functions and
+    methods, except properties and decorated click commands."""
+    defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        defs.extend((f"{cls.name}.{node.name}", node) for node in cls.body if isinstance(node, ast.FunctionDef))
+    for qualname, node in defs:
+        decorators = {ast.unparse(d).split("(")[0] for d in node.decorator_list}
+        if node.name.startswith("_") or "property" in decorators:
+            continue
+        if any(d.endswith((".command", ".group")) for d in decorators):
+            continue
+        yield qualname, node
+
+
+def uncalled_public_functions(package=PACKAGE, perfbench=PERFBENCH) -> list:
+    """Public functions and methods of the package that nothing in the
+    package or the benchmark names outside their own definition, and that
+    ``qfridge.__all__`` does not export."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    for path in sorted(perfbench.glob("*.py")):
+        named += _names(ast.parse(path.read_text()))
+    exported = set(qfridge.__all__)
+    return sorted(
+        f"{path.stem}.{qualname}"
+        for path, tree in trees.items()
+        for qualname, node in _public_definitions(tree)
+        if node.name not in exported and named[node.name] <= _names(node)[node.name]
+    )
+
+
+def test_every_public_function_has_a_caller():
+    assert uncalled_public_functions() == []
