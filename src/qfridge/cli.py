@@ -297,6 +297,10 @@ def _run_bounds(config, seed, mode):
     n = config["n"]
     samples = config.get("samples", 100)
     dim = config.get("dim", 2)
+    if samples < 1:
+        raise ValueError(f"sample count {samples} must be at least 1")
+    if dim < 1:
+        raise ValueError(f"state dimension {dim} must be at least 1")
     rng = np.random.default_rng(seed)
 
     def random_state():

@@ -17,7 +17,10 @@ product and BLAS's round differently.  `dephase_all` and the entropy
 ledger's single-qubit passes (`bounds.entropy_ledger_step`) run through the
 same pass.
 
-Registers are capped at 12 qubits (dense 4096x4096 complex matrices).
+Registers are capped at 12 qubits (dense 4096x4096 complex matrices).  The
+cap bounds what is simulated, not the system a run describes: the stockpile
+experiment holds only the qubits its gates have touched and checks that
+count against the cap before it allocates.
 
 A QRegister is validated once, when it is built: shape, unit trace,
 Hermiticity, and positivity, decided by a Cholesky factorisation of
@@ -306,9 +309,9 @@ def step(reg: QRegister, layer: GateLayer, noise: SuperOp | None) -> QRegister:
 
 
 def spectrum_entropy_bits(eigs: np.ndarray) -> float:
-    """Entropy in bits of a spectrum or probability vector: entries are
-    clipped at 0 and those at most EIG_CLAMP are dropped."""
-    eigs = np.clip(eigs.real, 0.0, None)
+    """Entropy in bits of a spectrum or probability vector (real parts):
+    entries at most EIG_CLAMP, negative ones included, are dropped."""
+    eigs = eigs.real
     eigs = eigs[eigs > EIG_CLAMP]
     return float(-np.sum(eigs * np.log2(eigs)))
 

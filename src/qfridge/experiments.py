@@ -228,61 +228,78 @@ def run_stockpile(
 ) -> StockpileResult:
     """Random reversible computation on ~n^a qubits fed from a stockpile.
 
-    ceil(n^a) working qubits run random two-qubit gates under dephasing noise;
-    the remaining qubits sit in |0> (which dephasing fixes, checked each step)
-    and are consumed as fresh ancillas.  The run halts at the step budget
-    ceil(n^b) or when the stockpile empties, whichever is first.
+    m = ceil(n^a) working qubits run random two-qubit gates under dephasing
+    noise; the remaining qubits sit in |0> (which dephasing fixes, checked
+    each step) and are consumed as fresh ancillas, each draw retiring the
+    oldest working qubit.  The run halts at the step budget ceil(n^b) or when
+    the stockpile empties, whichever is first.  Records describe the whole
+    n-qubit register.
+
+    Only the working and retired qubits are simulated.  They are the prefix
+    0..k-1 and a draw takes index k, so no gate ever touches a waiting
+    stockpile qubit: each stays in product with the rest, in one shared
+    single-qubit state that takes the same noise pass every step and is
+    appended by a Kronecker product when drawn.  The size cap applies to the
+    m + min(budget, (n - m) // a) * a qubits simulated, checked before
+    anything is allocated.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"stockpile needs 1 to {MAX_QUBITS} qubits, got {n}")
+    if n < 1:
+        raise ValueError(f"stockpile needs at least 1 qubit, got {n}")
     if ancillas_per_step < 0:
         raise ValueError(f"ancillas per step {ancillas_per_step} must not be negative")
     channel = kraus_to_superop(dephasing_kraus(p))
     if classify(channel).kind != DEPHASING_CLASS:
         raise ValueError("stockpile experiment needs a dephasing-class channel")
     rng = np.random.default_rng(seed)
-    m = int(np.ceil(n**a_exp))
+    try:
+        m = int(np.ceil(n**a_exp))
+        budget = int(np.ceil(n**b_exp))
+    except OverflowError:
+        raise ValueError("n^a or n^b is too large for a float") from None
     if m < 1 or m > n:
         raise ValueError("working-set size out of range")
-    budget = int(np.ceil(n**b_exp))
     in_regime = a_exp + b_exp < 1
+    draws = min(budget, (n - m) // ancillas_per_step) if ancillas_per_step else 0
+    simulated = m + draws * ancillas_per_step
+    if simulated > MAX_QUBITS:
+        raise ValueError(f"stockpile run simulates {simulated} qubits, above the cap of {MAX_QUBITS}")
 
-    reg = QRegister.from_product([ZERO] * n, [DATA] * n)
-    working = list(range(m))
-    stockpile = list(range(m, n))
+    nat = channel.natural()
+    reg = QRegister.from_product([ZERO] * m)
+    idle = ZERO  # the state of every waiting stockpile qubit
+    left = n - m  # waiting qubits; the next one drawn is qubit n - left
     records = []
     achieved = 0
     for t in range(1, budget + 1):
+        rho = reg.rho
         if ancillas_per_step > 0:
-            if len(stockpile) < ancillas_per_step:
+            if left < ancillas_per_step:
                 break
             for _ in range(ancillas_per_step):
-                working.pop(0)  # retire the oldest working qubit
-                working.append(stockpile.pop(0))
-        reg = step(reg, _random_pair_layer(working, rng), channel)
-        for q in stockpile:
-            marginal = partial_trace(reg.rho, [q], n)
-            if np.linalg.norm(marginal - ZERO) > 1e-12:
-                raise SimulationError(f"stockpile qubit {q} disturbed by dephasing")
+                rho = np.kron(rho, idle)
+            left -= ancillas_per_step
+        k = n - left  # the working qubits are the last m of 0..k-1
+        layer = _random_pair_layer(range(k - m, k), rng)
+        reg = QRegister(evolve(rho, [layer], k, nat), [DATA] * k)
+        idle = evolve(idle, [], 1, nat)
+        if left and np.linalg.norm(idle - ZERO) > 1e-12:
+            raise SimulationError(f"stockpile qubit {k} disturbed by dephasing")
         achieved = t
+        entropy = von_neumann_entropy(reg)
         records.append(
             TraceRecord(
                 step=t,
-                entropy_bits=von_neumann_entropy(reg),
-                information_bits=information(reg),
-                extra={"stockpile_left": len(stockpile)},
+                entropy_bits=entropy,
+                information_bits=n - entropy,
+                extra={"stockpile_left": left},
             )
         )
-    if ancillas_per_step > 0:
-        floor_steps = min(budget, (n - m) // ancillas_per_step)
-        if achieved < floor_steps:
-            raise SimulationError(
-                f"achieved {achieved} steps, below the stockpile floor {floor_steps}"
-            )
+    if achieved < draws:
+        raise SimulationError(f"achieved {achieved} steps, below the stockpile floor {draws}")
     return StockpileResult(
         records=tuple(records),
         steps_achieved=achieved,
-        stockpile_left=len(stockpile),
+        stockpile_left=left,
         in_regime=in_regime,
     )
 

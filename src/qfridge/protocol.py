@@ -74,6 +74,12 @@ class ProtocolConfig:
     # benchmark workloads stop passing it
     mode: str = MODE_FACTORIZED
 
+    def __post_init__(self):
+        if self.d_prime < 1:
+            raise ValueError(f"cycle count {self.d_prime} must be at least 1")
+        if self.storage_T is not None and self.storage_T < 0:
+            raise ValueError(f"storage time {self.storage_T} must not be negative")
+
     def throughput_bound(self, r: int) -> int:
         return N_PRIME * r * self.d_prime
 

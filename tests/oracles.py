@@ -1,17 +1,30 @@
 """Test fixtures and oracles that the package itself does not need.
 
 Dense unitaries for a compiled fridge, an EPR register, conditional entropy,
-Bloch read-out, two Kraus constructors and direct channel application and
-composition: the tests build inputs and check results with them, while the
-program works on index maps, natural reps and PTMs.
+Bloch read-out, two Kraus constructors, direct channel application and
+composition, and the stockpile run on its full register: the tests build
+inputs and check results with them, while the program works on index maps,
+natural reps, PTMs and the touched qubits only.
 """
 
 from typing import Sequence
 
 import numpy as np
 
-from qfridge.channels import PAULIS, ChannelError, KrausSet, SuperOp
-from qfridge.densim import DATA, PHI_PLUS, REFERENCE, ZERO, QRegister, SimulationError, von_neumann_entropy
+from qfridge.channels import PAULIS, ChannelError, KrausSet, SuperOp, dephasing_kraus, kraus_to_superop
+from qfridge.densim import (
+    DATA,
+    PHI_PLUS,
+    REFERENCE,
+    ZERO,
+    QRegister,
+    SimulationError,
+    information,
+    partial_trace,
+    step,
+    von_neumann_entropy,
+)
+from qfridge.experiments import StockpileResult, TraceRecord, _random_pair_layer
 from qfridge.fridge import FridgeSpec, _swap_rows
 
 
@@ -79,3 +92,46 @@ def compose(a: SuperOp, b: SuperOp) -> SuperOp:
 def apply_kraus(k: KrausSet, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     return sum(op @ rho @ op.conj().T for op in k.ops)
+
+
+def stockpile_dense(a_exp, b_exp, n, p, seed=0, ancillas_per_step=1) -> StockpileResult:
+    """`experiments.run_stockpile` on the full n-qubit register: every
+    waiting stockpile qubit is held in one dense 2^n x 2^n matrix, takes
+    every noise pass, and has its marginal checked against |0> each step.
+    No input checks and no floor check."""
+    channel = kraus_to_superop(dephasing_kraus(p))
+    rng = np.random.default_rng(seed)
+    m = int(np.ceil(n**a_exp))
+    budget = int(np.ceil(n**b_exp))
+    reg = QRegister.from_product([ZERO] * n, [DATA] * n)
+    working = list(range(m))
+    stockpile = list(range(m, n))
+    records = []
+    achieved = 0
+    for t in range(1, budget + 1):
+        if ancillas_per_step > 0:
+            if len(stockpile) < ancillas_per_step:
+                break
+            for _ in range(ancillas_per_step):
+                working.pop(0)  # retire the oldest working qubit
+                working.append(stockpile.pop(0))
+        reg = step(reg, _random_pair_layer(working, rng), channel)
+        for q in stockpile:
+            marginal = partial_trace(reg.rho, [q], n)
+            if np.linalg.norm(marginal - ZERO) > 1e-12:
+                raise SimulationError(f"stockpile qubit {q} disturbed by dephasing")
+        achieved = t
+        records.append(
+            TraceRecord(
+                step=t,
+                entropy_bits=von_neumann_entropy(reg),
+                information_bits=information(reg),
+                extra={"stockpile_left": len(stockpile)},
+            )
+        )
+    return StockpileResult(
+        records=tuple(records),
+        steps_achieved=achieved,
+        stockpile_left=len(stockpile),
+        in_regime=a_exp + b_exp < 1,
+    )

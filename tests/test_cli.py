@@ -160,7 +160,9 @@ def test_experiment_config_wrong_type_exit_2(runner, tmp_path, name, config, key
 @pytest.mark.parametrize(
     "name, config, message",
     [
-        ("stockpile", {"a": 0.5, "b": 0.5, "n": 13, "p": 0.05}, "stockpile needs 1 to 12 qubits, got 13"),
+        ("stockpile", {"a": 1.0, "b": 0.5, "n": 13, "p": 0.05}, "stockpile run simulates 13 qubits, above the cap of 12"),
+        ("stockpile", {"a": 0.5, "b": 0.5, "n": 0, "p": 0.05}, "stockpile needs at least 1 qubit, got 0"),
+        ("stockpile", {"a": 0.5, "b": 0.5, "n": 10**400, "p": 0.05}, "n^a or n^b is too large for a float"),
         ("depol_decay", {"p": 0.05, "n": 9, "steps": 2}, "decay experiment needs 1 to 8 system qubits, got 9"),
         ("depol_decay", {"p": 0.05, "n": -1, "steps": 2}, "decay experiment needs 1 to 8 system qubits, got -1"),
         ("epr_storage", {"p": 0.05, "steps": -3}, "step count -3 must not be negative"),
@@ -168,9 +170,15 @@ def test_experiment_config_wrong_type_exit_2(runner, tmp_path, name, config, key
          "ancillas per step -2 must not be negative"),
         ("epr_storage", {"p": 0.05, "steps": 2, "correction_interval": 5}, "unknown config key 'correction_interval'"),
         ("depol_decay", {"n": 4, "steps": 2}, "config is missing required key 'p'"),
+        ("fridge_protocol", {"p": 0.01, "cycles": -1, "storage_T": 20}, "cycle count -1 must be at least 1"),
+        ("fridge_protocol", {"p": 0.01, "cycles": 0, "storage_T": 20}, "cycle count 0 must be at least 1"),
+        ("fridge_protocol", {"p": 0.01, "cycles": 4, "storage_T": -3}, "storage time -3 must not be negative"),
+        ("bounds", {"p": 0.1, "n": 4, "samples": 0}, "sample count 0 must be at least 1"),
+        ("bounds", {"p": 0.1, "n": 4, "dim": 0}, "state dimension 0 must be at least 1"),
     ],
-    ids=["stockpile-n13", "decay-n9", "decay-n-1", "epr-negative-steps", "stockpile-negative-ancillas",
-         "unknown-key", "missing-key"],
+    ids=["stockpile-n13", "stockpile-n0", "stockpile-n-overflow", "decay-n9", "decay-n-1", "epr-negative-steps", "stockpile-negative-ancillas",
+         "unknown-key", "missing-key", "protocol-negative-cycles", "protocol-zero-cycles",
+         "protocol-negative-storage-T", "bounds-zero-samples", "bounds-zero-dim"],
 )
 def test_experiment_bad_input_exit_2(runner, tmp_path, name, config, message):
     """An out-of-range, unknown or missing config value is an input error,

@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfridge.channels import depolarizing_kraus, kraus_to_superop
 from qfridge.densim import MAX_QUBITS, QRegister, SimulationError
@@ -19,6 +21,8 @@ from qfridge.experiments import (
     write_csv,
     write_jsonl,
 )
+
+from oracles import stockpile_dense
 
 
 def test_trace_record_round_trip():
@@ -96,21 +100,49 @@ class TestStockpile:
         assert result.records[-1].extra["stockpile_left"] == result.stockpile_left
 
     def test_checks_and_entropies_skip_the_zero_stockpile_block(self):
-        # stockpile qubits wait in |0>, so every 1024x1024 state has exactly
-        # zero rows and columns; validation and entropies run on the rest
+        # only the m + achieved * a working and retired qubits are simulated:
+        # at n = 10 that is 4 + 4 * 1, so nothing above 256 x 256 is checked
         with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh, \
                 mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
-            run_stockpile(0.5, 0.5, 10, 0.1, seed=0)
+            result = run_stockpile(0.5, 0.5, 10, 0.1, seed=0)
+        simulated = 4 + result.steps_achieved * 1
+        assert simulated == 8
         calls = eigvalsh.call_args_list + cholesky.call_args_list
         assert calls
-        assert all(call.args[0].shape[-1] < 1024 for call in calls)
+        assert all(call.args[0].shape[-1] <= 2**simulated for call in calls)
 
     def test_register_cap_checked_before_allocating(self):
-        # the 2^n x 2^n product state is never built for an oversized n
+        # a = 1 works on all 13 qubits; no register is built for it
         with mock.patch.object(QRegister, "from_product", side_effect=AssertionError("allocated")):
-            with pytest.raises(ValueError, match=f"1 to {MAX_QUBITS} qubits") as info:
-                run_stockpile(0.5, 0.5, MAX_QUBITS + 1, 0.05)
+            with pytest.raises(ValueError, match=f"simulates 13 qubits, above the cap of {MAX_QUBITS}") as info:
+                run_stockpile(1.0, 0.5, 13, 0.05)
         assert not isinstance(info.value, SimulationError)
+
+    def test_cap_counts_simulated_qubits_not_n(self):
+        # n = 13, a = b = 0.5: 4 working qubits and 4 draws, 8 qubits simulated
+        result = run_stockpile(0.5, 0.5, 13, 0.05, seed=1)
+        assert result.steps_achieved == 4
+        assert result.stockpile_left == 13 - 8
+        assert all(13 - 8 <= rec.information_bits <= 13 for rec in result.records)
+
+    @settings(max_examples=100)
+    @given(
+        n=st.integers(1, 8),
+        a_exp=st.floats(0, 1),
+        b_exp=st.floats(0, 1),
+        ancillas=st.sampled_from([0, 1, 2]),
+        p=st.floats(0.001, 0.99),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_full_register_oracle(self, n, a_exp, b_exp, ancillas, p, seed):
+        got = run_stockpile(a_exp, b_exp, n, p, seed=seed, ancillas_per_step=ancillas)
+        want = stockpile_dense(a_exp, b_exp, n, p, seed=seed, ancillas_per_step=ancillas)
+        assert (got.steps_achieved, got.stockpile_left) == (want.steps_achieved, want.stockpile_left)
+        assert len(got.records) == len(want.records)
+        for g, w in zip(got.records, want.records):
+            assert (g.step, g.extra) == (w.step, w.extra)
+            assert abs(g.entropy_bits - w.entropy_bits) <= 1e-12
+            assert abs(g.information_bits - w.information_bits) <= 1e-12
 
 
 class TestEprStorage:
