@@ -21,6 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 ATOL = 1e-10
+CLASS_TOL = 1e-8  # tolerance of the channel-class verdicts: unital, uncontracted, degenerate
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -268,14 +269,14 @@ def canonical_form(c: SuperOp) -> CanonicalForm:
     return CanonicalForm(t=t_canonical, lam=lam, pre_rot=vt, post_rot=u)
 
 
-def is_unital(c: SuperOp, tol: float = ATOL) -> bool:
+def is_unital(c: SuperOp) -> bool:
     """True iff the Bloch shift vanishes, i.e. C(I) = I."""
-    return bool(np.linalg.norm(c.shift) <= tol)
+    return bool(np.linalg.norm(c.shift) <= CLASS_TOL)
 
 
-def pauli_probs(f: CanonicalForm, tol: float = ATOL) -> PauliChannelParams:
+def pauli_probs(f: CanonicalForm) -> PauliChannelParams:
     """Error probabilities of the Pauli channel matching a unital form."""
-    if np.linalg.norm(f.t) > tol:
+    if np.linalg.norm(f.t) > ATOL:
         raise ChannelError("pauli_probs requires a unital channel")
     lx, ly, lz = f.lam
     return PauliChannelParams(
@@ -285,7 +286,7 @@ def pauli_probs(f: CanonicalForm, tol: float = ATOL) -> PauliChannelParams:
     )
 
 
-def cp_check(f: CanonicalForm, tol: float = ATOL) -> bool:
+def cp_check(f: CanonicalForm) -> bool:
     """Complete-positivity verdict for a canonical form.
 
     Unital case: the four mixture weights (1 +- lx +- ly +- lz)/4 with an even
@@ -293,8 +294,8 @@ def cp_check(f: CanonicalForm, tol: float = ATOL) -> bool:
     |l_i +- l_j| <= |1 +- l_k| inequality family.  Non-unital forms fall back
     to the Choi eigenvalue oracle.
     """
-    if np.linalg.norm(f.t) > tol:
-        return choi_positive(f.to_superop(), tol=tol)
+    if np.linalg.norm(f.t) > ATOL:
+        return choi_positive(f.to_superop())
     lx, ly, lz = f.lam
     weights = (
         1 + lx + ly + lz,
@@ -302,7 +303,7 @@ def cp_check(f: CanonicalForm, tol: float = ATOL) -> bool:
         1 - lx + ly - lz,
         1 - lx - ly + lz,
     )
-    return all(w / 4 >= -tol for w in weights)
+    return all(w / 4 >= -ATOL for w in weights)
 
 
 def choi_matrix(c: SuperOp) -> np.ndarray:
@@ -311,13 +312,13 @@ def choi_matrix(c: SuperOp) -> np.ndarray:
     return 0.5 * c.natural().reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
-def choi_positive(c: SuperOp, tol: float = ATOL) -> bool:
-    """True iff the Choi matrix has minimum eigenvalue >= -tol."""
+def choi_positive(c: SuperOp) -> bool:
+    """True iff the Choi matrix has minimum eigenvalue >= -ATOL."""
     eigs = np.linalg.eigvalsh(choi_matrix(c))
-    return bool(eigs[0] >= -tol)
+    return bool(eigs[0] >= -ATOL)
 
 
-def fixed_point(f: CanonicalForm, tol: float = 1e-8) -> BlochVector:
+def fixed_point(f: CanonicalForm) -> BlochVector:
     """Unique fixed point, solving (I - M) w = t in the world frame.
 
     For an axis-aligned channel this reduces to the per-axis closed form
@@ -329,7 +330,7 @@ def fixed_point(f: CanonicalForm, tol: float = 1e-8) -> BlochVector:
         return BlochVector(np.zeros(3))
     a = np.eye(3) - f.post_rot @ np.diag(f.lam) @ f.pre_rot
     u, s, vt = np.linalg.svd(a)
-    small = s < tol
+    small = s < CLASS_TOL
     if small.any():
         coeffs = u.T @ shift
         if np.linalg.norm(coeffs[small]) > ATOL:

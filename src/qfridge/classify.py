@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    CLASS_TOL,
     BlochVector,
     ChannelError,
     SuperOp,
@@ -34,7 +35,6 @@ from .channels import (
 )
 from .densim import spectrum_entropy_bits
 
-CLASS_TOL = 1e-8
 MAX_RELAXATION_STEPS = 1 << 22  # relaxation_time's search limit
 ENTROPY_SAMPLES = 200  # random states entropy_behavior probes
 
@@ -86,7 +86,7 @@ def classify(c: SuperOp) -> ChannelClass:
     if len(uncontracted) == 3 and unital:
         raise ClassificationError("unitary channel: no noise to classify")
     if not unital:
-        return ChannelClass(kind=NON_UNITAL_CLASS, fixed_point=fixed_point(f, tol=CLASS_TOL))
+        return ChannelClass(kind=NON_UNITAL_CLASS, fixed_point=fixed_point(f))
     if not uncontracted:
         return ChannelClass(kind=DEPOLARIZING_CLASS)
     if len(uncontracted) == 1:
@@ -190,7 +190,7 @@ def classification_report(c: SuperOp) -> dict:
         "class": verdict.kind,
         "lambda": [float(x) for x in f.lam],
         "t": [float(x) for x in f.t],
-        "unital": is_unital(c, tol=CLASS_TOL),
+        "unital": is_unital(c),
         "cp": cp,
     }
     if verdict.axis is not None:

@@ -36,7 +36,7 @@ from .channels import (
     load_channel,
 )
 from .classify import classification_report, relaxation_time
-from .densim import ZERO, SimulationError
+from .densim import MAX_QUBITS, ZERO, SimulationError
 from .experiments import (
     TraceRecord,
     run_depolarizing_decay,
@@ -301,6 +301,8 @@ def _run_bounds(config, seed, mode):
         raise ValueError(f"sample count {samples} must be at least 1")
     if dim < 1:
         raise ValueError(f"state dimension {dim} must be at least 1")
+    if dim > 2**MAX_QUBITS:
+        raise ValueError(f"state dimension {dim} is above the cap of {2**MAX_QUBITS} ({MAX_QUBITS} qubits)")
     rng = np.random.default_rng(seed)
 
     def random_state():

@@ -163,12 +163,12 @@ class QRegister:
         return tuple(i for i, r in enumerate(self.roles) if r != REFERENCE)
 
     @classmethod
-    def from_product(cls, states: Sequence[np.ndarray], roles: Sequence[str] | None = None):
-        """Product of single-qubit density matrices."""
+    def from_product(cls, states: Sequence[np.ndarray]):
+        """Product of single-qubit density matrices, all data qubits."""
         rho = np.array([[1.0]], dtype=complex)
         for s in states:
             rho = np.kron(rho, np.asarray(s, dtype=complex))
-        return cls(rho, roles or [DATA] * len(states))
+        return cls(rho, [DATA] * len(states))
 
 
 def _support(rho: np.ndarray) -> np.ndarray:

@@ -88,10 +88,10 @@ def _atomic_write(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_jsonl(records: Sequence, path) -> None:
+def write_jsonl(records: Sequence[TraceRecord], path) -> None:
     lines = []
     for rec in records:
-        doc = rec.to_dict() if hasattr(rec, "to_dict") else dict(rec)
+        doc = rec.to_dict()
         lines.append(json.dumps({k: _fmt(v) if isinstance(v, float) else v for k, v in doc.items()}, sort_keys=True))
     _atomic_write(path, "\n".join(lines) + "\n")
 

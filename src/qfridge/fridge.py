@@ -11,13 +11,14 @@ reset population equals the sum of the 2^(R-1) largest eigenvalues of the
 input state, which no unitary can exceed (majorization -- a unitary cannot
 push more weight onto a rank-2^(R-1) subspace than the top eigenvalues hold).
 
-Ideal and noisy runs share one runner that applies the stages in order.
-The stages only permute basis states, so on an exactly diagonal input the
-ideal run, and a noisy run under noise that keeps diagonal states diagonal
-to within eps per location, is a Markov chain on the 2^R basis-state
-probabilities.  The runner takes that path when 2 F eps <= 1e-12, which
-bounds its trace-norm deviation from the dense density-matrix run; every
-other run takes the dense path, which the tests also use as the oracle.
+Ideal and noisy runs share one runner that cools the thermal product block,
+the input the protocol's relaxed qubits approach, by applying the stages in
+order.  The stages only permute basis states and that block is diagonal, so
+the ideal run, and a noisy run under noise that keeps diagonal states
+diagonal to within eps per location, is a Markov chain on the 2^R
+basis-state probabilities.  The runner takes that path when
+2 F eps <= 1e-12, which bounds its trace-norm deviation from the dense
+density-matrix run; every other run takes the dense path.
 """
 
 from __future__ import annotations
@@ -29,15 +30,7 @@ from functools import reduce
 import numpy as np
 
 from .channels import ChannelError, SuperOp, diamond_upper, identity_channel, kraus_to_superop, trace_norm
-from .densim import (
-    MAX_QUBITS,
-    ZERO,
-    SimulationError,
-    apply_single_qubit_superop,
-    entropy_bits,
-    partial_trace,
-    spectrum_entropy_bits,
-)
+from .densim import MAX_QUBITS, ZERO, SimulationError, entropy_bits, evolve, partial_trace, spectrum_entropy_bits
 
 # largest trace-norm deviation from the dense run that run_fridge_noisy's
 # probability-vector path may add (the float-reordering allowance)
@@ -199,29 +192,6 @@ def build_cooling_circuit(q: float, r: int) -> FridgeSpec:
     return FridgeSpec(q=q, r_block=r, permutation=tuple(permutation))
 
 
-def _exact_populations(rho: np.ndarray) -> np.ndarray | None:
-    """The real diagonal of rho when every other entry is exactly 0, else None."""
-    diag = np.diagonal(rho)
-    if diag.imag.any() or np.count_nonzero(rho) != np.count_nonzero(diag):
-        return None
-    return diag.real.copy()
-
-
-def _initial_state(spec: FridgeSpec, rho_in: np.ndarray | None, populations: bool) -> np.ndarray:
-    """The input block (the thermal block by default) as its 2^R populations
-    when `populations` is set and it is exactly diagonal (checked with
-    ``==``), else as a dense matrix; always a fresh array."""
-    r = spec.r_block
-    if rho_in is None:
-        probs = reduce(np.kron, [np.array([1 - spec.q, spec.q])] * r, np.ones(1))
-        return probs if populations else np.diag(probs).astype(complex)
-    rho = np.array(rho_in, dtype=complex)
-    if rho.shape != (2**r, 2**r):
-        raise CoolingError("input state dimension does not match block size")
-    probs = _exact_populations(rho) if populations else None
-    return rho if probs is None else probs
-
-
 def _coherence_leak(nat: np.ndarray) -> float:
     """How far a channel (natural rep) strays from mapping diagonal states to
     diagonal states: its largest population -> coherence entry, or imaginary
@@ -231,36 +201,34 @@ def _coherence_leak(nat: np.ndarray) -> float:
     return float(max(leak, np.abs(nat[np.ix_(pops, pops)].imag).max()))
 
 
-def _run(spec: FridgeSpec, rho_in: np.ndarray | None, noise: SuperOp | None) -> CoolingReport:
-    """Apply the stages in order, each followed by one noise pass per qubit
-    when `noise` is given.
+def _run(spec: FridgeSpec, noise: SuperOp | None) -> CoolingReport:
+    """Cool the thermal block: apply the stages in order, each followed by
+    one noise pass per qubit when `noise` is given.
 
     The run is a Markov chain on the 2^R populations, in O(F 2^R) time and
-    O(2^R) memory, when the input is exactly diagonal and, with
-    noise, 2 F eps <= POPULATION_ATOL: eps is the largest population ->
-    coherence entry of the noise's natural rep, or imaginary part of its
-    population block, and a telescoping argument over the F locations
-    bounds the trace-norm deviation from the dense run by 2 F eps.  Rounding
-    in a mixed Kraus form leaves eps of 1e-18 to 1e-16 for channels that
-    keep diagonal states diagonal.  Every other run is on the dense state.
+    O(2^R) memory, without noise or when 2 F eps <= POPULATION_ATOL: eps is
+    the largest population -> coherence entry of the noise's natural rep, or
+    imaginary part of its population block, and a telescoping argument over
+    the F locations bounds the trace-norm deviation from the dense run by
+    2 F eps.  Rounding in a mixed Kraus form leaves eps of 1e-18 to 1e-16 for
+    channels that keep diagonal states diagonal.  Every other run is on the
+    dense state.
     """
     r = spec.r_block
     nat = None if noise is None else noise.natural()
-    diagonal = nat is None or 2 * spec.f_count * _coherence_leak(nat) <= POPULATION_ATOL
-    state = _initial_state(spec, rho_in, diagonal)
-    dense = state.ndim == 2
+    state = reduce(np.kron, [np.array([1 - spec.q, spec.q])] * r, np.ones(1))
+    dense = nat is not None and 2 * spec.f_count * _coherence_leak(nat) > POPULATION_ATOL
+    if dense:
+        state = np.diag(state).astype(complex)
     transfer = None if nat is None else nat[np.ix_((0, 3), (0, 3))].real
     for stage in spec.stages:
         # state -> S state S^T in place: swap the stage's rows, then its columns
         _swap_rows(state, stage)
         if dense:
             _swap_rows(state.T, stage)
-        if nat is None:
-            continue
-        for q_idx in range(r):
-            if dense:
-                state = apply_single_qubit_superop(state, nat, q_idx, r)
-            else:
+            state = evolve(state, [], r, nat)
+        elif nat is not None:
+            for q_idx in range(r):
                 state = np.matmul(transfer, state.reshape(2**q_idx, 2, -1)).reshape(-1)
     if dense:
         waste_entropy = entropy_bits(partial_trace(state, list(range(1, r)), r)) if r > 1 else 0.0
@@ -272,12 +240,12 @@ def _run(spec: FridgeSpec, rho_in: np.ndarray | None, noise: SuperOp | None) -> 
     return CoolingReport(reset_state=reset, reset_distance=trace_norm(reset - ZERO), waste_entropy=waste_entropy)
 
 
-def run_fridge_ideal(spec: FridgeSpec, rho_in: np.ndarray | None = None) -> CoolingReport:
-    """Noiseless cooling of the thermal product block (or a supplied state)."""
-    return _run(spec, rho_in, None)
+def run_fridge_ideal(spec: FridgeSpec) -> CoolingReport:
+    """Noiseless cooling of the thermal product block."""
+    return _run(spec, None)
 
 
-def run_fridge_noisy(spec: FridgeSpec, noise: SuperOp, rho_in: np.ndarray | None = None) -> CoolingReport:
+def run_fridge_noisy(spec: FridgeSpec, noise: SuperOp) -> CoolingReport:
     """Cooling with one noise application per location (R per stage).
 
     Asserts the run stays within the ideal reset distance plus F x d, where
@@ -286,9 +254,9 @@ def run_fridge_noisy(spec: FridgeSpec, noise: SuperOp, rho_in: np.ndarray | None
     noise by the identity one location at a time moves the state by at most
     d in trace norm, F times over.  A broken bound raises SimulationError.
     """
-    report = _run(spec, rho_in, noise)
+    report = _run(spec, noise)
     d = diamond_upper(noise, kraus_to_superop(identity_channel()))
-    bound = run_fridge_ideal(spec, rho_in=rho_in).reset_distance + spec.f_count * d
+    bound = run_fridge_ideal(spec).reset_distance + spec.f_count * d
     if report.reset_distance > bound + 1e-9:
         raise SimulationError(
             f"noisy reset distance {report.reset_distance} breaks the "

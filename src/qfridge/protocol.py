@@ -79,6 +79,10 @@ class ProtocolConfig:
             raise ValueError(f"cycle count {self.d_prime} must be at least 1")
         if self.storage_T is not None and self.storage_T < 0:
             raise ValueError(f"storage time {self.storage_T} must not be negative")
+        if self.eps1 <= 0:
+            raise ValueError(f"eps1 {self.eps1} must be positive")
+        if self.eps2 <= 0:
+            raise ValueError(f"eps2 {self.eps2} must be positive")
 
     def throughput_bound(self, r: int) -> int:
         return N_PRIME * r * self.d_prime
@@ -130,7 +134,7 @@ class _Storage:
         if self.entries and self.layers - self.entries[0][1] >= self.storage_T:
             state, enqueued = self.entries.popleft()
             aged = np.linalg.matrix_power(self.nat_layer, self.layers - enqueued)
-            state = (aged @ state.reshape(4)).reshape(2, 2)
+            state = evolve(state, [], 1, aged)
         else:
             state = self.p_state
         gap = trace_norm(state - self.p_state)

@@ -1,6 +1,7 @@
 """Test fixtures and oracles that the package itself does not need.
 
-Dense unitaries for a compiled fridge, an EPR register, conditional entropy,
+Dense unitaries for a compiled fridge, Haar-random unitaries, an EPR
+register, conditional entropy,
 Bloch read-out, two Kraus constructors, direct channel application and
 composition, and the stockpile run on its full register: the tests build
 inputs and check results with them, while the program works on index maps,
@@ -41,6 +42,14 @@ def stage_unitary(spec: FridgeSpec, i: int) -> np.ndarray:
     u = np.eye(2**spec.r_block, dtype=complex)
     _swap_rows(u, spec.stages[i])
     return u
+
+
+def random_unitary(rng, dim: int = 2) -> np.ndarray:
+    """Haar-random dim x dim unitary: QR of a complex Gaussian matrix, with
+    the phases of R's diagonal moved into Q."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def epr_register(extra_system: int = 0) -> QRegister:
@@ -103,7 +112,7 @@ def stockpile_dense(a_exp, b_exp, n, p, seed=0, ancillas_per_step=1) -> Stockpil
     rng = np.random.default_rng(seed)
     m = int(np.ceil(n**a_exp))
     budget = int(np.ceil(n**b_exp))
-    reg = QRegister.from_product([ZERO] * n, [DATA] * n)
+    reg = QRegister.from_product([ZERO] * n)
     working = list(range(m))
     stockpile = list(range(m, n))
     records = []

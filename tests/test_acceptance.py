@@ -115,7 +115,7 @@ def test_criterion_2_fixed_point():
     while checked < 1000:
         c = kraus_to_superop(random_cp_kraus(rng))
         f = canonical_form(c)
-        if np.max(np.abs(f.lam)) >= 0.98 or is_unital(c, tol=1e-8):
+        if np.max(np.abs(f.lam)) >= 0.98 or is_unital(c):
             continue
         w_closed = fixed_point(f).w
         w = np.zeros(3)
@@ -141,7 +141,7 @@ def test_criterion_3_cp_conditions():
     for _ in range(10_000):
         lam = rng.uniform(-1.05, 1.05, size=3)
         f = CanonicalForm(t=np.zeros(3), lam=lam, pre_rot=np.eye(3), post_rot=np.eye(3))
-        if cp_check(f, tol=1e-10) == choi_positive(f.to_superop(), tol=1e-10):
+        if cp_check(f) == choi_positive(f.to_superop()):
             agree += 1
     assert agree == 10_000
     print(f"criterion 3: PASS - {agree}/10000 agreement")

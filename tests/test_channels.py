@@ -37,12 +37,6 @@ from qfridge.channels import (
 from oracles import apply_channel, apply_kraus, compose, density_to_bloch, pauli_channel_kraus, unitary_kraus
 
 
-def random_unitary(rng, dim=2):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def random_cp_channel(rng, n_kraus=3):
     """Random CP trace-preserving qubit channel via a Stinespring isometry."""
     g = rng.normal(size=(2 * n_kraus, 2)) + 1j * rng.normal(size=(2 * n_kraus, 2))

@@ -28,13 +28,7 @@ from qfridge.classify import (
 )
 from qfridge.protocol import ProtocolConfig
 
-from oracles import compose, pauli_channel_kraus, unitary_kraus
-
-
-def random_unitary(rng):
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+from oracles import compose, pauli_channel_kraus, random_unitary, unitary_kraus
 
 
 def test_named_channel_classes():

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qfridge import cli, fridge
+from qfridge import cli, densim, fridge
 from qfridge.channels import (
     amplitude_damping_kraus,
     dephasing_kraus,
     depolarizing_kraus,
     kraus_to_dict,
+    thermal_kraus,
 )
 from qfridge.cli import main
 from qfridge.densim import SimulationError
@@ -175,10 +176,16 @@ def test_experiment_config_wrong_type_exit_2(runner, tmp_path, name, config, key
         ("fridge_protocol", {"p": 0.01, "cycles": 4, "storage_T": -3}, "storage time -3 must not be negative"),
         ("bounds", {"p": 0.1, "n": 4, "samples": 0}, "sample count 0 must be at least 1"),
         ("bounds", {"p": 0.1, "n": 4, "dim": 0}, "state dimension 0 must be at least 1"),
+        ("bounds", {"p": 0.1, "n": 4, "dim": 1000000, "samples": 1},
+         "state dimension 1000000 is above the cap of 4096 (12 qubits)"),
+        ("fridge_protocol", {"p": 0.01, "cycles": 3, "storage_T": 20, "eps1": -1}, "eps1 -1 must be positive"),
+        ("fridge_protocol", {"p": 0.01, "cycles": 3, "eps2": 0, "r_block": None}, "eps2 0 must be positive"),
+        ("fridge_protocol", {"p": 0.01, "cycles": 3, "eps2": -1, "r_block": 2, "storage_T": 20}, "eps2 -1 must be positive"),
     ],
     ids=["stockpile-n13", "stockpile-n0", "stockpile-n-overflow", "decay-n9", "decay-n-1", "epr-negative-steps", "stockpile-negative-ancillas",
          "unknown-key", "missing-key", "protocol-negative-cycles", "protocol-zero-cycles",
-         "protocol-negative-storage-T", "bounds-zero-samples", "bounds-zero-dim"],
+         "protocol-negative-storage-T", "bounds-zero-samples", "bounds-zero-dim", "bounds-huge-dim",
+         "protocol-negative-eps1", "protocol-zero-eps2", "protocol-negative-eps2"],
 )
 def test_experiment_bad_input_exit_2(runner, tmp_path, name, config, message):
     """An out-of-range, unknown or missing config value is an input error,
@@ -270,7 +277,7 @@ def test_fridge_noisy_r9_runs_without_the_dense_kernel(runner, tmp_path, monkeyp
     def dense_pass(*args):
         raise AssertionError("dense noise pass on a diagonal run")
 
-    monkeypatch.setattr(fridge, "apply_single_qubit_superop", dense_pass)
+    monkeypatch.setattr(densim, "apply_single_qubit_superop", dense_pass)
     noise = write_channel(tmp_path / "ad.json", amplitude_damping_kraus(1e-3))
     result = runner.invoke(main, ["fridge", "--q", "0.1", "--r", "9", "--noise", noise])
     assert result.exit_code == 0, result.output
@@ -321,7 +328,7 @@ def test_fridge_noisy_r12_allocates_no_dense_state(runner, tmp_path, monkeypatch
     def dense(*args):
         raise AssertionError("dense 2^R x 2^R work on a diagonal run")
 
-    for name in ("apply_single_qubit_superop", "partial_trace"):
+    for name in ("evolve", "partial_trace"):
         monkeypatch.setattr(fridge, name, dense)
     noise = write_channel(tmp_path / "ad.json", amplitude_damping_kraus(1e-3))
     tracemalloc.start()
@@ -338,18 +345,21 @@ def test_fridge_noisy_r12_allocates_no_dense_state(runner, tmp_path, monkeypatch
     assert 0 <= doc["noisy_waste_entropy"] <= 11
 
 
-def test_cooling_error_exits_4_from_every_command(runner, tmp_path):
+def test_cooling_error_exits_4_from_every_command(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["fridge", "--q", "0.1", "--eps2", "0"])
     assert result.exit_code == 4
     assert "eps2 must be positive" in result.output
+    # the fixed point's bias 0.3 needs R = 39 for eps2 = 0.01; a search capped at 2 gives up
+    monkeypatch.setattr(fridge, "MAX_R_SEARCH", 2)
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"p": 0.01, "r_block": None, "eps2": 0}))
+    channel = kraus_to_dict(thermal_kraus(0.1, 0.3))
+    cfg.write_text(json.dumps({"p": 0.01, "channel": channel, "r_block": None, "eps2": 0.01}))
     out = tmp_path / "out"
     result = runner.invoke(main, ["experiment", "fridge_protocol", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 4
-    assert "eps2 must be positive" in result.output
+    assert "no block size up to 2 meets eps2=0.01" in result.output
     # an infeasible run still writes its outputs before the exit
-    assert "eps2 must be positive" in (out / "summary.csv").read_text()
+    assert "no block size up to 2 meets eps2=0.01" in (out / "summary.csv").read_text()
     assert json.loads((out / "manifest.json").read_text())["command"] == "experiment fridge_protocol"
 
 

@@ -38,7 +38,7 @@ from qfridge.densim import (
     von_neumann_entropy,
 )
 
-from oracles import conditional_entropy, epr_register
+from oracles import conditional_entropy, epr_register, random_unitary
 
 ZERO = np.diag([1.0, 0.0]).astype(complex)
 ONE = np.diag([0.0, 1.0]).astype(complex)
@@ -309,12 +309,6 @@ def apply_unitary_two_loops(rho, u, targets, n):
     return tensor.reshape(2**n, 2**n)
 
 
-def random_unitary(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 @settings(max_examples=80)
 @given(n=st.integers(1, 6), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_gate_kernel_matches_two_loop_oracle(n, k, seed):
@@ -531,7 +525,7 @@ def test_step_noise_skips_reference():
 
 
 def test_entropy_values():
-    reg = QRegister.from_product([ZERO, np.eye(2) / 2], [DATA, DATA])
+    reg = QRegister.from_product([ZERO, np.eye(2) / 2])
     assert abs(von_neumann_entropy(reg) - 1.0) < 1e-12
     assert abs(von_neumann_entropy(reg, [0])) < 1e-12
     assert abs(von_neumann_entropy(reg, [1]) - 1.0) < 1e-12
@@ -550,7 +544,7 @@ def test_information_pure_state():
 
 def test_dephase_all_kills_system_coherence():
     plus = np.full((2, 2), 0.5, dtype=complex)
-    reg = QRegister.from_product([plus, plus], [DATA, DATA])
+    reg = QRegister.from_product([plus, plus])
     out = dephase_all(reg)
     assert np.allclose(out.rho, np.eye(4) / 4, atol=1e-12)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfridge import fridge
+from qfridge import densim, fridge
 from qfridge.channels import (
     ChannelError,
     KrausSet,
@@ -30,7 +30,7 @@ from qfridge.fridge import (
     top_mass,
 )
 
-from oracles import permutation_unitary, stage_unitary
+from oracles import permutation_unitary, random_unitary, stage_unitary
 
 
 def h2(x):
@@ -232,13 +232,11 @@ def test_spec_derives_its_stages_from_the_permutation(q, r_and_permutation):
 @settings(max_examples=40)
 @given(q=_biases, r=st.integers(1, 6), seed=_seeds)
 def test_index_map_ideal_run_equals_dense_permutation(q, r, seed):
+    # the protocol gathers arbitrary blocks, so any state, not just the thermal one
     spec = build_cooling_circuit(q, r)
     rho = _random_psd(np.random.default_rng(seed), 2**r)
     p = permutation_unitary(spec)
-    dense = p @ rho @ p.T
-    assert np.array_equal(apply_permutation(rho, spec), dense)
-    report = run_fridge_ideal(spec, rho_in=rho)
-    assert np.array_equal(report.reset_state, partial_trace(dense, [0], r))
+    assert np.array_equal(apply_permutation(rho, spec), p @ rho @ p.T)
 
 
 def _reduced(rho, r):
@@ -260,19 +258,17 @@ def _thermal_block(q, r):
     return rho
 
 
-def _rotated(rho, u, r):
-    """rho with the single-qubit unitary u applied to each of its r qubits."""
-    for q_idx in range(r):
-        rho = apply_unitary(rho, u, [q_idx], r)
-    return rho
+def _conjugated(kraus_set, u):
+    """The channel u N(u^dag . u) u^dag: the noise N in a rotated frame."""
+    return KrausSet([u @ k @ u.conj().T for k in kraus_set.ops])
 
 
-def _dense_reference(spec, noise, rho=None):
-    """Oracle: every stage as a dense 2^R x 2^R unitary, R noise passes each;
-    returns (reset state, reset distance, waste entropy)."""
+def _dense_reference(spec, noise):
+    """Oracle: the thermal block through every stage as a dense 2^R x 2^R
+    unitary, R noise passes each; returns (reset state, reset distance,
+    waste entropy)."""
     r = spec.r_block
-    if rho is None:
-        rho = _thermal_block(spec.q, r)
+    rho = _thermal_block(spec.q, r)
     nat = noise.natural()
     for i in range(len(spec.stages)):
         rho = apply_unitary(rho, stage_unitary(spec, i), list(range(r)), r)
@@ -288,37 +284,49 @@ def _assert_matches_reference(report, reference):
     assert abs(report.waste_entropy - entropy) <= 1e-12
 
 
+def _count_dense_passes(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return apply_single_qubit_superop(*args)
+
+    monkeypatch.setattr(densim, "apply_single_qubit_superop", counted)
+    return calls
+
+
+_DAMPING = {
+    "amplitude_damping": amplitude_damping_kraus,
+    "thermal": lambda s: thermal_kraus(s, 0.1),
+}
+
+
 @settings(max_examples=25)
-@given(q=_biases, r=st.integers(1, 6), gamma=st.floats(0, 0.2), seed=_seeds)
-def test_noisy_run_matches_dense_stage_by_stage_reference(q, r, gamma, seed):
+@given(q=_biases, r=st.integers(1, 6), kind=st.sampled_from(sorted(_DAMPING)), gamma=st.floats(0.01, 0.2), seed=_seeds)
+def test_noisy_run_matches_dense_stage_by_stage_reference(q, r, kind, gamma, seed):
+    # damping in a Haar-random frame maps populations into coherences, so
+    # the run takes the dense path
     spec = build_cooling_circuit(q, r)
-    rho = _random_psd(np.random.default_rng(seed), 2**r)
-    noise = kraus_to_superop(amplitude_damping_kraus(gamma))
-    report = run_fridge_noisy(spec, noise, rho_in=rho)
-    _assert_matches_reference(report, _dense_reference(spec, noise, rho))
+    noise = kraus_to_superop(_conjugated(_DAMPING[kind](gamma), random_unitary(np.random.default_rng(seed))))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_dense_passes(mp)
+        report = run_fridge_noisy(spec, noise)
+    assert len(calls) == len(spec.stages) * r
+    _assert_matches_reference(report, _dense_reference(spec, noise))
 
 
 @settings(max_examples=40)
-@given(q=_biases, r=st.integers(1, 6), source=st.sampled_from(["thermal", "diagonal", "dense"]), seed=_seeds)
-def test_ideal_run_matches_permutation_unitary(q, r, source, seed):
-    # diagonal inputs run on the populations, dense ones on the density matrix
-    rng = np.random.default_rng(seed)
+@given(q=_biases, r=st.integers(1, 6))
+def test_ideal_run_matches_permutation_unitary(q, r):
     spec = build_cooling_circuit(q, r)
-    rho = {
-        "thermal": None,
-        "diagonal": np.diag(rng.dirichlet(np.ones(2**r))).astype(complex),
-        "dense": _random_psd(rng, 2**r),
-    }[source]
-    report = run_fridge_ideal(spec, rho_in=rho)
+    report = run_fridge_ideal(spec)
     p = permutation_unitary(spec)
-    block = _thermal_block(q, r) if rho is None else rho
-    _assert_matches_reference(report, _reduced(p @ block @ p.T, r))
+    _assert_matches_reference(report, _reduced(p @ _thermal_block(q, r) @ p.T, r))
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _DIAGONAL_NOISE = {
-    "amplitude_damping": amplitude_damping_kraus,
-    "thermal": lambda s: thermal_kraus(s, 0.1),
+    **_DAMPING,
     "dephasing": dephasing_kraus,
     "depolarizing": depolarizing_kraus,
 }
@@ -333,15 +341,14 @@ def _mixed_kraus_form(kraus_set, rng):
     return KrausSet([sum(v[i, j] * ops[j] for j in range(len(ops))) for i in range(len(ops))])
 
 
-def _count_dense_passes(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return apply_single_qubit_superop(*args)
-
-    monkeypatch.setattr(fridge, "apply_single_qubit_superop", counted)
-    return calls
+# a monomial rotation (a permutation with phases on the axes) keeps diagonal
+# states exactly diagonal, so noise in its frame still runs on the populations;
+# phases off the axes would leave ~1e-17 imaginary parts on the diagonal
+_monomials = st.builds(
+    lambda flip, phases: np.diag(phases) @ (np.eye(2)[::-1] if flip else np.eye(2)),
+    st.booleans(),
+    st.lists(st.sampled_from([1, 1j, -1, -1j]), min_size=2, max_size=2),
+)
 
 
 @settings(max_examples=60)
@@ -350,45 +357,26 @@ def _count_dense_passes(monkeypatch):
     r=st.integers(1, 6),
     kind=st.sampled_from(sorted(_DIAGONAL_NOISE)),
     strength=st.floats(0, 0.2),
-    flip=st.booleans(),
-    # phases off the axes would leave ~1e-17 imaginary parts on the diagonal
-    # by rounding, and such inputs take the dense path
-    phases=st.lists(st.sampled_from([1, 1j, -1, -1j]), min_size=2, max_size=2),
-    diagonal_input=st.booleans(),
+    u=_monomials,
     seed=_seeds,
 )
-def test_vector_path_matches_dense_oracle(q, r, kind, strength, flip, phases, diagonal_input, seed):
+def test_vector_path_matches_dense_oracle(q, r, kind, strength, u, seed):
     rng = np.random.default_rng(seed)
-    noise = kraus_to_superop(_mixed_kraus_form(_DIAGONAL_NOISE[kind](strength), rng))
-    # a monomial rotation keeps diagonal states exactly diagonal
-    u = np.diag(phases) @ (np.eye(2)[::-1] if flip else np.eye(2))
+    noise = kraus_to_superop(_conjugated(_mixed_kraus_form(_DIAGONAL_NOISE[kind](strength), rng), u))
     spec = build_cooling_circuit(q, r)
-    rho = np.diag(rng.dirichlet(np.ones(2**r))).astype(complex) if diagonal_input else _thermal_block(q, r)
-    rho = _rotated(rho, u, r)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_dense_passes(mp)
-        report = run_fridge_noisy(spec, noise, rho_in=rho)
+        report = run_fridge_noisy(spec, noise)
     assert not calls
-    _assert_matches_reference(report, _dense_reference(spec, noise, rho))
+    _assert_matches_reference(report, _dense_reference(spec, noise))
 
 
 @settings(max_examples=40)
-@given(
-    q=_biases,
-    r=st.integers(1, 6),
-    flip=st.booleans(),
-    phases=st.lists(st.sampled_from([1, 1j, -1, -1j]), min_size=2, max_size=2),
-    diagonal_input=st.booleans(),
-    seed=_seeds,
-)
-def test_bound_check_takes_ideal_distance_from_populations(q, r, flip, phases, diagonal_input, seed):
-    rng = np.random.default_rng(seed)
-    u = np.diag(phases) @ (np.eye(2)[::-1] if flip else np.eye(2))
+@given(q=_biases, r=st.integers(1, 6), kind=st.sampled_from(sorted(_DIAGONAL_NOISE)), u=_monomials)
+def test_bound_check_takes_ideal_distance_from_populations(q, r, kind, u):
     spec = build_cooling_circuit(q, r)
-    rho = np.diag(rng.dirichlet(np.ones(2**r))).astype(complex) if diagonal_input else _thermal_block(q, r)
-    rho = _rotated(rho, u, r)
     p = permutation_unitary(spec)
-    expected = _reduced(p @ rho @ p.T, r)[1]
+    expected = _reduced(p @ _thermal_block(q, r) @ p.T, r)[1]
     seen = []
 
     def recorded(*args, **kwargs):
@@ -396,35 +384,25 @@ def test_bound_check_takes_ideal_distance_from_populations(q, r, flip, phases, d
         return seen[-1]
 
     def no_partial_trace(*args):
-        raise AssertionError("dense reduction on a diagonal input")
+        raise AssertionError("dense reduction on a diagonal run")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fridge, "run_fridge_ideal", recorded)
         mp.setattr(fridge, "partial_trace", no_partial_trace)
-        run_fridge_noisy(spec, kraus_to_superop(amplitude_damping_kraus(0.01)), rho_in=rho)
+        run_fridge_noisy(spec, kraus_to_superop(_conjugated(_DIAGONAL_NOISE[kind](0.01), u)))
     assert len(seen) == 1
     assert abs(seen[0].reset_distance - expected) <= 1e-12
 
 
 @pytest.mark.parametrize(
-    "rotation, noise",
-    [
-        (_H, amplitude_damping_kraus(0.05)),
-        (np.eye(2), KrausSet([_H @ k @ _H for k in amplitude_damping_kraus(0.05).ops])),
-    ],
-    ids=["hadamard_pre_rotation", "hadamard_conjugated_damping"],
+    "noise",
+    [amplitude_damping_kraus(0.05), thermal_kraus(0.05, 0.1)],
+    ids=["hadamard_conjugated_damping", "hadamard_conjugated_thermal"],
 )
-def test_off_diagonal_runs_fall_back_to_dense_kernel(monkeypatch, rotation, noise):
+def test_off_diagonal_runs_fall_back_to_dense_kernel(monkeypatch, noise):
     spec = build_cooling_circuit(0.1, 4)
-    rho = _rotated(_thermal_block(0.1, 4), rotation, 4)
-    noise = kraus_to_superop(noise)
+    noise = kraus_to_superop(_conjugated(noise, _H))
     calls = _count_dense_passes(monkeypatch)
-    report = run_fridge_noisy(spec, noise, rho_in=rho)
+    report = run_fridge_noisy(spec, noise)
     assert len(calls) == len(spec.stages) * spec.r_block
-    _assert_matches_reference(report, _dense_reference(spec, noise, rho))
-
-
-def test_input_dimension_check():
-    spec = build_cooling_circuit(0.1, 2)
-    with pytest.raises(CoolingError):
-        run_fridge_ideal(spec, rho_in=np.eye(8) / 8)
+    _assert_matches_reference(report, _dense_reference(spec, noise))

@@ -1,7 +1,8 @@
 """The benchmark and the README's CLI examples must keep working against the
 program's API, every exception the program defines must map onto the
-CLI's exit-code contract, and every public function must have a caller in
-the program or the benchmark.
+CLI's exit-code contract, and every public function, and every defaulted
+parameter of one, must have a caller in the program or the benchmark that
+uses it.
 
 ``perfbench/tracer.py`` wraps each ``(module, attribute)`` named in its
 ``TARGETS`` table, and ``perfbench/workloads.py`` calls the program through
@@ -196,3 +197,57 @@ def uncalled_public_functions(package=PACKAGE, perfbench=PERFBENCH) -> list:
 
 def test_every_public_function_has_a_caller():
     assert uncalled_public_functions() == []
+
+
+def _defaulted_parameters(qualname, node) -> list:
+    """(position or None, name) of each parameter of a definition that has a
+    default; the position counts from the first argument a caller writes,
+    so a method's self or cls is skipped, and keyword-only ones get None."""
+    positional = node.args.posonlyargs + node.args.args
+    static = any(ast.unparse(d) == "staticmethod" for d in node.decorator_list)
+    offset = 1 if "." in qualname and not static else 0
+    first_default = len(positional) - len(node.args.defaults)
+    found = [(i - offset, arg.arg) for i, arg in enumerate(positional) if i >= first_default]
+    found.extend(
+        (None, arg.arg)
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+        if default is not None
+    )
+    return found
+
+
+def _passes(call, position, name) -> bool:
+    """Whether a call sets a parameter, by keyword or by position; an
+    unpacked ``*args`` or ``**kwargs`` counts as setting what it could."""
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            if position is not None and position >= i:
+                return True
+        elif i == position:
+            return True
+    return any(k.arg in (name, None) for k in call.keywords)
+
+
+def unset_optional_parameters(package=PACKAGE, perfbench=PERFBENCH) -> list:
+    """``module.function(parameter)`` for each defaulted parameter of a public
+    function or method of the package that no call in the package or the
+    benchmark sets.  Calls are matched by the callee's name."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    calls = {}
+    for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in sorted(perfbench.glob("*.py")))]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    return sorted(
+        f"{path.stem}.{qualname}({name})"
+        for path, tree in trees.items()
+        for qualname, node in _public_definitions(tree)
+        for position, name in _defaulted_parameters(qualname, node)
+        if not any(_passes(call, position, name) for call in calls.get(node.name, []))
+    )
+
+
+def test_every_optional_parameter_has_a_caller():
+    assert unset_optional_parameters() == []
