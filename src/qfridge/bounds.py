@@ -21,6 +21,7 @@ from .channels import SuperOp
 from .densim import (
     QRegister,
     SimulationError,
+    _as_float,
     entropy_bits,
     evolve,
     relative_entropy,
@@ -59,29 +60,43 @@ class EntropyLedger:
         return max(self.gaps) if self.gaps else 0.0
 
 
-def pinsker_margin(a: np.ndarray, b: np.ndarray) -> float:
-    """S(a||b) - ||a - b||_2^2 / (2 ln 2); nonnegative, since the 2-norm is
-    dominated by the 1-norm appearing in the standard inequality."""
-    rel = relative_entropy(a, b)
-    if math.isinf(rel):
-        return float("inf")
-    return rel - float(np.linalg.norm(np.asarray(a) - np.asarray(b)) ** 2) / (2 * LN2)
+def _sq_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a - b||_2^2 (Frobenius) for each pair of two (..., d, d) stacks."""
+    diff = a - b
+    return (diff.real**2 + diff.imag**2).sum(axis=(-2, -1))
 
 
-def concavity_margin(a: np.ndarray, b: np.ndarray, p: float, mode: str = MODE_SAFE) -> float:
-    """Mixture entropy minus mean entropy minus k p(1-p) ||a - b||_2^2.
+def pinsker_margin(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """S(a||b) - ||a - b||_2^2 / (2 ln 2) for each pair of two (..., d, d)
+    stacks; nonnegative, since the 2-norm is dominated by the 1-norm
+    appearing in the standard inequality, and +inf where supp(a) escapes
+    supp(b).  A Python float for one pair."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return _as_float(relative_entropy(a, b) - _sq_distance(a, b) / (2 * LN2))
+
+
+def concavity_margin(
+    a: np.ndarray, b: np.ndarray, p: float | np.ndarray, mode: str = MODE_SAFE
+) -> float | np.ndarray:
+    """Mixture entropy minus mean entropy minus k p(1-p) ||a - b||_2^2, for
+    each pair of two (..., d, d) stacks and its weight p (a scalar, or one
+    per pair); the entropies of the mixtures and of both states come from
+    one stacked `eigvalsh`.  A Python float for one pair.
 
     Nonnegative in ``safe`` mode (k = 1/(2 ln 2), provable via Pinsker);
     ``paper`` mode (k = 2/ln 2) can go negative.
     """
-    if not 0 <= p <= 1:
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0) & (p <= 1)):
         raise ValueError("mix weight must lie in [0, 1]")
     k = _CONCAVITY_K[mode]
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    mix = (1 - p) * a + p * b
-    gain = entropy_bits(mix) - (1 - p) * entropy_bits(a) - p * entropy_bits(b)
-    return gain - k * p * (1 - p) * float(np.linalg.norm(a - b) ** 2)
+    w = p[..., None, None]
+    s_mix, s_a, s_b = entropy_bits(np.stack([(1 - w) * a + w * b, a, b]))
+    gain = s_mix - (1 - p) * s_a - p * s_b
+    return _as_float(gain - k * p * (1 - p) * _sq_distance(a, b))
 
 
 def dephasing_bound(p: float, eps: float, n: int, mode: str = MODE_SAFE) -> DephasingBoundParams:
@@ -110,16 +125,18 @@ def entropy_ledger_step(before: QRegister, after: QRegister, noise: SuperOp) -> 
     The gap for qubit i conditions on all other qubits (reference included),
     so it reduces to S(noise on i only) - S(before); the chain rule makes the
     global entropy increase at least the largest gap, for every qubit
-    ordering; that consequence is asserted.
+    ordering; that consequence is asserted.  The noised states, one per
+    system qubit, are held at once and take one stacked `eigvalsh`.
     """
     if before.roles != after.roles:
         raise SimulationError("registers have different shapes")
     n = before.n_qubits
     nat = noise.natural()
     s_before = von_neumann_entropy(before)
-    gaps = []
-    for q in before.system_qubits:
-        gaps.append(entropy_bits(evolve(before.rho, [], n, nat, [q])) - s_before)
+    noised = np.array(
+        [evolve(before.rho, [], n, nat, [q]) for q in before.system_qubits], dtype=complex
+    ).reshape(-1, 2**n, 2**n)
+    gaps = (entropy_bits(noised) - s_before).tolist()
     global_increase = von_neumann_entropy(after) - s_before
     ledger = EntropyLedger(gaps=tuple(gaps), global_increase=global_increase)
     if global_increase < ledger.max_gap - 1e-9:

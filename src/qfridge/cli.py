@@ -291,6 +291,29 @@ def _run_fridge_protocol(config, seed, mode):
     return records, _STEP_TRACE
 
 
+# memory for one block of random state pairs in the bounds experiment: a
+# block of dim-4 states holds 256 samples, one of dim 46 and up holds one
+BOUNDS_BLOCK_BYTES = 2**17
+
+
+def _random_state_pairs(rng, k, dim):
+    """k random density-matrix pairs (a, b) and mixing weights, drawn sample
+    by sample: the re and im parts of a's Gaussian factor g, then of b's,
+    then the weight; each state is g g^dag over its trace."""
+    draws = np.empty((k, 4 * dim * dim))
+    weights = np.empty(k)
+    for j in range(k):
+        draws[j] = rng.normal(size=4 * dim * dim)
+        weights[j] = rng.random()
+    parts = draws.reshape(k, 2, 2, dim, dim)  # (sample, state, re/im, row, col)
+    g = np.empty((k, 2, dim, dim), dtype=complex)
+    g.real, g.imag = parts[:, :, 0], parts[:, :, 1]
+    del draws, parts  # freed before the products at large dim
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return rho[:, 0], rho[:, 1], weights
+
+
 def _run_bounds(config, seed, mode):
     p = config["p"]
     eps = config.get("eps", 0.5)
@@ -304,28 +327,24 @@ def _run_bounds(config, seed, mode):
     if dim > 2**MAX_QUBITS:
         raise ValueError(f"state dimension {dim} is above the cap of {2**MAX_QUBITS} ({MAX_QUBITS} qubits)")
     rng = np.random.default_rng(seed)
-
-    def random_state():
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = g @ g.conj().T
-        return rho / np.trace(rho).real
-
+    # a pair of complex dim x dim states is 32 dim^2 bytes
+    block = max(1, BOUNDS_BLOCK_BYTES // (32 * dim * dim))
     records = []
     worst_pinsker = worst_concavity = float("inf")
-    for i in range(samples):
-        a, b = random_state(), random_state()
-        pm = pinsker_margin(a, b)
-        cm = concavity_margin(a, b, rng.random(), mode=mode)
-        worst_pinsker = min(worst_pinsker, pm)
-        worst_concavity = min(worst_concavity, cm)
-        records.append(
-            TraceRecord(
-                step=i,
-                entropy_bits=0.0,
-                information_bits=0.0,
-                extra={"pinsker_margin": pm, "concavity_margin": cm},
+    for start in range(0, samples, block):
+        a, b, weights = _random_state_pairs(rng, min(block, samples - start), dim)
+        margins = zip(pinsker_margin(a, b).tolist(), concavity_margin(a, b, weights, mode=mode).tolist())
+        for i, (pm, cm) in enumerate(margins, start):
+            worst_pinsker = min(worst_pinsker, pm)
+            worst_concavity = min(worst_concavity, cm)
+            records.append(
+                TraceRecord(
+                    step=i,
+                    entropy_bits=0.0,
+                    information_bits=0.0,
+                    extra={"pinsker_margin": pm, "concavity_margin": cm},
+                )
             )
-        )
     params = dephasing_bound(p, eps, n, mode=mode)
     rows = [
         ("kind", "mode", "value"),

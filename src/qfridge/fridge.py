@@ -138,7 +138,9 @@ def _block_probabilities(q: float, r: int) -> np.ndarray:
 
 def top_mass(q: float, r: int) -> float:
     """Mass of the 2^(R-1) most likely basis states of the product
-    distribution, via binomial weight classes (no 2^R enumeration)."""
+    distribution, via binomial weight classes (no 2^R enumeration).  Class
+    sizes are exact integers; where one is too large for a float, its share
+    is taken in logs."""
     if r == 0:
         return 1.0
     if q == 0:
@@ -146,26 +148,31 @@ def top_mass(q: float, r: int) -> float:
     target = 2 ** (r - 1)
     taken = 0
     mass = 0.0
+    count = 1  # C(r, weight), updated exactly
     for weight in range(r + 1):
-        count = math.comb(r, weight)
+        if weight:
+            count = count * (r - weight + 1) // weight
+        take = min(count, target - taken)
         p_one = (1 - q) ** (r - weight) * q**weight
-        if taken + count <= target:
-            mass += count * p_one
-            taken += count
-            if taken == target:
-                break
-        else:
-            mass += (target - taken) * p_one
+        try:
+            mass += take * p_one
+        except OverflowError:
+            mass += math.exp(math.log(take) + (r - weight) * math.log1p(-q) + weight * math.log(q))
+        taken += take
+        if taken == target:
             break
     return min(mass, 1.0)
 
 
 def choose_R(q: float, eps2: float) -> int:
-    """Minimal block size with reset 1-norm residual 2(1 - top_mass) < eps2."""
+    """Minimal block size with reset 1-norm residual 2(1 - top_mass) < eps2.
+
+    A non-positive (or NaN) eps2 is an input error (ValueError), not an
+    infeasible request."""
     if not 0 <= q <= 0.5:
         raise CoolingError(f"bias q={q} outside [0, 1/2]")
-    if eps2 <= 0:
-        raise CoolingError("eps2 must be positive")
+    if not eps2 > 0:
+        raise ValueError(f"eps2 {eps2} must be positive")
     if q == 0.5:
         raise CoolingError("unreachable: fixed point is the center, no cooling possible")
     for r in range(1, MAX_R_SEARCH + 1):

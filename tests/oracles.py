@@ -3,18 +3,23 @@
 Dense unitaries for a compiled fridge, Haar-random unitaries, an EPR
 register, conditional entropy,
 Bloch read-out, two Kraus constructors, direct channel application and
-composition, and the stockpile run on its full register: the tests build
-inputs and check results with them, while the program works on index maps,
-natural reps, PTMs and the touched qubits only.
+composition, the stockpile run on its full register, and the entropy
+margins and bounds-experiment sample loop one state pair at a time: the
+tests build inputs and check results with them, while the program works on
+index maps, natural reps, PTMs, the touched qubits and stacks of state pairs
+only.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from qfridge.channels import PAULIS, ChannelError, KrausSet, SuperOp, dephasing_kraus, kraus_to_superop
+from qfridge.bounds import _CONCAVITY_K
 from qfridge.densim import (
     DATA,
+    EIG_CLAMP,
     PHI_PLUS,
     REFERENCE,
     ZERO,
@@ -144,3 +149,61 @@ def stockpile_dense(a_exp, b_exp, n, p, seed=0, ancillas_per_step=1) -> Stockpil
         stockpile_left=len(stockpile),
         in_regime=a_exp + b_exp < 1,
     )
+
+
+def pair_entropy_bits(rho: np.ndarray) -> float:
+    """Entropy in bits of one Hermitian matrix, eigenvalues at most
+    EIG_CLAMP dropped."""
+    eigs = np.linalg.eigvalsh(rho)
+    eigs = eigs[eigs > EIG_CLAMP]
+    return float(-np.sum(eigs * np.log2(eigs)))
+
+
+def pair_relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
+    """S(a||b) in bits of one pair; +inf when supp(a) escapes supp(b)."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    mu, va = np.linalg.eigh(a)
+    nu, vb = np.linalg.eigh(b)
+    mu = np.clip(mu, 0.0, None)
+    nu = np.clip(nu, 0.0, None)
+    kernel = vb[:, nu <= EIG_CLAMP]
+    if kernel.size and np.trace(kernel.conj().T @ a @ kernel).real > 1e-10:
+        return float("inf")
+    term_a = float(np.sum(mu[mu > EIG_CLAMP] * np.log2(mu[mu > EIG_CLAMP])))
+    overlap = np.abs(vb.conj().T @ va) ** 2
+    log_nu = np.where(nu > EIG_CLAMP, np.log2(np.where(nu > EIG_CLAMP, nu, 1.0)), 0.0)
+    term_b = float(np.einsum("j,ji,i->", log_nu, overlap, mu).real)
+    return max(term_a - term_b, 0.0)
+
+
+def pair_pinsker_margin(a: np.ndarray, b: np.ndarray) -> float:
+    rel = pair_relative_entropy(a, b)
+    if math.isinf(rel):
+        return float("inf")
+    return rel - float(np.linalg.norm(np.asarray(a) - np.asarray(b)) ** 2) / (2 * math.log(2))
+
+
+def pair_concavity_margin(a: np.ndarray, b: np.ndarray, p: float, mode: str) -> float:
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    mix = (1 - p) * a + p * b
+    gain = pair_entropy_bits(mix) - (1 - p) * pair_entropy_bits(a) - p * pair_entropy_bits(b)
+    return gain - _CONCAVITY_K[mode] * p * (1 - p) * float(np.linalg.norm(a - b) ** 2)
+
+
+def bounds_margins_loop(dim: int, samples: int, seed: int, mode: str) -> list:
+    """(pinsker, concavity) margins of the bounds experiment's samples, drawn
+    and scored one pair at a time from the same seed."""
+    rng = np.random.default_rng(seed)
+
+    def random_state():
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = g @ g.conj().T
+        return rho / np.trace(rho).real
+
+    margins = []
+    for _ in range(samples):
+        a, b = random_state(), random_state()
+        margins.append((pair_pinsker_margin(a, b), pair_concavity_margin(a, b, rng.random(), mode)))
+    return margins

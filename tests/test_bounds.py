@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfridge.bounds import (
     MODE_PAPER,
@@ -15,7 +17,26 @@ from qfridge.bounds import (
     pinsker_margin,
 )
 from qfridge.channels import dephasing_kraus, kraus_to_superop
-from qfridge.densim import DATA, QRegister, SimulationError, apply_single_qubit_superop
+from qfridge.densim import (
+    DATA,
+    REFERENCE,
+    QRegister,
+    SimulationError,
+    apply_single_qubit_superop,
+    entropy_bits,
+    evolve,
+    relative_entropy,
+    von_neumann_entropy,
+)
+
+from oracles import (
+    epr_register,
+    pair_concavity_margin,
+    pair_entropy_bits,
+    pair_pinsker_margin,
+    pair_relative_entropy,
+    random_unitary,
+)
 
 LN2 = math.log(2)
 ZERO = np.diag([1.0, 0.0]).astype(complex)
@@ -58,6 +79,78 @@ def test_paper_concavity_counterexample_pinned():
 def test_concavity_rejects_bad_weight():
     with pytest.raises(ValueError):
         concavity_margin(ZERO, ONE, 1.5)
+    # every weight of a stack is checked, NaN included
+    pair = np.stack([ZERO, ONE])
+    for weights in ([0.5, 1.5], [-0.1, 0.5], [0.5, float("nan")]):
+        with pytest.raises(ValueError):
+            concavity_margin(pair, pair[::-1], weights)
+
+
+KINDS = ("generic", "pure", "deficient", "escape", "pure_pair")
+
+
+def _pair(rng, dim, kind):
+    """(a, b) of one kind: full-rank states; a pure; b rank-deficient with a
+    inside its support; b rank-deficient with full-rank a (a's support
+    escapes b's); two pure states.  At dim 1 every kind is ([[1]], [[1]]),
+    up to rounding."""
+    u = random_unitary(rng, dim)
+
+    def state(rank):
+        g = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
+        x = g @ g.conj().T
+        basis = u[:, :rank]
+        rho = basis @ (x / np.trace(x).real) @ basis.conj().T
+        return (rho + rho.conj().T) / 2
+
+    r = int(rng.integers(1, dim)) if dim > 1 else 1
+    if kind == "pure":
+        return state(1), random_density(rng, dim)
+    if kind == "deficient":
+        return state(int(rng.integers(1, r + 1))), state(r)
+    if kind == "escape":
+        return random_density(rng, dim), state(r)
+    if kind == "pure_pair":
+        return state(1), (state(1) if rng.random() < 0.5 else random_density(rng, dim))
+    return random_density(rng, dim), random_density(rng, dim)
+
+
+def _close(got, want):
+    return got == want if np.isinf(want) else abs(got - want) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+)
+def test_stacked_margins_match_the_pair_loop(seed, dim, kinds):
+    """One stacked call gives each pair's margins, as one call per pair of
+    the pair-at-a-time oracle does, within 1e-12; support-escape rows are
+    +inf next to finite rows."""
+    rng = np.random.default_rng(seed)
+    pairs = [_pair(rng, dim, kind) for kind in kinds]
+    weights = [float(rng.choice([0.0, 1.0, rng.random()])) for _ in kinds]
+    a = np.array([x for x, _ in pairs])
+    b = np.array([y for _, y in pairs])
+    rel = relative_entropy(a, b)
+    pinsker = pinsker_margin(a, b)
+    entropies = entropy_bits(a)
+    margins = {mode: concavity_margin(a, b, weights, mode=mode) for mode in (MODE_SAFE, MODE_PAPER)}
+    for i, ((x, y), p) in enumerate(zip(pairs, weights)):
+        assert _close(rel[i], pair_relative_entropy(x, y))
+        assert _close(pinsker[i], pair_pinsker_margin(x, y))
+        assert _close(entropies[i], pair_entropy_bits(x))
+        for mode, margin in margins.items():
+            assert _close(margin[i], pair_concavity_margin(x, y, p, mode))
+        # one 2-D pair is one float from the same code
+        assert type(pinsker_margin(x, y)) is float
+        assert pinsker_margin(x, y) == pinsker[i]
+        assert type(concavity_margin(x, y, p)) is float
+        assert concavity_margin(x, y, p) == margins[MODE_SAFE][i]
+    if dim > 1 and "escape" in kinds:
+        assert np.isinf(rel[kinds.index("escape")])
 
 
 def test_dephasing_bound_paper_formula():
@@ -127,3 +220,17 @@ def test_entropy_ledger_violation_detected():
     before = QRegister(plus, [DATA])
     with pytest.raises(SimulationError):
         entropy_ledger_step(before, before, channel)  # claims zero increase
+
+
+def test_entropy_ledger_gaps_match_one_entropy_call_per_qubit():
+    rng = np.random.default_rng(54)
+    channel = kraus_to_superop(dephasing_kraus(0.2))
+    nat = channel.natural()
+    registers = [epr_register(extra_system=1), QRegister(random_density(rng, 8), [REFERENCE, DATA, DATA]),
+                 QRegister(random_density(rng, 8), [DATA] * 3)]
+    for before in registers:
+        after = QRegister(evolve(before.rho, [], 3, nat, before.system_qubits), before.roles)
+        ledger = entropy_ledger_step(before, after, channel)
+        s_before = von_neumann_entropy(before)
+        want = [entropy_bits(evolve(before.rho, [], 3, nat, [q])) - s_before for q in before.system_qubits]
+        assert ledger.gaps == tuple(want)

@@ -18,6 +18,8 @@ from qfridge.channels import (
 from qfridge.cli import main
 from qfridge.densim import SimulationError
 
+from oracles import bounds_margins_loop
+
 
 @pytest.fixture
 def runner():
@@ -106,6 +108,14 @@ def test_fridge_center_exit_4(runner):
     result = runner.invoke(main, ["fridge", "--q", "0.5", "--eps2", "0.1"])
     assert result.exit_code == 4
     assert "no cooling possible" in result.output
+
+
+@pytest.mark.parametrize("eps2", ["0", "-1", "nan"])
+def test_fridge_nonpositive_eps2_exit_2(runner, eps2):
+    # an input error, as the same value is in an experiment config
+    result = runner.invoke(main, ["fridge", "--q", "0.1", "--eps2", eps2])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip().splitlines() == [f"error: eps2 {float(eps2)} must be positive"]
 
 
 def test_fridge_missing_args_exit_2(runner):
@@ -229,6 +239,37 @@ def test_experiment_bounds_paper_counterexample(runner, tmp_path):
     assert float(row[0].split(",")[2]) < 0
 
 
+@pytest.mark.parametrize(
+    "dim, samples, budget, mode",
+    [(3, 17, 5 * 32 * 9, "safe"), (3, 17, 5 * 32 * 9, "paper"), (46, 3, None, "safe")],
+    ids=["dim3-safe", "dim3-paper", "dim46-default-budget"],
+)
+def test_experiment_bounds_blocks_match_the_pair_loop(runner, tmp_path, monkeypatch, dim, samples, budget, mode):
+    """Samples spanning at least three blocks, the last one partial when the
+    block holds more than one, give the pair-at-a-time loop's margins at
+    the same seed within 1e-12, and the same bytes as one run with every
+    sample in one block."""
+    if budget is not None:
+        monkeypatch.setattr(cli, "BOUNDS_BLOCK_BYTES", budget)
+    assert samples > 2 * (cli.BOUNDS_BLOCK_BYTES // (32 * dim * dim))  # a pair is 32 dim^2 bytes
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"p": 0.1, "n": 4, "dim": dim, "samples": samples}))
+    args = ["experiment", "bounds", "--config", str(cfg), "--seed", "11", "--mode", mode]
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "blocks")])
+    assert result.exit_code == 0, result.output
+    docs = [json.loads(line) for line in (tmp_path / "blocks" / "trace.jsonl").read_text().splitlines()]
+    want = bounds_margins_loop(dim, samples, 11, mode)
+    assert [doc["step"] for doc in docs] == list(range(samples))
+    for doc, (pinsker, concavity) in zip(docs, want):
+        assert abs(float(doc["pinsker_margin"]) - pinsker) <= 1e-12
+        assert abs(float(doc["concavity_margin"]) - concavity) <= 1e-12
+    monkeypatch.setattr(cli, "BOUNDS_BLOCK_BYTES", samples * 32 * dim * dim)
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "one")])
+    assert result.exit_code == 0, result.output
+    for name in ("trace.jsonl", "summary.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "blocks" / name).read_bytes()
+
+
 def test_experiment_determinism(runner, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"p": 0.1, "n": 2, "steps": 3, "policy": "random_circuit"}))
@@ -346,9 +387,9 @@ def test_fridge_noisy_r12_allocates_no_dense_state(runner, tmp_path, monkeypatch
 
 
 def test_cooling_error_exits_4_from_every_command(runner, tmp_path, monkeypatch):
-    result = runner.invoke(main, ["fridge", "--q", "0.1", "--eps2", "0"])
+    result = runner.invoke(main, ["fridge", "--q", "0.5", "--eps2", "0.1"])
     assert result.exit_code == 4
-    assert "eps2 must be positive" in result.output
+    assert "unreachable" in result.output
     # the fixed point's bias 0.3 needs R = 39 for eps2 = 0.01; a search capped at 2 gives up
     monkeypatch.setattr(fridge, "MAX_R_SEARCH", 2)
     cfg = tmp_path / "c.json"

@@ -56,6 +56,32 @@ def test_top_mass_large_r_no_enumeration():
     assert 0.99 < top_mass(0.3, 500) <= 1.0
 
 
+def exact_top_mass(q, r):
+    """top_mass in exact integer arithmetic on the float q's exact value
+    num/den: the sum of take * (den - num)^(r - w) num^w over den^r, rounded
+    once by the integer true division."""
+    num, den = q.as_integer_ratio()
+    target, taken, total = 2 ** (r - 1), 0, 0
+    term = (den - num) ** r  # (den - num)^(r - w) num^w at weight w
+    for weight in range(r + 1):
+        take = min(math.comb(r, weight), target - taken)
+        total += take * term
+        taken += take
+        if taken == target:
+            return total / den**r
+        term = term // (den - num) * num
+
+
+def test_top_mass_past_float_class_sizes():
+    # from R ~ 1030 a binomial class holds more than 1.8e308 states, so its
+    # size times its probability no longer fits a float product
+    assert math.comb(1100, 550) > 2**1024
+    got = top_mass(0.49, 1100)
+    want = exact_top_mass(0.49, 1100)
+    assert abs(got - want) <= 1e-12
+    assert 0.5 < got < 1
+
+
 def test_choose_r_examples():
     assert choose_R(0.1, 0.06) == 3
     assert choose_R(0.0, 0.1) == 1
