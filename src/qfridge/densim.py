@@ -9,13 +9,20 @@ layers, so a constant layer list compiles exactly into one unitary
 
 A noise pass whose natural rep is exactly a real diagonal matrix (dephasing
 along z; diag(1, 0, 0, 1) is its p = 1/2 limit) multiplies each qubit's
-(ket, bra) entries of one copy of rho in place.  Every other channel goes
-through the general tensor kernel, `apply_single_qubit_superop`, one qubit at
-a time.  Both give the same bytes on a real diagonal rep; a complex factor
-(a z-rotation in the channel) keeps the kernel, because numpy's complex
-product and BLAS's round differently.  `dephase_all` and the entropy
-ledger's single-qubit passes (`bounds.entropy_ledger_step`) run through the
-same pass.
+(ket, bra) entries of one copy of rho in place, with the same bytes as the
+general tensor kernel, `apply_single_qubit_superop`.  `dephase_all` and the
+entropy ledger's single-qubit passes (`bounds.entropy_ledger_step`) run
+through the same pass.  Every other channel is folded into the gates of
+the call's last layer; a complex diagonal rep (a z-rotation in the channel)
+is too, because numpy's complex product and BLAS's round differently.  Each
+gate becomes its natural rep kron(u, conj(u)) with the channel contracted
+into the outputs of its noisy targets, and reaches rho in one contraction
+on its targets' ket and bra axes together, instead of one contraction per
+side and two copies of rho per noisy qubit.  This is exact: a layer's gates
+act on disjoint qubits, and one-qubit channels on different qubits commute.
+Noisy qubits that no last-layer gate touches (all of them after an empty
+layer or a compiled unitary) go through the tensor kernel, one qubit at a
+time.
 
 Registers are capped at 12 qubits (dense 4096x4096 complex matrices).  The
 cap bounds what is simulated, not the system a run describes: the stockpile
@@ -276,14 +283,26 @@ def compile_layers(layers: Iterable[GateLayer], n: int) -> np.ndarray:
     return tensor.reshape(2**n, 2**n)
 
 
-def evolve(rho: np.ndarray, layers: Iterable[GateLayer] | np.ndarray, n: int,
+def evolve(rho: np.ndarray, layers: Sequence[GateLayer] | np.ndarray, n: int,
            nat: np.ndarray | None = None, noisy: Iterable[int] | None = None) -> np.ndarray:
     """Apply gates to a raw 2^n x 2^n matrix: layers gate by gate, or their
     `compile_layers` unitary U as one U rho U^dag.  Then, with a channel's
     natural rep `nat` given, one noise pass on the `noisy` qubits (default:
     all), in the listed order.  A rep that equals a real diagonal matrix
-    exactly scales a copy of rho in place, qubit by qubit; any other goes
-    through `apply_single_qubit_superop`.  No validation of the result."""
+    exactly scales a copy of rho in place, qubit by qubit.  Any other is
+    folded into the gates of a last layer that has any
+    (`_fused_last_layer`); without one, it goes through
+    `apply_single_qubit_superop`.  No validation of the result."""
+    if nat is not None:
+        factors = nat.diagonal()
+        # exactly a real diagonal matrix: no nonzero entry off the diagonal and
+        # no imaginary part on it (counted, as the protocol's 1-qubit passes
+        # are cheap)
+        general = np.count_nonzero(nat) != np.count_nonzero(factors) or factors.imag.any()
+        if general and not isinstance(layers, np.ndarray) and layers and layers[-1].gates:
+            *layers, last = layers
+            qubits = range(n) if noisy is None else noisy
+            return _fused_last_layer(evolve(rho, layers, n), tuple(_gates([last], n)), nat, qubits, n)
     if isinstance(layers, np.ndarray):
         if layers.shape != (2**n, 2**n):
             raise SimulationError(f"compiled unitary of shape {layers.shape} does not fit {n} qubits")
@@ -294,10 +313,7 @@ def evolve(rho: np.ndarray, layers: Iterable[GateLayer] | np.ndarray, n: int,
     if nat is None:
         return rho
     qubits = range(n) if noisy is None else noisy
-    factors = nat.diagonal()
-    # exactly a real diagonal matrix: no nonzero entry off the diagonal and no
-    # imaginary part on it (counted, as the protocol's 1-qubit passes are cheap)
-    if np.count_nonzero(nat) != np.count_nonzero(factors) or factors.imag.any():
+    if general:
         for q in qubits:
             rho = apply_single_qubit_superop(rho, nat, q, n)
         return rho
@@ -308,6 +324,29 @@ def evolve(rho: np.ndarray, layers: Iterable[GateLayer] | np.ndarray, n: int,
         shape = [1] * (2 * n)
         shape[q] = shape[n + q] = 2
         tensor *= factors.reshape(shape)
+    return tensor.reshape(2**n, 2**n)
+
+
+def _fused_last_layer(rho: np.ndarray, gates: tuple, nat: np.ndarray,
+                      qubits: Iterable[int], n: int) -> np.ndarray:
+    """The (gate, targets) of one layer, then the noise pass on `qubits`.
+    Each gate's natural rep is a 4k-axis tensor (ket outputs, bra outputs,
+    ket inputs, bra inputs); a noisy target's channel is contracted into its
+    (ket, bra) output axes.  Noisy qubits that no gate touches take
+    `apply_single_qubit_superop` first, which commutes with the gates."""
+    owner = {q: (i, j) for i, (_, targets) in enumerate(gates) for j, q in enumerate(targets)}
+    reps = [np.kron(u, u.conj()).reshape((2,) * (4 * len(targets))) for u, targets in gates]
+    nat_t = nat.reshape(2, 2, 2, 2)
+    for q in qubits:
+        if q in owner:
+            i, j = owner[q]
+            k = len(gates[i][1])
+            reps[i] = _contract(nat_t, reps[i], [j, k + j])
+        else:
+            rho = apply_single_qubit_superop(rho, nat, q, n)
+    tensor = rho.reshape((2,) * (2 * n))
+    for rep, (_, targets) in zip(reps, gates):
+        tensor = _contract(rep, tensor, list(targets) + [n + q for q in targets])
     return tensor.reshape(2**n, 2**n)
 
 

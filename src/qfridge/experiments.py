@@ -229,16 +229,14 @@ def run_stockpile(
     """Random reversible computation on ~n^a qubits fed from a stockpile.
 
     m = ceil(n^a) working qubits run random two-qubit gates under dephasing
-    noise; the remaining qubits sit in |0> (which dephasing fixes, checked
-    each step) and are consumed as fresh ancillas, each draw retiring the
-    oldest working qubit.  The run halts at the step budget ceil(n^b) or when
-    the stockpile empties, whichever is first.  Records describe the whole
-    n-qubit register.
+    noise; the remaining qubits sit in |0> (which z-dephasing fixes) and are
+    consumed as fresh ancillas, each draw retiring the oldest working qubit.
+    The run halts at the step budget ceil(n^b) or when the stockpile empties,
+    whichever is first.  Records describe the whole n-qubit register.
 
     Only the working and retired qubits are simulated.  They are the prefix
     0..k-1 and a draw takes index k, so no gate ever touches a waiting
-    stockpile qubit: each stays in product with the rest, in one shared
-    single-qubit state that takes the same noise pass every step and is
+    stockpile qubit: each stays in product with the rest, in |0>, and is
     appended by a Kronecker product when drawn.  The size cap applies to the
     m + min(budget, (n - m) // a) * a qubits simulated, checked before
     anything is allocated.
@@ -266,7 +264,6 @@ def run_stockpile(
 
     nat = channel.natural()
     reg = QRegister.from_product([ZERO] * m)
-    idle = ZERO  # the state of every waiting stockpile qubit
     left = n - m  # waiting qubits; the next one drawn is qubit n - left
     records = []
     achieved = 0
@@ -276,14 +273,11 @@ def run_stockpile(
             if left < ancillas_per_step:
                 break
             for _ in range(ancillas_per_step):
-                rho = np.kron(rho, idle)
+                rho = np.kron(rho, ZERO)
             left -= ancillas_per_step
         k = n - left  # the working qubits are the last m of 0..k-1
         layer = _random_pair_layer(range(k - m, k), rng)
         reg = QRegister(evolve(rho, [layer], k, nat), [DATA] * k)
-        idle = evolve(idle, [], 1, nat)
-        if left and np.linalg.norm(idle - ZERO) > 1e-12:
-            raise SimulationError(f"stockpile qubit {k} disturbed by dephasing")
         achieved = t
         entropy = von_neumann_entropy(reg)
         records.append(

@@ -224,6 +224,21 @@ def test_experiment_epr_zero_noise(runner, tmp_path):
     assert manifest["seed"] == 0
 
 
+def test_experiment_stockpile_long_run_exit_0(runner, tmp_path):
+    """15,849 steps on 4 working qubits at p = 0.05, where the natural rep's
+    rounded [0, 0] entry (0.9999999999999999) would move a noised |0> by
+    ~1e-16 a step: every waiting qubit is still |0>, and the run exits 0."""
+    config = {"a": 0.1, "b": 0.7, "n": 1000000, "p": 0.05, "ancillas_per_step": 0}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", "stockpile", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = (out / "trace.jsonl").read_text().strip().split("\n")
+    assert len(lines) == 15849
+    assert json.loads(lines[-1])["stockpile_left"] == 1000000 - 4
+
+
 def test_experiment_bounds_paper_counterexample(runner, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"p": 0.5, "n": 2, "samples": 20}))

@@ -12,9 +12,11 @@ from qfridge.channels import (
     ChannelError,
     KrausSet,
     SuperOp,
+    amplitude_damping_kraus,
     dephasing_kraus,
     depolarizing_kraus,
     kraus_to_superop,
+    thermal_kraus,
 )
 from qfridge.densim import (
     DATA,
@@ -37,6 +39,8 @@ from qfridge.densim import (
     step,
     von_neumann_entropy,
 )
+
+from qfridge.experiments import _random_pair_layer
 
 from oracles import conditional_entropy, epr_register, random_unitary
 
@@ -277,6 +281,17 @@ def test_apply_unitary_agrees_with_dense_kron():
     assert np.allclose(got, big @ rho @ big.conj().T, atol=1e-12)
 
 
+def random_layer(rng, qubits):
+    """Haar gates of 1-3 qubits covering `qubits`, taken in the listed order."""
+    qubits = [int(q) for q in qubits]
+    gates = []
+    while qubits:
+        arity = int(rng.integers(1, min(3, len(qubits)) + 1))
+        gates.append((random_unitary(rng, 2**arity), tuple(qubits[:arity])))
+        qubits = qubits[arity:]
+    return GateLayer(gates)
+
+
 def apply_unitary_two_loops(rho, u, targets, n):
     """The hand-built permutation loops apply_unitary once used, kept as an
     oracle."""
@@ -314,7 +329,8 @@ def apply_unitary_two_loops(rho, u, targets, n):
 def test_gate_kernel_matches_two_loop_oracle(n, k, seed):
     """apply_unitary is bit-identical to the two-loop kernel for 1-3 distinct
     targets in random order, and evolve equals applying its layers' gates one
-    by one, then the noise on the listed qubits."""
+    by one (bit for bit without noise; within 1e-12 with the noise on the
+    listed qubits after them)."""
     k = min(k, n)
     rng = np.random.default_rng(seed)
     rho = random_state(rng, n)
@@ -322,15 +338,7 @@ def test_gate_kernel_matches_two_loop_oracle(n, k, seed):
     targets = [int(q) for q in rng.permutation(n)[:k]]
     assert np.array_equal(apply_unitary(rho, u, targets, n), apply_unitary_two_loops(rho, u, targets, n))
 
-    layers = []
-    for _ in range(3):
-        qubits = [int(q) for q in rng.permutation(n)]
-        gates = []
-        while qubits:
-            arity = int(rng.integers(1, min(3, len(qubits)) + 1))
-            gates.append((random_unitary(rng, 2**arity), tuple(qubits[:arity])))
-            qubits = qubits[arity:]
-        layers.append(GateLayer(gates))
+    layers = [random_layer(rng, rng.permutation(n)) for _ in range(3)]
     nat = kraus_to_superop(depolarizing_kraus(0.2)).natural()
     noisy = [int(q) for q in rng.permutation(n)[: rng.integers(0, n + 1)]]
     want = rho
@@ -340,7 +348,8 @@ def test_gate_kernel_matches_two_loop_oracle(n, k, seed):
     assert np.array_equal(evolve(rho, layers, n), want)
     for q in noisy:
         want = apply_single_qubit_superop(want, nat, q, n)
-    assert np.array_equal(evolve(rho, layers, n, nat, noisy), want)
+    # the noise pass folds into the last layer's gates, which reorders floats
+    assert np.max(np.abs(evolve(rho, layers, n, nat, noisy) - want)) <= 1e-12
 
 
 @settings(max_examples=60)
@@ -351,15 +360,7 @@ def test_compiled_layers_match_the_gate_path(n, seed, with_noise):
     without a noise pass on random qubits."""
     rng = np.random.default_rng(seed)
     rho = random_state(rng, n)
-    layers = []
-    for _ in range(3):
-        qubits = [int(q) for q in rng.permutation(n)]
-        gates = []
-        while qubits:
-            arity = int(rng.integers(1, min(3, len(qubits)) + 1))
-            gates.append((random_unitary(rng, 2**arity), tuple(qubits[:arity])))
-            qubits = qubits[arity:]
-        layers.append(GateLayer(gates))
+    layers = [random_layer(rng, rng.permutation(n)) for _ in range(3)]
     layers.append(GateLayer([(NAMED_GATES["H"], (q,)) for q in range(n)]))
     nat = kraus_to_superop(depolarizing_kraus(0.2)).natural() if with_noise else None
     noisy = [int(q) for q in rng.permutation(n)[: rng.integers(0, n + 1)]]
@@ -430,6 +431,13 @@ def test_diagonal_noise_pass_matches_the_tensor_kernel(n, seed, p, theta, subset
     assert kernel.call_count == (0 if real else len(noisy))
 
 
+def haar_mixed(kraus, rng):
+    """The same channel in another Kraus form: the operators mixed by a Haar
+    unitary, which leaves rounding residue in its natural rep."""
+    v = random_unitary(rng, len(kraus.ops))
+    return KrausSet([sum(v[i, j] * op for j, op in enumerate(kraus.ops)) for i in range(len(kraus.ops))])
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_mixed_kraus_dephasing_takes_the_tensor_path(seed):
     """Dephasing written in a Haar-mixed Kraus form carries ~1e-17 of
@@ -437,10 +445,7 @@ def test_mixed_kraus_dephasing_takes_the_tensor_path(seed):
     or imaginary parts on the diagonal), so its noise pass runs the tensor
     kernel."""
     rng = np.random.default_rng(seed)
-    ops = dephasing_kraus(0.1).ops
-    v = random_unitary(rng, len(ops))
-    mixed = [sum(v[i, j] * op for j, op in enumerate(ops)) for i in range(len(ops))]
-    nat = kraus_to_superop(KrausSet(mixed)).natural()
+    nat = kraus_to_superop(haar_mixed(dephasing_kraus(0.1), rng)).natural()
     residue = np.abs(nat - np.diag(nat.diagonal().real))
     assert 0 < np.max(residue) < 1e-15
     n = 3
@@ -450,6 +455,70 @@ def test_mixed_kraus_dephasing_takes_the_tensor_path(seed):
     assert kernel.call_count == n
     exact = kraus_to_superop(dephasing_kraus(0.1)).natural()
     assert np.max(np.abs(got - evolve(rho, [], n, exact))) <= 1e-15
+
+
+def count_unitary_calls():
+    return mock.patch("qfridge.densim.apply_unitary", wraps=apply_unitary)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    depth=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    channel=st.sampled_from(["depolarizing", "amplitude_damping", "thermal_mixed", "z_rotated"]),
+)
+def test_noise_folded_into_the_last_layer_matches_the_unfused_loop(n, depth, seed, channel):
+    """evolve with a rep that is not exactly real-diagonal equals applying
+    every gate with apply_unitary, then apply_single_qubit_superop on each
+    listed qubit in order, within 1e-12.  Layers cover random subsets of the
+    qubits, so some noisy qubits sit outside the last layer's gates and some
+    gate targets are noiseless."""
+    rng = np.random.default_rng(seed)
+    rho = random_state(rng, n)
+    layers = [random_layer(rng, rng.permutation(n)[: rng.integers(0, n + 1)]) for _ in range(depth)]
+    if channel == "z_rotated":
+        c = 0.7 * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        nat = np.diag([1, c, np.conj(c), 1]).astype(complex)
+    else:
+        kraus = {
+            "depolarizing": depolarizing_kraus(0.2),
+            "amplitude_damping": amplitude_damping_kraus(0.3),
+            "thermal_mixed": haar_mixed(thermal_kraus(0.2, 0.1), rng),
+        }[channel]
+        nat = kraus_to_superop(kraus).natural()
+    noisy = [int(q) for q in rng.permutation(n)[: rng.integers(0, n + 1)]]
+    want = rho
+    for layer in layers:
+        for gate, targets in layer.gates:
+            want = apply_unitary(want, gate, targets, n)
+    want = superop_loop(want, nat, noisy, n)
+    assert np.max(np.abs(evolve(rho, layers, n, nat, noisy) - want)) <= 1e-12
+
+
+def test_a_noisy_random_layer_runs_in_fused_contractions():
+    """A 4-pair random layer on 8 data qubits and a reference qubit folds
+    its depolarizing noise into the gates: no per-gate or per-qubit kernel
+    call.  An idle layer has no gate to fold into, so it makes one kernel
+    call per data qubit, and a dephasing step makes none."""
+    reg = epr_register(extra_system=7)
+    layer = _random_pair_layer(reg.system_qubits, np.random.default_rng(5))
+    assert len(layer.gates) == 4
+    depolarizing = kraus_to_superop(depolarizing_kraus(0.1))
+    with count_unitary_calls() as unitary, count_superop_calls() as kernel:
+        got = step(reg, layer, depolarizing)
+    assert (unitary.call_count, kernel.call_count) == (0, 0)
+    want = reg.rho
+    for gate, targets in layer.gates:
+        want = apply_unitary(want, gate, targets, 9)
+    want = superop_loop(want, depolarizing.natural(), reg.system_qubits, 9)
+    assert np.max(np.abs(got.rho - want)) <= 1e-12
+    with count_unitary_calls() as unitary, count_superop_calls() as kernel:
+        step(reg, GateLayer([]), depolarizing)
+    assert (unitary.call_count, kernel.call_count) == (0, 8)
+    with count_unitary_calls() as unitary, count_superop_calls() as kernel:
+        step(reg, layer, kraus_to_superop(dephasing_kraus(0.1)))
+    assert (unitary.call_count, kernel.call_count) == (4, 0)
 
 
 def dephase_all_mask(reg):

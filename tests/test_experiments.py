@@ -95,7 +95,7 @@ class TestStockpile:
         assert not result.in_regime
 
     def test_stockpile_untouched_by_dephasing(self):
-        # the run itself asserts every stockpile marginal stays exactly |0>
+        # every waiting stockpile qubit is drawn in exactly |0>
         result = run_stockpile(0.3, 0.6, 7, 0.3, seed=9)
         assert result.records[-1].extra["stockpile_left"] == result.stockpile_left
 
