@@ -3,26 +3,23 @@
 Circuits follow a strict alternation: a layer of perfect gates, then one
 application of a single-qubit noise channel to every non-reference qubit.
 Reference qubits are exempt from noise; they model a perfect bystander system
-used to witness entanglement.  No noise falls between one `evolve` call's
-layers, so a constant layer list compiles exactly into one unitary
-(`compile_layers`), applied as one dense U rho U^dag.
+used to witness entanglement.
 
-A noise pass whose natural rep is exactly a real diagonal matrix (dephasing
-along z; diag(1, 0, 0, 1) is its p = 1/2 limit) multiplies each qubit's
-(ket, bra) entries of one copy of rho in place, with the same bytes as the
-general tensor kernel, `apply_single_qubit_superop`.  `dephase_all` and the
-entropy ledger's single-qubit passes (`bounds.entropy_ledger_step`) run
-through the same pass.  Every other channel is folded into the gates of
-the call's last layer; a complex diagonal rep (a z-rotation in the channel)
-is too, because numpy's complex product and BLAS's round differently.  Each
-gate becomes its natural rep kron(u, conj(u)) with the channel contracted
-into the outputs of its noisy targets, and reaches rho in one contraction
-on its targets' ket and bra axes together, instead of one contraction per
-side and two copies of rho per noisy qubit.  This is exact: a layer's gates
-act on disjoint qubits, and one-qubit channels on different qubits commute.
-Noisy qubits that no last-layer gate touches (all of them after an empty
-layer or a compiled unitary) go through the tensor kernel, one qubit at a
-time.
+`evolve` is the one layer executor, and `apply_channel` its one kernel: a
+k-qubit natural rep contracted into its targets' ket and bra axes of rho.
+Every gate u reaches rho as its natural rep kron(u, conj(u)).  A noisy
+qubit that a gate of the last layer touches has the channel contracted into
+that gate's rep, whatever the channel; any other noisy qubit takes the
+channel alone, through the same kernel with the 4x4 rep.  This is exact: a
+layer's gates act on disjoint qubits, and one-qubit channels on different
+qubits commute.  Two routes keep small calls cheap.  A channel alone whose
+natural rep is exactly a real diagonal matrix (dephasing along z;
+diag(1, 0, 0, 1) is its p = 1/2 limit) scales a copy of rho in place, with
+the kernel's bytes; `dephase_all` and `bounds.entropy_ledger_step` take it.
+And no noise falls between one call's layers, so a constant layer list
+compiles exactly into one unitary (`compile_layers`), applied as one dense
+U rho U^dag.  `apply_unitary` and `apply_single_qubit_superop` are
+reference kernels for the tests; `evolve` calls neither.
 
 Registers are capped at 12 qubits (dense 4096x4096 complex matrices).  The
 cap bounds what is simulated, not the system a run describes: the stockpile
@@ -45,12 +42,12 @@ Registers never change, so each one memoises its von Neumann entropies per
 qubit subset.
 
 Positivity checks and entropies run on the state's exact support: the
-indices whose row or column holds a nonzero entry (qubits waiting in |0>
-leave many exactly-zero rows and columns).  This is exact, not an
-approximation: such a matrix is permutation-similar to block-diag(A, 0), so
-A + PSD_ATOL*I factors exactly when the whole shifted matrix does, the
-smallest eigenvalue reported is the same, and the dropped eigenvalues are
-zeros, which carry no entropy.
+indices whose row or column holds a nonzero entry (a qubit in |0> that no
+gate has touched, or a |Phi+> pair, leaves many exactly-zero rows and
+columns).  This is exact, not an approximation: such a matrix is
+permutation-similar to block-diag(A, 0), so A + PSD_ATOL*I factors exactly
+when the whole shifted matrix does, the smallest eigenvalue reported is the
+same, and the dropped eigenvalues are zeros, which carry no entropy.
 """
 
 from __future__ import annotations
@@ -229,7 +226,8 @@ def _contract(u_t: np.ndarray, tensor: np.ndarray, axes: list) -> np.ndarray:
 
 
 def apply_unitary(rho: np.ndarray, u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
-    """rho -> U rho U^dag with U acting on the given qubits."""
+    """rho -> U rho U^dag with U acting on the given qubits, one contraction
+    per side (a reference kernel for the tests)."""
     u_t = u.reshape((2,) * (2 * len(targets)))
     tensor = _contract(u_t, rho.reshape((2,) * (2 * n)), list(targets))
     tensor = _contract(np.conj(u_t), tensor, [n + q for q in targets])
@@ -237,7 +235,8 @@ def apply_unitary(rho: np.ndarray, u: np.ndarray, targets: Sequence[int], n: int
 
 
 def apply_single_qubit_superop(rho: np.ndarray, nat: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply a channel (natural 4x4 rep, row-major vec) to one qubit."""
+    """Apply a channel (natural 4x4 rep, row-major vec) to one qubit as one
+    matrix product (a reference kernel for the tests)."""
     tensor = rho.reshape((2,) * (2 * n))
     tensor = np.moveaxis(tensor, (qubit, n + qubit), (0, 1))
     shape = tensor.shape
@@ -283,70 +282,57 @@ def compile_layers(layers: Iterable[GateLayer], n: int) -> np.ndarray:
     return tensor.reshape(2**n, 2**n)
 
 
+def apply_channel(tensor: np.ndarray, rep: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
+    """Contract a k-qubit natural rep, as a (2,)*4k tensor (ket outputs, bra
+    outputs, ket inputs, bra inputs), into the targets' ket and bra axes of
+    rho as a (2,)*2n tensor: `evolve`'s one kernel."""
+    return _contract(rep, tensor, [*targets, *(n + q for q in targets)])
+
+
 def evolve(rho: np.ndarray, layers: Sequence[GateLayer] | np.ndarray, n: int,
            nat: np.ndarray | None = None, noisy: Iterable[int] | None = None) -> np.ndarray:
     """Apply gates to a raw 2^n x 2^n matrix: layers gate by gate, or their
     `compile_layers` unitary U as one U rho U^dag.  Then, with a channel's
     natural rep `nat` given, one noise pass on the `noisy` qubits (default:
-    all), in the listed order.  A rep that equals a real diagonal matrix
-    exactly scales a copy of rho in place, qubit by qubit.  Any other is
-    folded into the gates of a last layer that has any
-    (`_fused_last_layer`); without one, it goes through
-    `apply_single_qubit_superop`.  No validation of the result."""
-    if nat is not None:
-        factors = nat.diagonal()
-        # exactly a real diagonal matrix: no nonzero entry off the diagonal and
-        # no imaginary part on it (counted, as the protocol's 1-qubit passes
-        # are cheap)
-        general = np.count_nonzero(nat) != np.count_nonzero(factors) or factors.imag.any()
-        if general and not isinstance(layers, np.ndarray) and layers and layers[-1].gates:
-            *layers, last = layers
-            qubits = range(n) if noisy is None else noisy
-            return _fused_last_layer(evolve(rho, layers, n), tuple(_gates([last], n)), nat, qubits, n)
+    all), folded into the last layer's gates (see the module docstring).
+    No validation of the result."""
     if isinstance(layers, np.ndarray):
         if layers.shape != (2**n, 2**n):
             raise SimulationError(f"compiled unitary of shape {layers.shape} does not fit {n} qubits")
         rho = layers @ rho @ layers.conj().T
-    else:
-        for u, targets in _gates(layers, n):
-            rho = apply_unitary(rho, u, targets, n)
-    if nat is None:
+        layers = ()
+    if nat is None and not layers:
         return rho
-    qubits = range(n) if noisy is None else noisy
-    if general:
-        for q in qubits:
-            rho = apply_single_qubit_superop(rho, nat, q, n)
-        return rho
-    factors = factors.real
-    # nat @ flat adds only exact zeros to these products: the same bytes
-    tensor = rho.reshape((2,) * (2 * n)).copy()
-    for q in qubits:
-        shape = [1] * (2 * n)
-        shape[q] = shape[n + q] = 2
-        tensor *= factors.reshape(shape)
-    return tensor.reshape(2**n, 2**n)
-
-
-def _fused_last_layer(rho: np.ndarray, gates: tuple, nat: np.ndarray,
-                      qubits: Iterable[int], n: int) -> np.ndarray:
-    """The (gate, targets) of one layer, then the noise pass on `qubits`.
-    Each gate's natural rep is a 4k-axis tensor (ket outputs, bra outputs,
-    ket inputs, bra inputs); a noisy target's channel is contracted into its
-    (ket, bra) output axes.  Noisy qubits that no gate touches take
-    `apply_single_qubit_superop` first, which commutes with the gates."""
-    owner = {q: (i, j) for i, (_, targets) in enumerate(gates) for j, q in enumerate(targets)}
-    reps = [np.kron(u, u.conj()).reshape((2,) * (4 * len(targets))) for u, targets in gates]
-    nat_t = nat.reshape(2, 2, 2, 2)
-    for q in qubits:
-        if q in owner:
-            i, j = owner[q]
-            k = len(gates[i][1])
-            reps[i] = _contract(nat_t, reps[i], [j, k + j])
-        else:
-            rho = apply_single_qubit_superop(rho, nat, q, n)
     tensor = rho.reshape((2,) * (2 * n))
-    for rep, (_, targets) in zip(reps, gates):
-        tensor = _contract(rep, tensor, list(targets) + [n + q for q in targets])
+    last = []  # (natural rep, targets) of each gate of the last layer
+    if layers:
+        for u, targets in _gates(layers[:-1], n):
+            tensor = apply_channel(tensor, np.kron(u, u.conj()).reshape((2,) * (4 * len(targets))), targets, n)
+        last = [(np.kron(u, u.conj()).reshape((2,) * (4 * len(t))), t) for u, t in _gates(layers[-1:], n)]
+    if nat is not None:
+        owner = {q: (i, j) for i, (_, targets) in enumerate(last) for j, q in enumerate(targets)}
+        lone = []
+        for q in range(n) if noisy is None else noisy:
+            if q in owner:
+                i, j = owner[q]
+                rep, targets = last[i]
+                last[i] = (_contract(nat.reshape(2, 2, 2, 2), rep, [j, len(targets) + j]), targets)
+            else:
+                lone.append(q)
+        factors = nat.diagonal()
+        # exactly a real diagonal matrix (no nonzero entry off the diagonal, no
+        # imaginary part on it): scaling gives the bytes of the tensor kernel
+        if lone and np.count_nonzero(nat) == np.count_nonzero(factors) and not np.count_nonzero(factors.imag):
+            tensor, factors = tensor.copy(), factors.real
+            for q in lone:
+                shape = [1] * (2 * n)
+                shape[q] = shape[n + q] = 2
+                tensor *= factors.reshape(shape)
+        else:
+            for q in lone:
+                tensor = apply_channel(tensor, nat.reshape(2, 2, 2, 2), [q], n)
+    for rep, targets in last:
+        tensor = apply_channel(tensor, rep, targets, n)
     return tensor.reshape(2**n, 2**n)
 
 

@@ -38,6 +38,8 @@ from .densim import (
     von_neumann_entropy,
 )
 
+MAX_STEPS = 2**17  # most steps a run may make: more is an input error, not days of work
+
 CSV_COLUMNS = (
     "step",
     "entropy_bits",
@@ -104,6 +106,13 @@ def write_csv(records: Sequence[TraceRecord], path) -> None:
     _atomic_write(path, "\n".join(rows) + "\n")
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 0:
+        raise ValueError(f"step count {steps} must not be negative")
+    if steps > MAX_STEPS:
+        raise ValueError(f"step count {steps} is above the cap of {MAX_STEPS}")
+
+
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
@@ -161,8 +170,7 @@ def run_depolarizing_decay(
     """
     if not 1 <= n <= 8:
         raise ValueError(f"decay experiment needs 1 to 8 system qubits, got {n}")
-    if steps < 0:
-        raise ValueError(f"step count {steps} must not be negative")
+    _check_steps(steps)
     if policy not in ("idle", "random_circuit"):
         raise ValueError(f"unknown policy {policy!r}")
     if classify(channel).kind != DEPOLARIZING_CLASS:
@@ -232,7 +240,8 @@ def run_stockpile(
     noise; the remaining qubits sit in |0> (which z-dephasing fixes) and are
     consumed as fresh ancillas, each draw retiring the oldest working qubit.
     The run halts at the step budget ceil(n^b) or when the stockpile empties,
-    whichever is first.  Records describe the whole n-qubit register.
+    whichever is first; a run of more than MAX_STEPS steps is an input
+    error.  Records describe the whole n-qubit register.
 
     Only the working and retired qubits are simulated.  They are the prefix
     0..k-1 and a draw takes index k, so no gate ever touches a waiting
@@ -258,6 +267,7 @@ def run_stockpile(
         raise ValueError("working-set size out of range")
     in_regime = a_exp + b_exp < 1
     draws = min(budget, (n - m) // ancillas_per_step) if ancillas_per_step else 0
+    _check_steps(draws if ancillas_per_step else budget)
     simulated = m + draws * ancillas_per_step
     if simulated > MAX_QUBITS:
         raise ValueError(f"stockpile run simulates {simulated} qubits, above the cap of {MAX_QUBITS}")
@@ -324,8 +334,7 @@ def run_epr_storage(code: str, p: float, steps: int) -> EprStorageResult:
     version (2-norm), the decoded fidelity is asserted to sit within that
     distance of the 1/2 separable ceiling.
     """
-    if steps < 0:
-        raise ValueError(f"step count {steps} must not be negative")
+    _check_steps(steps)
     if code not in (CODE_NONE, CODE_PHASE_FLIP):
         raise ValueError(f"unknown code {code!r}")
     channel = kraus_to_superop(dephasing_kraus(p))

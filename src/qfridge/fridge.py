@@ -23,6 +23,7 @@ density-matrix run; every other run takes the dense path.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -165,7 +166,10 @@ def top_mass(q: float, r: int) -> float:
 
 
 def choose_R(q: float, eps2: float) -> int:
-    """Minimal block size with reset 1-norm residual 2(1 - top_mass) < eps2.
+    """Minimal block size with reset 1-norm residual 2(1 - top_mass) < eps2,
+    by bisection over 1..MAX_R_SEARCH: top_mass is non-decreasing in R (up
+    to ~1e-15 of rounding), as an idle qubit added to a block cannot lower
+    its best top mass.
 
     A non-positive (or NaN) eps2 is an input error (ValueError), not an
     infeasible request."""
@@ -175,10 +179,10 @@ def choose_R(q: float, eps2: float) -> int:
         raise ValueError(f"eps2 {eps2} must be positive")
     if q == 0.5:
         raise CoolingError("unreachable: fixed point is the center, no cooling possible")
-    for r in range(1, MAX_R_SEARCH + 1):
-        if 2 * (1 - top_mass(q, r)) < eps2:
-            return r
-    raise CoolingError(f"no block size up to {MAX_R_SEARCH} meets eps2={eps2}")
+    r = 1 + bisect.bisect_left(range(1, MAX_R_SEARCH + 1), True, key=lambda r: 2 * (1 - top_mass(q, r)) < eps2)
+    if r > MAX_R_SEARCH:
+        raise CoolingError(f"no block size up to {MAX_R_SEARCH} meets eps2={eps2}")
+    return r
 
 
 def build_cooling_circuit(q: float, r: int) -> FridgeSpec:

@@ -1,8 +1,8 @@
 """Test fixtures and oracles that the package itself does not need.
 
-Dense unitaries for a compiled fridge, Haar-random unitaries, an EPR
-register, conditional entropy,
-Bloch read-out, two Kraus constructors, direct channel application and
+Dense unitaries for a compiled fridge, the linear block-size search,
+Haar-random unitaries, an EPR register, conditional entropy, Bloch
+read-out, two Kraus constructors, direct channel application and
 composition, the stockpile run on its full register, and the entropy
 margins and bounds-experiment sample loop one state pair at a time: the
 tests build inputs and check results with them, while the program works on
@@ -31,6 +31,7 @@ from qfridge.densim import (
     von_neumann_entropy,
 )
 from qfridge.experiments import StockpileResult, TraceRecord, _random_pair_layer
+from qfridge import fridge
 from qfridge.fridge import FridgeSpec, _swap_rows
 
 
@@ -47,6 +48,16 @@ def stage_unitary(spec: FridgeSpec, i: int) -> np.ndarray:
     u = np.eye(2**spec.r_block, dtype=complex)
     _swap_rows(u, spec.stages[i])
     return u
+
+
+def choose_R_linear(q: float, eps2: float) -> int | None:
+    """`fridge.choose_R` as a scan of R = 1..MAX_R_SEARCH in order: the
+    first block size whose reset residual 2(1 - top_mass) is below eps2, or
+    None.  No input checks."""
+    for r in range(1, fridge.MAX_R_SEARCH + 1):
+        if 2 * (1 - fridge.top_mass(q, r)) < eps2:
+            return r
+    return None
 
 
 def random_unitary(rng, dim: int = 2) -> np.ndarray:

@@ -191,11 +191,16 @@ def test_experiment_config_wrong_type_exit_2(runner, tmp_path, name, config, key
         ("fridge_protocol", {"p": 0.01, "cycles": 3, "storage_T": 20, "eps1": -1}, "eps1 -1 must be positive"),
         ("fridge_protocol", {"p": 0.01, "cycles": 3, "eps2": 0, "r_block": None}, "eps2 0 must be positive"),
         ("fridge_protocol", {"p": 0.01, "cycles": 3, "eps2": -1, "r_block": 2, "storage_T": 20}, "eps2 -1 must be positive"),
+        ("stockpile", {"a": 0.1, "b": 1.0, "n": 1000000000, "p": 0.05, "ancillas_per_step": 0},
+         "step count 1000000000 is above the cap of 131072"),
+        ("depol_decay", {"p": 0.05, "n": 2, "steps": 131073}, "step count 131073 is above the cap of 131072"),
+        ("epr_storage", {"p": 0.05, "steps": 10**12}, "step count 1000000000000 is above the cap of 131072"),
     ],
     ids=["stockpile-n13", "stockpile-n0", "stockpile-n-overflow", "decay-n9", "decay-n-1", "epr-negative-steps", "stockpile-negative-ancillas",
          "unknown-key", "missing-key", "protocol-negative-cycles", "protocol-zero-cycles",
          "protocol-negative-storage-T", "bounds-zero-samples", "bounds-zero-dim", "bounds-huge-dim",
-         "protocol-negative-eps1", "protocol-zero-eps2", "protocol-negative-eps2"],
+         "protocol-negative-eps1", "protocol-zero-eps2", "protocol-negative-eps2",
+         "stockpile-step-cap", "decay-step-cap", "epr-step-cap"],
 )
 def test_experiment_bad_input_exit_2(runner, tmp_path, name, config, message):
     """An out-of-range, unknown or missing config value is an input error,
@@ -333,7 +338,7 @@ def test_fridge_noisy_r9_runs_without_the_dense_kernel(runner, tmp_path, monkeyp
     def dense_pass(*args):
         raise AssertionError("dense noise pass on a diagonal run")
 
-    monkeypatch.setattr(densim, "apply_single_qubit_superop", dense_pass)
+    monkeypatch.setattr(densim, "apply_channel", dense_pass)
     noise = write_channel(tmp_path / "ad.json", amplitude_damping_kraus(1e-3))
     result = runner.invoke(main, ["fridge", "--q", "0.1", "--r", "9", "--noise", noise])
     assert result.exit_code == 0, result.output
@@ -417,6 +422,23 @@ def test_cooling_error_exits_4_from_every_command(runner, tmp_path, monkeypatch)
     # an infeasible run still writes its outputs before the exit
     assert "no block size up to 2 meets eps2=0.01" in (out / "summary.csv").read_text()
     assert json.loads((out / "manifest.json").read_text())["command"] == "experiment fridge_protocol"
+
+
+def test_infeasible_block_search_exits_4_in_few_evaluations(runner, monkeypatch):
+    # the search bisects 1..4096, so 13 top_mass evaluations reach the
+    # answer that a scan of every block size took 4,096 for
+    calls = []
+    top_mass = fridge.top_mass
+
+    def counted(q, r):
+        calls.append(r)
+        return top_mass(q, r)
+
+    monkeypatch.setattr(fridge, "top_mass", counted)
+    result = runner.invoke(main, ["fridge", "--q", "0.49", "--eps2", "1e-3"])
+    assert result.exit_code == 4
+    assert "no block size up to 4096 meets eps2=0.001" in result.output
+    assert 0 < len(calls) <= 13
 
 
 def test_broken_location_bound_exits_5(runner, tmp_path, monkeypatch):

@@ -26,6 +26,7 @@ from qfridge.densim import (
     GateLayer,
     QRegister,
     SimulationError,
+    apply_channel,
     apply_single_qubit_superop,
     apply_unitary,
     compile_layers,
@@ -329,8 +330,9 @@ def apply_unitary_two_loops(rho, u, targets, n):
 def test_gate_kernel_matches_two_loop_oracle(n, k, seed):
     """apply_unitary is bit-identical to the two-loop kernel for 1-3 distinct
     targets in random order, and evolve equals applying its layers' gates one
-    by one (bit for bit without noise; within 1e-12 with the noise on the
-    listed qubits after them)."""
+    by one, without noise and with the noise on the listed qubits after them,
+    within 1e-12 (evolve contracts each gate's natural rep, which reorders
+    floats)."""
     k = min(k, n)
     rng = np.random.default_rng(seed)
     rho = random_state(rng, n)
@@ -345,10 +347,9 @@ def test_gate_kernel_matches_two_loop_oracle(n, k, seed):
     for layer in layers:
         for gate, gate_targets in layer.gates:
             want = apply_unitary_two_loops(want, gate, gate_targets, n)
-    assert np.array_equal(evolve(rho, layers, n), want)
+    assert np.max(np.abs(evolve(rho, layers, n) - want)) <= 1e-12
     for q in noisy:
         want = apply_single_qubit_superop(want, nat, q, n)
-    # the noise pass folds into the last layer's gates, which reorders floats
     assert np.max(np.abs(evolve(rho, layers, n, nat, noisy) - want)) <= 1e-12
 
 
@@ -391,8 +392,8 @@ def superop_loop(rho, nat, qubits, n):
     return rho
 
 
-def count_superop_calls():
-    return mock.patch("qfridge.densim.apply_single_qubit_superop", wraps=apply_single_qubit_superop)
+def count_kernel_calls():
+    return mock.patch("qfridge.densim.apply_channel", wraps=apply_channel)
 
 
 @settings(max_examples=80, deadline=None)
@@ -423,7 +424,7 @@ def test_diagonal_noise_pass_matches_the_tensor_kernel(n, seed, p, theta, subset
         noisy = [int(q) for q in rng.permutation(n)[: rng.integers(1, n + 1)]]
     reg = QRegister(random_state(rng, n), [DATA] * n)
     before = reg.rho.copy()
-    with count_superop_calls() as kernel:
+    with count_kernel_calls() as kernel:
         got = evolve(reg.rho, [], n, nat, noisy)
     assert np.array_equal(got, superop_loop(reg.rho, nat, noisy, n))
     assert np.array_equal(reg.rho, before)
@@ -450,15 +451,11 @@ def test_mixed_kraus_dephasing_takes_the_tensor_path(seed):
     assert 0 < np.max(residue) < 1e-15
     n = 3
     rho = random_state(rng, n)
-    with count_superop_calls() as kernel:
+    with count_kernel_calls() as kernel:
         got = evolve(rho, [], n, nat)
     assert kernel.call_count == n
     exact = kraus_to_superop(dephasing_kraus(0.1)).natural()
     assert np.max(np.abs(got - evolve(rho, [], n, exact))) <= 1e-15
-
-
-def count_unitary_calls():
-    return mock.patch("qfridge.densim.apply_unitary", wraps=apply_unitary)
 
 
 @settings(max_examples=100, deadline=None)
@@ -466,14 +463,14 @@ def count_unitary_calls():
     n=st.integers(1, 6),
     depth=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
-    channel=st.sampled_from(["depolarizing", "amplitude_damping", "thermal_mixed", "z_rotated"]),
+    channel=st.sampled_from(["depolarizing", "amplitude_damping", "thermal_mixed", "z_rotated", "dephasing"]),
 )
 def test_noise_folded_into_the_last_layer_matches_the_unfused_loop(n, depth, seed, channel):
-    """evolve with a rep that is not exactly real-diagonal equals applying
-    every gate with apply_unitary, then apply_single_qubit_superop on each
-    listed qubit in order, within 1e-12.  Layers cover random subsets of the
-    qubits, so some noisy qubits sit outside the last layer's gates and some
-    gate targets are noiseless."""
+    """evolve equals applying every gate with apply_unitary, then
+    apply_single_qubit_superop on each listed qubit in order, within 1e-12,
+    for general reps and for exact dephasing (a real diagonal rep).  Layers
+    cover random subsets of the qubits, so some noisy qubits sit outside the
+    last layer's gates and some gate targets are noiseless."""
     rng = np.random.default_rng(seed)
     rho = random_state(rng, n)
     layers = [random_layer(rng, rng.permutation(n)[: rng.integers(0, n + 1)]) for _ in range(depth)]
@@ -485,6 +482,7 @@ def test_noise_folded_into_the_last_layer_matches_the_unfused_loop(n, depth, see
             "depolarizing": depolarizing_kraus(0.2),
             "amplitude_damping": amplitude_damping_kraus(0.3),
             "thermal_mixed": haar_mixed(thermal_kraus(0.2, 0.1), rng),
+            "dephasing": dephasing_kraus(0.1),
         }[channel]
         nat = kraus_to_superop(kraus).natural()
     noisy = [int(q) for q in rng.permutation(n)[: rng.integers(0, n + 1)]]
@@ -498,27 +496,27 @@ def test_noise_folded_into_the_last_layer_matches_the_unfused_loop(n, depth, see
 
 def test_a_noisy_random_layer_runs_in_fused_contractions():
     """A 4-pair random layer on 8 data qubits and a reference qubit folds
-    its depolarizing noise into the gates: no per-gate or per-qubit kernel
-    call.  An idle layer has no gate to fold into, so it makes one kernel
-    call per data qubit, and a dephasing step makes none."""
+    its noise into the gates, depolarizing and dephasing alike: one kernel
+    call per gate.  An idle layer has no gate to fold into, so it makes one
+    kernel call per data qubit."""
     reg = epr_register(extra_system=7)
     layer = _random_pair_layer(reg.system_qubits, np.random.default_rng(5))
     assert len(layer.gates) == 4
     depolarizing = kraus_to_superop(depolarizing_kraus(0.1))
-    with count_unitary_calls() as unitary, count_superop_calls() as kernel:
+    with count_kernel_calls() as kernel:
         got = step(reg, layer, depolarizing)
-    assert (unitary.call_count, kernel.call_count) == (0, 0)
+    assert kernel.call_count == 4
     want = reg.rho
     for gate, targets in layer.gates:
         want = apply_unitary(want, gate, targets, 9)
     want = superop_loop(want, depolarizing.natural(), reg.system_qubits, 9)
     assert np.max(np.abs(got.rho - want)) <= 1e-12
-    with count_unitary_calls() as unitary, count_superop_calls() as kernel:
+    with count_kernel_calls() as kernel:
         step(reg, GateLayer([]), depolarizing)
-    assert (unitary.call_count, kernel.call_count) == (0, 8)
-    with count_unitary_calls() as unitary, count_superop_calls() as kernel:
+    assert kernel.call_count == 8
+    with count_kernel_calls() as kernel:
         step(reg, layer, kraus_to_superop(dephasing_kraus(0.1)))
-    assert (unitary.call_count, kernel.call_count) == (4, 0)
+    assert kernel.call_count == 4
 
 
 def dephase_all_mask(reg):

@@ -17,7 +17,7 @@ from qfridge.channels import (
     kraus_to_superop,
     thermal_kraus,
 )
-from qfridge.densim import apply_single_qubit_superop, apply_unitary, partial_trace
+from qfridge.densim import apply_channel, apply_single_qubit_superop, apply_unitary, partial_trace
 from qfridge.fridge import (
     CoolingError,
     FridgeSpec,
@@ -30,7 +30,7 @@ from qfridge.fridge import (
     top_mass,
 )
 
-from oracles import permutation_unitary, random_unitary, stage_unitary
+from oracles import choose_R_linear, permutation_unitary, random_unitary, stage_unitary
 
 
 def h2(x):
@@ -105,6 +105,12 @@ def test_choose_r_monotonicity():
     for e in epss:
         rs = [choose_R(q, e) for q in qs]
         assert rs == sorted(rs)  # non-decreasing in q
+
+
+def test_choose_r_bisection_matches_the_linear_scan():
+    for q in np.arange(0.01, 0.46, 0.04):
+        for eps2 in (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1.0):
+            assert choose_R(float(q), eps2) == choose_R_linear(float(q), eps2)
 
 
 def test_choose_r_center_infeasible():
@@ -315,9 +321,9 @@ def _count_dense_passes(monkeypatch):
 
     def counted(*args):
         calls.append(1)
-        return apply_single_qubit_superop(*args)
+        return apply_channel(*args)
 
-    monkeypatch.setattr(densim, "apply_single_qubit_superop", counted)
+    monkeypatch.setattr(densim, "apply_channel", counted)
     return calls
 
 
