@@ -50,14 +50,17 @@ class DephasingBoundParams:
 
 @dataclass(frozen=True)
 class EntropyLedger:
-    """One noise layer's entropy bookkeeping."""
+    """One noise layer's entropy bookkeeping, or a block of steps'."""
 
-    gaps: tuple  # per-qubit conditional-entropy gaps
-    global_increase: float
+    gaps: np.ndarray  # (..., system qubits) conditional-entropy gaps
+    global_increase: float | np.ndarray
 
     @property
-    def max_gap(self) -> float:
-        return max(self.gaps) if self.gaps else 0.0
+    def max_gap(self) -> float | np.ndarray:
+        """Largest gap of each step (0.0 without system qubits); a Python
+        float for one step."""
+        gaps = self.gaps
+        return _as_float(gaps.max(axis=-1) if gaps.shape[-1] else np.zeros(gaps.shape[:-1]))
 
 
 def _sq_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,27 +123,35 @@ def dephasing_bound(p: float, eps: float, n: int, mode: str = MODE_SAFE) -> Deph
 
 
 def entropy_ledger_step(before: QRegister, after: QRegister, noise: SuperOp) -> EntropyLedger:
-    """Per-qubit conditional-entropy gaps for one noise layer.
+    """Per-qubit conditional-entropy gaps for one noise layer, or for a block
+    of steps: stacked registers of B states, before[i] -> after[i] being
+    step i's noise layer.
 
     The gap for qubit i conditions on all other qubits (reference included),
     so it reduces to S(noise on i only) - S(before); the chain rule makes the
     global entropy increase at least the largest gap, for every qubit
-    ordering; that consequence is asserted.  The noised states, one per
-    system qubit, are held at once and take one stacked `eigvalsh`.
+    ordering; that consequence is asserted, and a stack's violation names
+    its first failing step.  The noised states, one per step and system
+    qubit, are held at once and take one stacked `eigvalsh`.
     """
-    if before.roles != after.roles:
+    if before.roles != after.roles or before.rho.shape != after.rho.shape:
         raise SimulationError("registers have different shapes")
     n = before.n_qubits
     nat = noise.natural()
     s_before = von_neumann_entropy(before)
-    noised = np.array(
-        [evolve(before.rho, [], n, nat, [q]) for q in before.system_qubits], dtype=complex
-    ).reshape(-1, 2**n, 2**n)
-    gaps = (entropy_bits(noised) - s_before).tolist()
+    lead = before.rho.shape[:-2]
+    noised = np.empty(lead + (len(before.system_qubits), 2**n, 2**n), dtype=complex)
+    for i, q in enumerate(before.system_qubits):
+        noised[..., i, :, :] = evolve(before.rho, [], n, nat, [q])
+    gaps = entropy_bits(noised) - np.asarray(s_before)[..., None]
     global_increase = von_neumann_entropy(after) - s_before
-    ledger = EntropyLedger(gaps=tuple(gaps), global_increase=global_increase)
-    if global_increase < ledger.max_gap - 1e-9:
+    ledger = EntropyLedger(gaps=gaps, global_increase=global_increase)
+    increase, top = np.reshape(global_increase, -1), np.reshape(ledger.max_gap, -1)
+    broken = np.flatnonzero(increase < top - 1e-9)
+    if broken.size:
+        i = int(broken[0])
         raise SimulationError(
-            f"chain rule violated: increase {global_increase} < max gap {ledger.max_gap}"
+            f"chain rule violated: increase {float(increase[i])} < max gap {float(top[i])}",
+            i if lead else None,
         )
     return ledger

@@ -35,19 +35,28 @@ overhead; given one 2-D input, each returns a Python float from the same
 code.  Every reduction runs along its own pair, so a pair's value does not
 depend on the stack it sits in.
 
-A QRegister is validated once, when it is built: shape, unit trace,
+A QRegister holds one state or a (B, d, d) stack of them, as
+`experiments.run_epr_storage` scores a block of steps at once; the same
+code serves both, and one 2-D state keeps Python floats and 2-D LAPACK
+calls.  A register is validated once, when it is built: shape, unit trace,
 Hermiticity, and positivity, decided by a Cholesky factorisation of
-rho + PSD_ATOL*I (a full spectrum is computed only to report a rejection).
-Registers never change, so each one memoises its von Neumann entropies per
-qubit subset.
+rho + PSD_ATOL*I (a full spectrum is computed only to report a rejection),
+one stacked call per support group.  A stack that fails raises the error
+one state at a time would give for its first bad state, with that state's
+index as `SimulationError.index`.  Registers never change, so each one
+memoises its von Neumann entropies per qubit subset; indexing a stacked
+register takes those with the states.  `partial_trace`, `evolve`,
+`epr_fidelity` and the entropies take stacks as well.
 
-Positivity checks and entropies run on the state's exact support: the
+Positivity checks and entropies run on each state's exact support: the
 indices whose row or column holds a nonzero entry (a qubit in |0> that no
 gate has touched, or a |Phi+> pair, leaves many exactly-zero rows and
 columns).  This is exact, not an approximation: such a matrix is
 permutation-similar to block-diag(A, 0), so A + PSD_ATOL*I factors exactly
 when the whole shifted matrix does, the smallest eigenvalue reported is the
-same, and the dropped eigenvalues are zeros, which carry no entropy.
+same, and the dropped eigenvalues are zeros, which carry no entropy.  A
+stack is split into groups of states sharing a support, so each state's
+LAPACK call sees the same matrix as it would alone.
 """
 
 from __future__ import annotations
@@ -94,7 +103,14 @@ NAMED_GATES = {
 
 
 class SimulationError(ValueError):
-    """Invalid register, layer, or state encountered during simulation."""
+    """Invalid register, layer, or state encountered during simulation.
+
+    `index` is the position in a (B, d, d) stack of the first state at
+    fault, when a stack was checked; None for one state."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -127,7 +143,8 @@ class GateLayer:
 
 @dataclass(frozen=True)
 class QRegister:
-    """n-qubit density matrix with per-qubit roles."""
+    """n-qubit density matrix with per-qubit roles, or a (B, 2^n, 2^n) stack
+    of them sharing the roles."""
 
     rho: np.ndarray
     roles: tuple
@@ -137,35 +154,27 @@ class QRegister:
         n = len(roles)
         if n > MAX_QUBITS:
             raise SimulationError(f"register of {n} qubits exceeds cap {MAX_QUBITS}")
-        if rho.shape != (2**n, 2**n):
+        if rho.ndim not in (2, 3) or rho.shape[-2:] != (2**n, 2**n):
             raise SimulationError("density matrix dimension does not match roles")
-        trace = np.trace(rho)
-        if abs(trace.real - 1) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
-            raise SimulationError(f"trace {trace} != 1")
-        # written so that a NaN entry fails the comparison and is rejected
-        if not np.max(np.abs(rho - rho.conj().T)) <= TRACE_ATOL:
-            raise SimulationError("density matrix is not Hermitian")
-        # rho + PSD_ATOL*I has a Cholesky factor exactly when the smallest
-        # eigenvalue of rho exceeds -PSD_ATOL, up to ~dim*eps of rounding; the
-        # eigenvalue itself decides only when the factorisation fails.
-        support = _support(rho)
-        shifted = support.copy()
-        shifted.flat[:: len(support) + 1] += PSD_ATOL
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            min_eig = float(np.linalg.eigvalsh(support)[0])
-            if min_eig < -PSD_ATOL:
-                raise SimulationError(
-                    f"density matrix has eigenvalue {min_eig} < -{PSD_ATOL}"
-                ) from None
-        del support, shifted
+        _check_states(rho)
         rho = rho.copy()
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "roles", tuple(roles))
-        # subset tuple (None: all qubits in order) -> entropy in bits
+        # subset tuple (None: all qubits in order) -> entropy in bits (an
+        # array for a stack)
         object.__setattr__(self, "_entropies", {})
+
+    def __getitem__(self, index) -> "QRegister":
+        """The states of a stacked register at `index` (an index array or a
+        slice), with their memoised entropies; they are not checked again."""
+        sub = object.__new__(QRegister)
+        rho = self.rho[index]
+        rho.setflags(write=False)
+        object.__setattr__(sub, "rho", rho)
+        object.__setattr__(sub, "roles", self.roles)
+        object.__setattr__(sub, "_entropies", {k: v[index] for k, v in self._entropies.items()})
+        return sub
 
     @property
     def n_qubits(self) -> int:
@@ -184,15 +193,86 @@ class QRegister:
         return cls(rho, [DATA] * len(states))
 
 
-def _support(rho: np.ndarray) -> np.ndarray:
-    """rho restricted to the indices whose row or column holds a nonzero
-    entry; rho itself when no diagonal entry is zero (then no row or column
-    is all zero)."""
-    if np.count_nonzero(rho.diagonal()) == len(rho):
-        return rho
-    nonzero = rho != 0
-    idx = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    return rho[np.ix_(idx, idx)]
+def _support_groups(rho: np.ndarray) -> list:
+    """(members, sub) pairs that split a d x d state (member 0) or a (B, d, d)
+    stack by exact support: sub holds the members' states restricted to the
+    indices whose row or column holds a nonzero entry, a 2-D matrix for a 2-D
+    input.  One group holding rho itself when no diagonal entry is zero (then
+    no row or column is all zero)."""
+    d = rho.shape[-1]
+    stack = rho.reshape(-1, d, d)
+    if np.count_nonzero(stack.diagonal(axis1=1, axis2=2)) == stack.shape[0] * d:
+        return [(np.arange(len(stack)), rho)]
+    nonzero = stack != 0
+    rows = nonzero.any(axis=1) | nonzero.any(axis=2)
+    groups = []
+    left = np.arange(len(stack))
+    while left.size:
+        same = (rows[left] == rows[left[0]]).all(axis=1)
+        members, idx = left[same], np.flatnonzero(rows[left[0]])
+        groups.append((members, rho[np.ix_(idx, idx)] if rho.ndim == 2 else stack[np.ix_(members, idx, idx)]))
+        left = left[~same]
+    return groups
+
+
+def _factors(shifted: np.ndarray) -> bool:
+    """Whether a matrix, or every matrix of a stack, has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(shifted)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _first_negative(rho: np.ndarray) -> tuple | None:
+    """(stack index, smallest eigenvalue) of the first state of a d x d state
+    or a (B, d, d) stack whose smallest eigenvalue is below -PSD_ATOL, or None.
+
+    rho + PSD_ATOL*I has a Cholesky factor exactly when the smallest
+    eigenvalue of rho exceeds -PSD_ATOL, up to ~dim*eps of rounding; the
+    eigenvalue itself decides only when the factorisation fails.  One
+    stacked factorisation per support group; a group that fails is
+    factorised again state by state."""
+    first = None
+    for members, sub in _support_groups(rho):
+        shifted = sub.copy()
+        diag = np.arange(sub.shape[-1])
+        shifted[..., diag, diag] += PSD_ATOL
+        if _factors(shifted):
+            continue
+        shape = (-1,) + sub.shape[-2:]
+        for i, one, shifted_one in zip(members, sub.reshape(shape), shifted.reshape(shape)):
+            if first is not None and i > first[0]:
+                break
+            if len(members) > 1 and _factors(shifted_one):
+                continue
+            min_eig = float(np.linalg.eigvalsh(one)[0])
+            if min_eig < -PSD_ATOL:
+                first = (int(i), min_eig)
+                break
+    return first
+
+
+def _check_states(rho: np.ndarray) -> None:
+    """Validate a d x d state or a (B, d, d) stack: unit trace, Hermiticity
+    and positivity (`_first_negative`), each state's checks in that order.
+    Raises SimulationError for the first state at fault, with its stack
+    index when rho is a stack."""
+    trace = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
+    bad_trace = (abs(trace.real - 1) > TRACE_ATOL) | (abs(trace.imag) > TRACE_ATOL)
+    # written so that a NaN entry fails the comparison and is rejected
+    asym = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).reshape(-1)
+    bad = bad_trace | ~(asym <= TRACE_ATOL)
+    end = int(np.argmax(bad)) if bad.any() else len(bad)
+    fault = None
+    if end < len(bad):
+        fault = f"trace {trace[end]} != 1" if bad_trace[end] else "density matrix is not Hermitian"
+    # positivity only of the states before the first trace or Hermiticity fault
+    negative = _first_negative(rho[:end] if rho.ndim == 3 else rho) if end else None
+    if negative is not None:
+        end, fault = negative[0], f"density matrix has eigenvalue {negative[1]} < -{PSD_ATOL}"
+    if fault is not None:
+        raise SimulationError(fault, end if rho.ndim == 3 else None)
 
 
 def repetition_code(data: Sequence[int], phase_flip: bool = False) -> tuple:
@@ -248,15 +328,17 @@ def apply_single_qubit_superop(rho: np.ndarray, nat: np.ndarray, qubit: int, n: 
 
 
 def partial_trace(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
-    """Reduced density matrix on `keep`, in the listed qubit order."""
+    """Reduced density matrix on `keep`, in the listed qubit order, of each
+    matrix of a (..., 2^n, 2^n) stack."""
     keep = list(keep)
     if len(set(keep)) != len(keep) or not all(0 <= q < n for q in keep):
         raise SimulationError(f"qubit subset {keep} is not distinct qubits of 0..{n - 1}")
     # a traced qubit shares its ket and bra label, so einsum sums it out
-    labels = list(range(n)) + [n + q if q in keep else q for q in range(n)]
-    out = keep + [n + q for q in keep]
+    labels = [..., *range(n), *(n + q if q in keep else q for q in range(n))]
+    out = [..., *keep, *(n + q for q in keep)]
+    lead = rho.shape[:-2]
     m = len(keep)
-    return np.einsum(rho.reshape((2,) * (2 * n)), labels, out).reshape(2**m, 2**m)
+    return np.einsum(rho.reshape(lead + (2,) * (2 * n)), labels, out).reshape(lead + (2**m, 2**m))
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +367,17 @@ def compile_layers(layers: Iterable[GateLayer], n: int) -> np.ndarray:
 def apply_channel(tensor: np.ndarray, rep: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
     """Contract a k-qubit natural rep, as a (2,)*4k tensor (ket outputs, bra
     outputs, ket inputs, bra inputs), into the targets' ket and bra axes of
-    rho as a (2,)*2n tensor: `evolve`'s one kernel."""
-    return _contract(rep, tensor, [*targets, *(n + q for q in targets)])
+    rho as a (..., 2, ..., 2) tensor whose last 2n axes are the qubits':
+    `evolve`'s one kernel."""
+    lead = tensor.ndim - 2 * n
+    return _contract(rep, tensor, [*(lead + q for q in targets), *(lead + n + q for q in targets)])
 
 
 def evolve(rho: np.ndarray, layers: Sequence[GateLayer] | np.ndarray, n: int,
            nat: np.ndarray | None = None, noisy: Iterable[int] | None = None) -> np.ndarray:
-    """Apply gates to a raw 2^n x 2^n matrix: layers gate by gate, or their
-    `compile_layers` unitary U as one U rho U^dag.  Then, with a channel's
+    """Apply gates to a raw 2^n x 2^n matrix, or to each matrix of a
+    (..., 2^n, 2^n) stack: layers gate by gate, or their `compile_layers`
+    unitary U as one U rho U^dag.  Then, with a channel's
     natural rep `nat` given, one noise pass on the `noisy` qubits (default:
     all), folded into the last layer's gates (see the module docstring).
     No validation of the result."""
@@ -303,7 +388,8 @@ def evolve(rho: np.ndarray, layers: Sequence[GateLayer] | np.ndarray, n: int,
         layers = ()
     if nat is None and not layers:
         return rho
-    tensor = rho.reshape((2,) * (2 * n))
+    lead = rho.shape[:-2]
+    tensor = rho.reshape(lead + (2,) * (2 * n))
     last = []  # (natural rep, targets) of each gate of the last layer
     if layers:
         for u, targets in _gates(layers[:-1], n):
@@ -325,15 +411,15 @@ def evolve(rho: np.ndarray, layers: Sequence[GateLayer] | np.ndarray, n: int,
         if lone and np.count_nonzero(nat) == np.count_nonzero(factors) and not np.count_nonzero(factors.imag):
             tensor, factors = tensor.copy(), factors.real
             for q in lone:
-                shape = [1] * (2 * n)
-                shape[q] = shape[n + q] = 2
+                shape = [1] * tensor.ndim
+                shape[len(lead) + q] = shape[len(lead) + n + q] = 2
                 tensor *= factors.reshape(shape)
         else:
             for q in lone:
                 tensor = apply_channel(tensor, nat.reshape(2, 2, 2, 2), [q], n)
     for rep, targets in last:
         tensor = apply_channel(tensor, rep, targets, n)
-    return tensor.reshape(2**n, 2**n)
+    return tensor.reshape(lead + (2**n, 2**n))
 
 
 def step(reg: QRegister, layer: GateLayer, noise: SuperOp | None) -> QRegister:
@@ -363,9 +449,12 @@ def entropy_bits(rho: np.ndarray) -> float | np.ndarray:
     return spectrum_entropy_bits(np.linalg.eigvalsh(rho))
 
 
-def von_neumann_entropy(reg: QRegister, subset: Sequence[int] | None = None) -> float:
-    """Entropy in bits of the reduced state on `subset` (default: everything).
+def von_neumann_entropy(reg: QRegister, subset: Sequence[int] | None = None) -> float | np.ndarray:
+    """Entropy in bits of the reduced state on `subset` (default: everything):
+    a Python float for one state, an array for a stacked register.
 
+    One stacked `eigvalsh` per support group (`_support_groups`); a state
+    with an eigenvalue below -PSD_ATOL raises, with its stack index.
     Memoised on the register per subset tuple; the full in-order subset
     shares the default's entry.  A subset that raises is not stored.
     """
@@ -376,14 +465,21 @@ def von_neumann_entropy(reg: QRegister, subset: Sequence[int] | None = None) -> 
         key = None
     if key not in reg._entropies:
         sub = reg.rho if key is None else partial_trace(reg.rho, key, reg.n_qubits)
-        eigs = np.linalg.eigvalsh(_support(sub))
-        if eigs[0] < -PSD_ATOL:
-            raise SimulationError(f"reduced state has eigenvalue {eigs[0]}")
-        reg._entropies[key] = spectrum_entropy_bits(eigs)
+        entropy = np.empty(sub.shape[:-2]).reshape(-1)
+        low = np.empty_like(entropy)
+        for members, block in _support_groups(sub):
+            eigs = np.linalg.eigvalsh(block)
+            entropy[members] = spectrum_entropy_bits(eigs)
+            low[members] = eigs[..., 0]
+        negative = np.flatnonzero(low < -PSD_ATOL)
+        if negative.size:
+            i = int(negative[0])
+            raise SimulationError(f"reduced state has eigenvalue {low[i]}", i if sub.ndim == 3 else None)
+        reg._entropies[key] = _as_float(entropy.reshape(sub.shape[:-2]))
     return reg._entropies[key]
 
 
-def information(reg: QRegister) -> float:
+def information(reg: QRegister) -> float | np.ndarray:
     """n - S(rho) over the non-reference qubits."""
     sys = reg.system_qubits
     return len(sys) - von_neumann_entropy(reg, sys)
@@ -427,9 +523,10 @@ def epr_fidelity(
 ) -> float:
     """Apply the decoder (noiselessly; layers or their compiled unitary, as
     `evolve` takes them), reduce to (system, reference), and return the
-    overlap with the |Phi+> Bell state."""
+    overlap with the |Phi+> Bell state: a Python float for one state, an
+    array for a stacked register."""
     if reg.roles[reference_qubit] != REFERENCE:
         raise SimulationError("reference_qubit is not flagged as reference")
     n = reg.n_qubits
     pair = partial_trace(evolve(reg.rho, decoder, n), [system_qubit, reference_qubit], n)
-    return float((PHI_PLUS.conj() @ pair @ PHI_PLUS).real)
+    return _as_float((PHI_PLUS.conj() @ pair @ PHI_PLUS).real)

@@ -316,6 +316,10 @@ CODE_NONE = "none"
 CODE_PHASE_FLIP = "phase_flip_3"
 CORRECTION_INTERVAL = 5  # steps between correction cycles of the coded memory
 SEPARABILITY_EPS = 0.1  # 2-norm distance to the dephased state that counts as separable
+# memory for one block of storage steps, which a step fills with about eight
+# 2^n x 2^n complex states (pre- and post-noise, one noised copy per system
+# qubit, decoded, dephased): 32 steps of the coded memory, 512 uncoded
+EPR_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -331,8 +335,14 @@ def run_epr_storage(code: str, p: float, steps: int) -> EprStorageResult:
     coherent (unitary-only) correction cycles every CORRECTION_INTERVAL
     steps, each consuming two fresh ancillas; syndrome garbage is discarded.
     Once the state comes within SEPARABILITY_EPS of its completely dephased
-    version (2-norm), the decoded fidelity is asserted to sit within that
-    distance of the 1/2 separable ceiling.
+    version (2-norm), the decoded fidelity is asserted to sit below the 1/2
+    separable ceiling plus sqrt(2^(n-2)) times that distance: the decoded
+    fidelity is tr(P rho) for a projector P of rank 2^(n-2), so
+    Cauchy-Schwarz bounds its change by ||P||_2 ||rho - dephased||_2.
+
+    The states are evolved step by step, as a register would be, then
+    scored in blocks of steps sized from EPR_BLOCK_BYTES, each check one
+    stacked call over the block (`_score_block`).
     """
     _check_steps(steps)
     if code not in (CODE_NONE, CODE_PHASE_FLIP):
@@ -345,41 +355,85 @@ def run_epr_storage(code: str, p: float, steps: int) -> EprStorageResult:
     if code == CODE_PHASE_FLIP:
         encode, decode = (compile_layers(c, 4) for c in repetition_code((1, 2, 3), phase_flip=True))
         rho = evolve(np.kron(rho, np.kron(ZERO, ZERO)), encode, 4)
-        reg = QRegister(rho, [REFERENCE, DATA, DATA, DATA])
+        roles = (REFERENCE, DATA, DATA, DATA)
     else:
-        reg = QRegister(rho, [REFERENCE, DATA])
+        roles = (REFERENCE, DATA)
         decode = []
+    n = len(roles)
+    nat = channel.natural()
+    system = tuple(range(1, n))
 
+    records = _storage_records(0, QRegister(rho[None], roles), decode, [None])
+    block = max(1, EPR_BLOCK_BYTES // (8 * 16 * 4**n))  # eight states of complex128 entries
     ancillas = 0
-    records = [_storage_record(0, reg, decode, None)]
-    for t in range(1, steps + 1):
-        if code == CODE_PHASE_FLIP and t % CORRECTION_INTERVAL == 0:
-            # the upper-bound adversary allows arbitrary unitaries between
-            # noise applications, so the whole cycle sits inside one step;
-            # qubits 2 and 3 are discarded and fresh |0> ancillas replace them
-            kept = partial_trace(evolve(reg.rho, decode, 4), [0, 1], 4)
-            rho = evolve(np.kron(kept, np.kron(ZERO, ZERO)), encode, 4)
-            reg = QRegister(rho, reg.roles)
-            ancillas += 2
-        pre_noise = reg
-        reg = step(reg, GateLayer([]), channel)
-        ledger = entropy_ledger_step(pre_noise, reg, channel)
-        records.append(_storage_record(t, reg, decode, ledger.max_gap))
-        deph_dist = np.linalg.norm(reg.rho - dephase_all(reg).rho)
-        if deph_dist <= SEPARABILITY_EPS:
-            fid = records[-1].epr_fidelity
-            if fid > 0.5 + deph_dist + 1e-9:
-                raise SimulationError(
-                    f"near-dephased state decoded above the separable ceiling: {fid}"
-                )
+    for start in range(1, steps + 1, block):
+        # the block's starting state, then each step's corrected state (on a
+        # correction step) and post-noise state, in the order they arise
+        states, post_at = [rho], []
+        for t in range(start, min(start + block, steps + 1)):
+            if code == CODE_PHASE_FLIP and t % CORRECTION_INTERVAL == 0:
+                # the upper-bound adversary allows arbitrary unitaries between
+                # noise applications, so the whole cycle sits inside one step;
+                # qubits 2 and 3 are discarded and fresh |0> ancillas replace them
+                kept = partial_trace(evolve(rho, decode, 4), [0, 1], 4)
+                rho = evolve(np.kron(kept, np.kron(ZERO, ZERO)), encode, 4)
+                states.append(rho)
+                ancillas += 2
+            rho = evolve(rho, [], n, nat, system)
+            post_at.append(len(states))
+            states.append(rho)
+        records += _score_block(start, np.array(states), np.array(post_at), roles, decode, channel)
     return EprStorageResult(records=tuple(records), ancillas_consumed=ancillas)
 
 
-def _storage_record(t, reg, decode, max_gap) -> TraceRecord:
-    return TraceRecord(
-        step=t,
-        entropy_bits=von_neumann_entropy(reg),
-        information_bits=information(reg),
-        epr_fidelity=epr_fidelity(reg, decode, 1, 0),
-        max_gap=max_gap,
+def _score_block(start, states, post_at, roles, decode, channel) -> list:
+    """Records of steps start, start + 1, ... of one block, step i's
+    post-noise state at states[post_at[i]] and its pre-noise state just
+    before it.  A block that fails raises the error of its earliest failing
+    step, as the step-by-step loop would: the checks run in the loop's order
+    within a step, each over the whole block, and an error names the first
+    step its check fails.  Rescoring the steps before that one finds any
+    earlier fault; there every check up to the failed one passes, so this
+    recurses at most once per check."""
+    try:
+        return _block_records(start, states, post_at, roles, decode, channel)
+    except SimulationError as err:
+        if err.index:
+            _score_block(start, states[: post_at[err.index - 1] + 1], post_at[: err.index], roles, decode, channel)
+        raise
+
+
+def _block_records(start, states, post_at, roles, decode, channel) -> list:
+    try:
+        # validates the corrected and post-noise states, and takes every
+        # state's entropy once: S(pre-noise) is the previous state's
+        chain = QRegister(states, roles)
+        von_neumann_entropy(chain)
+    except SimulationError as err:
+        err.index = int(np.searchsorted(post_at, err.index))
+        raise
+    after = chain[post_at]
+    ledger = entropy_ledger_step(chain[post_at - 1], after, channel)
+    records = _storage_records(start, after, decode, ledger.max_gap.tolist())
+    dist = np.linalg.norm(after.rho - dephase_all(after).rho, axis=(-2, -1))
+    fid = np.array([rec.epr_fidelity for rec in records])
+    factor = 2.0 ** (len(roles) / 2 - 1)  # sqrt(2^(n-2)), the decoded projector's 2-norm
+    above = np.flatnonzero((dist <= SEPARABILITY_EPS) & (fid > 0.5 + factor * dist + 1e-9))
+    if above.size:
+        i = int(above[0])
+        raise SimulationError(f"near-dephased state decoded above the separable ceiling: {records[i].epr_fidelity}", i)
+    return records
+
+
+def _storage_records(start, reg, decode, max_gaps) -> list:
+    """One record per state of a stacked register, from step `start` on."""
+    columns = zip(
+        von_neumann_entropy(reg).tolist(),
+        information(reg).tolist(),
+        epr_fidelity(reg, decode, 1, 0).tolist(),
+        max_gaps,
     )
+    return [
+        TraceRecord(step=t, entropy_bits=s, information_bits=info, epr_fidelity=fid, max_gap=gap)
+        for t, (s, info, fid, gap) in enumerate(columns, start)
+    ]

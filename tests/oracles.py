@@ -3,11 +3,11 @@
 Dense unitaries for a compiled fridge, the linear block-size search,
 Haar-random unitaries, an EPR register, conditional entropy, Bloch
 read-out, two Kraus constructors, direct channel application and
-composition, the stockpile run on its full register, and the entropy
-margins and bounds-experiment sample loop one state pair at a time: the
-tests build inputs and check results with them, while the program works on
-index maps, natural reps, PTMs, the touched qubits and stacks of state pairs
-only.
+composition, the stockpile run on its full register, the EPR storage run
+one step at a time, and the entropy margins and bounds-experiment sample
+loop one state pair at a time: the tests build inputs and check results
+with them, while the program works on index maps, natural reps, PTMs, the
+touched qubits and stacks of state pairs and of storage steps only.
 """
 
 import math
@@ -24,13 +24,28 @@ from qfridge.densim import (
     REFERENCE,
     ZERO,
     QRegister,
+    GateLayer,
     SimulationError,
+    compile_layers,
+    dephase_all,
+    epr_fidelity,
+    evolve,
     information,
     partial_trace,
+    repetition_code,
     step,
     von_neumann_entropy,
 )
-from qfridge.experiments import StockpileResult, TraceRecord, _random_pair_layer
+from qfridge.bounds import entropy_ledger_step
+from qfridge.experiments import (
+    CODE_PHASE_FLIP,
+    CORRECTION_INTERVAL,
+    SEPARABILITY_EPS,
+    EprStorageResult,
+    StockpileResult,
+    TraceRecord,
+    _random_pair_layer,
+)
 from qfridge import fridge
 from qfridge.fridge import FridgeSpec, _swap_rows
 
@@ -103,7 +118,7 @@ def unitary_kraus(u: np.ndarray) -> KrausSet:
     return KrausSet([np.asarray(u, dtype=complex)])
 
 
-def apply_channel(c: SuperOp, rho: np.ndarray) -> np.ndarray:
+def apply_superop(c: SuperOp, rho: np.ndarray) -> np.ndarray:
     """Apply the channel to a 2x2 matrix (by linearity, any matrix)."""
     rho = np.asarray(rho, dtype=complex)
     return (c.natural() @ rho.reshape(4)).reshape(2, 2)
@@ -160,6 +175,48 @@ def stockpile_dense(a_exp, b_exp, n, p, seed=0, ancillas_per_step=1) -> Stockpil
         stockpile_left=len(stockpile),
         in_regime=a_exp + b_exp < 1,
     )
+
+
+def epr_storage_loop(code: str, p: float, steps: int) -> EprStorageResult:
+    """`experiments.run_epr_storage` one step at a time: a validated register
+    per post-noise, corrected and dephased state, one entropy ledger and one
+    decode per step, and the ceiling check right after each step's record.
+    No input checks."""
+    channel = kraus_to_superop(dephasing_kraus(p))
+    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
+    if code == CODE_PHASE_FLIP:
+        encode, decode = (compile_layers(c, 4) for c in repetition_code((1, 2, 3), phase_flip=True))
+        reg = QRegister(evolve(np.kron(rho, np.kron(ZERO, ZERO)), encode, 4), [REFERENCE, DATA, DATA, DATA])
+    else:
+        reg = QRegister(rho, [REFERENCE, DATA])
+        decode = []
+
+    def record(t, reg, max_gap):
+        return TraceRecord(
+            step=t,
+            entropy_bits=von_neumann_entropy(reg),
+            information_bits=information(reg),
+            epr_fidelity=epr_fidelity(reg, decode, 1, 0),
+            max_gap=max_gap,
+        )
+
+    ancillas = 0
+    records = [record(0, reg, None)]
+    for t in range(1, steps + 1):
+        if code == CODE_PHASE_FLIP and t % CORRECTION_INTERVAL == 0:
+            kept = partial_trace(evolve(reg.rho, decode, 4), [0, 1], 4)
+            reg = QRegister(evolve(np.kron(kept, np.kron(ZERO, ZERO)), encode, 4), reg.roles)
+            ancillas += 2
+        pre_noise = reg
+        reg = step(reg, GateLayer([]), channel)
+        ledger = entropy_ledger_step(pre_noise, reg, channel)
+        records.append(record(t, reg, ledger.max_gap))
+        deph_dist = np.linalg.norm(reg.rho - dephase_all(reg).rho)
+        if deph_dist <= SEPARABILITY_EPS:
+            fid = records[-1].epr_fidelity
+            if fid > 0.5 + math.sqrt(2 ** (reg.n_qubits - 2)) * deph_dist + 1e-9:
+                raise SimulationError(f"near-dephased state decoded above the separable ceiling: {fid}")
+    return EprStorageResult(records=tuple(records), ancillas_consumed=ancillas)
 
 
 def pair_entropy_bits(rho: np.ndarray) -> float:

@@ -66,7 +66,7 @@ from qfridge.fridge import (
 from qfridge import protocol
 from qfridge.protocol import ProtocolConfig, run_refrigerator_protocol
 
-from oracles import apply_channel, epr_register, stage_unitary
+from oracles import apply_superop, epr_register, stage_unitary
 from test_protocol import cycle_joint
 
 PS = (0.01, 0.05, 0.1, 0.2, 0.3)
@@ -151,7 +151,7 @@ def test_criterion_4_entropy_taxonomy():
     assert entropy_behavior(kraus_to_superop(depolarizing_kraus(0.1))) == STRICTLY_INCREASING
     assert entropy_behavior(kraus_to_superop(dephasing_kraus(0.1))) == NON_DECREASING
     assert entropy_behavior(kraus_to_superop(amplitude_damping_kraus(0.1))) == CAN_DECREASE
-    out = apply_channel(kraus_to_superop(amplitude_damping_kraus(0.1)), np.eye(2) / 2)
+    out = apply_superop(kraus_to_superop(amplitude_damping_kraus(0.1)), np.eye(2) / 2)
     witness = von_neumann_entropy(QRegister(out, [DATA]))
     assert abs(witness - h2(0.55)) <= 1e-9
     assert witness < 1

@@ -34,7 +34,7 @@ from qfridge.channels import (
     thermal_kraus,
 )
 
-from oracles import apply_channel, apply_kraus, compose, density_to_bloch, pauli_channel_kraus, unitary_kraus
+from oracles import apply_kraus, apply_superop, compose, density_to_bloch, pauli_channel_kraus, unitary_kraus
 
 
 def random_cp_channel(rng, n_kraus=3):
@@ -87,7 +87,7 @@ def test_apply_matches_kraus_action():
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        assert np.allclose(apply_channel(c, rho), apply_kraus(k, rho), atol=1e-12)
+        assert np.allclose(apply_superop(c, rho), apply_kraus(k, rho), atol=1e-12)
 
 
 def test_natural_rep_consistency():
@@ -142,7 +142,7 @@ def test_compose_matches_sequential_application():
     a = kraus_to_superop(dephasing_kraus(0.1))
     b = kraus_to_superop(amplitude_damping_kraus(0.2))
     rho = bloch_to_density([0.3, -0.4, 0.5])
-    assert np.allclose(apply_channel(compose(a, b), rho), apply_channel(a, apply_channel(b, rho)), atol=1e-12)
+    assert np.allclose(apply_superop(compose(a, b), rho), apply_superop(a, apply_superop(b, rho)), atol=1e-12)
 
 
 def test_bloch_roundtrip():
@@ -239,7 +239,7 @@ def test_thermal_kraus_fixed_population():
     f = canonical_form(c)
     rho = bloch_to_density(fixed_point(f).w)
     assert np.allclose(np.diag(rho).real, [0.9, 0.1], atol=1e-10)
-    assert np.allclose(apply_channel(c, rho), rho, atol=1e-10)
+    assert np.allclose(apply_superop(c, rho), rho, atol=1e-10)
 
 
 def test_is_unital():

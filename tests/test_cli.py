@@ -229,6 +229,20 @@ def test_experiment_epr_zero_noise(runner, tmp_path):
     assert manifest["seed"] == 0
 
 
+@pytest.mark.parametrize("p", [0.2, 0.25, 0.3, 0.4])
+def test_experiment_epr_coded_strong_noise_exit_0(runner, tmp_path, p):
+    """The coded memory under strong dephasing nears its dephased state with
+    a decoded fidelity above 1/2 + distance (0.5967 at distance 0.080 for
+    p = 0.2, step 4), which the 4-qubit ceiling of 1/2 + 2 * distance
+    allows: the run exits 0."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"code": "phase_flip_3", "p": p, "steps": 50}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", "epr_storage", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len((out / "trace.jsonl").read_text().strip().split("\n")) == 51
+
+
 def test_experiment_stockpile_long_run_exit_0(runner, tmp_path):
     """15,849 steps on 4 working qubits at p = 0.05, where the natural rep's
     rounded [0, 0] entry (0.9999999999999999) would move a noised |0> by

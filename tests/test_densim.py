@@ -142,6 +142,63 @@ def test_checks_run_on_the_exact_support(n, k, min_eig, seed):
     assert argument_shapes(cholesky) == [(k, k)]
 
 
+def _stack_member(kind, dim, support, rng):
+    """A dim x dim matrix on the given support indices: a valid state, or one
+    with a wrong trace, an antihermitian part, an eigenvalue of -1e-6, or a
+    NaN entry."""
+    k = len(support)
+    eigs = rng.uniform(0.1, 1.0, size=k)
+    if kind == "negative" and k > 1:
+        eigs[0] = -1e-6 * eigs[1:].sum()
+    u = random_unitary(rng, k)
+    block = (u * (eigs / eigs.sum())) @ u.conj().T
+    block = (block + block.conj().T) / 2
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[np.ix_(support, support)] = block
+    if kind == "trace":
+        rho *= 1.5
+    elif kind == "hermitian":
+        rho[support[0], support[-1]] += 1e-6j
+        rho[support[-1], support[0]] += 1e-6j
+    elif kind == "nan":
+        rho[support[-1], support[-1]] = np.nan
+    return rho
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    kinds=st.lists(st.sampled_from(["valid"] * 4 + ["trace", "hermitian", "negative", "nan"]), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_checks_match_one_register_at_a_time(n, kinds, seed):
+    """A (B, d, d) register accepts exactly when every state would be
+    accepted alone; otherwise it raises the first rejected state's message,
+    with that state's stack index.  Supports come from a pool of three, so
+    states share some and differ on others."""
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    pool = [np.sort(rng.permutation(dim)[: rng.integers(1, dim + 1)]) for _ in range(3)]
+    stack = np.array([_stack_member(kind, dim, pool[rng.integers(3)], rng) for kind in kinds])
+    alone = []
+    for rho in stack:
+        try:
+            QRegister(rho, [DATA] * n)
+            alone.append(None)
+        except SimulationError as err:
+            assert err.index is None
+            alone.append(str(err))
+    rejected = [i for i, message in enumerate(alone) if message is not None]
+    if not rejected:
+        reg = QRegister(stack, [DATA] * n)
+        want = [von_neumann_entropy(QRegister(rho, [DATA] * n)) for rho in stack]
+        assert von_neumann_entropy(reg).tolist() == want
+        return
+    with pytest.raises(SimulationError) as err:
+        QRegister(stack, [DATA] * n)
+    assert (err.value.index, str(err.value)) == (rejected[0], alone[rejected[0]])
+
+
 def test_support_keeps_an_index_whose_column_is_nonzero():
     """Row 0 is zero but column 0 holds a 1e-11 entry (Hermitian within
     TRACE_ATOL): index 0 stays, only the all-zero index 3 is dropped."""

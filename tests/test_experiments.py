@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfridge.channels import depolarizing_kraus, kraus_to_superop
-from qfridge.densim import MAX_QUBITS, QRegister, SimulationError
+from qfridge import bounds, densim, experiments
+from qfridge.channels import dephasing_kraus, depolarizing_kraus, kraus_to_superop
+from qfridge.densim import DATA, MAX_QUBITS, PHI_PLUS, REFERENCE, QRegister, SimulationError
 from qfridge.experiments import (
     CODE_NONE,
     CODE_PHASE_FLIP,
@@ -22,7 +23,7 @@ from qfridge.experiments import (
     write_jsonl,
 )
 
-from oracles import stockpile_dense
+from oracles import epr_storage_loop, random_unitary, stockpile_dense
 
 
 def test_trace_record_round_trip():
@@ -171,3 +172,78 @@ class TestEprStorage:
     def test_unknown_code(self):
         with pytest.raises(ValueError):
             run_epr_storage("surface_17", 0.1, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        code=st.sampled_from([CODE_NONE, CODE_PHASE_FLIP]),
+        # classify calls p ~ 1e-9 a unitary channel, an input error (exit 2)
+        # that the oracle does not check
+        p=st.one_of(st.just(0.0), st.floats(1e-6, 0.5)),
+        steps=st.integers(0, 60),
+        block=st.sampled_from([1, 3, 7]),
+        trace_atol=st.sampled_from([densim.TRACE_ATOL, 1e-15, 4e-15]),
+    )
+    def test_blocks_match_the_step_loop(self, code, p, steps, block, trace_atol):
+        """Blocks of 1, 3 and 7 steps put block edges on and off the
+        correction steps (every 5th).  Entropies and gaps are bit-identical
+        to the loop's, the fidelity is within 1e-12 (its Phi+ overlap is
+        stacked), and where the loop raises the run raises the same error.
+        A trace tolerance of a few ulps makes validation fail on rounding, at
+        a step that depends on the run."""
+        n = 4 if code == CODE_PHASE_FLIP else 2
+        with mock.patch.object(densim, "TRACE_ATOL", trace_atol):
+            try:
+                want = epr_storage_loop(code, p, steps)
+            except SimulationError as err:
+                want = err
+            with mock.patch.object(experiments, "EPR_BLOCK_BYTES", block * 128 * 4**n), \
+                    mock.patch.object(experiments, "entropy_ledger_step", wraps=bounds.entropy_ledger_step) as ledger:
+                try:
+                    got = run_epr_storage(code, p, steps)
+                except SimulationError as err:
+                    got = err
+        if isinstance(want, SimulationError):
+            assert isinstance(got, SimulationError) and str(got) == str(want)
+            return
+        assert not isinstance(got, SimulationError), str(got)
+        assert ledger.call_count == -(-steps // block)
+        assert got.ancillas_consumed == want.ancillas_consumed
+        assert len(got.records) == len(want.records) == steps + 1
+        for g, w in zip(got.records, want.records):
+            assert (g.step, g.entropy_bits, g.information_bits, g.max_gap) == (
+                w.step, w.entropy_bits, w.information_bits, w.max_gap)
+            assert abs(g.epr_fidelity - w.epr_fidelity) <= 1e-12
+
+    def test_block_raises_its_earliest_step_error(self):
+        """Step 1's post-noise state has trace 2, and step 0's claims no
+        entropy increase under p = 0.4 dephasing: the loop would stop at
+        step 0's chain-rule check, before it validates step 1's state."""
+        rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
+        states = np.array([rho, rho, 2 * rho])
+        channel = kraus_to_superop(dephasing_kraus(0.4))
+        with pytest.raises(SimulationError, match="chain rule violated") as err:
+            experiments._score_block(1, states, np.array([1, 2]), (REFERENCE, DATA), [], channel)
+        assert err.value.index == 0
+        with pytest.raises(SimulationError, match="trace"):
+            QRegister(states[2], (REFERENCE, DATA))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([2, 4]), rank=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_decoded_fidelity_sits_below_the_separable_ceiling(n, rank, seed):
+    """For any state of the reference and n - 1 data qubits, the decoded
+    Phi+ fidelity exceeds 1/2 by at most sqrt(2^(n-2)) times the 2-norm
+    distance to the state with every data qubit dephased: 2 for the coded
+    memory, 1 for the bare pair."""
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    g = rng.normal(size=(dim, min(rank, dim))) + 1j * rng.normal(size=(dim, min(rank, dim)))
+    g = random_unitary(rng, dim) @ g
+    reg = QRegister(g @ g.conj().T / np.trace(g @ g.conj().T).real, [REFERENCE] + [DATA] * (n - 1))
+    if n == 4:
+        decode = densim.compile_layers(densim.repetition_code((1, 2, 3), phase_flip=True)[1], 4)
+    else:
+        decode = []
+    fid = densim.epr_fidelity(reg, decode, 1, 0)
+    dist = np.linalg.norm(reg.rho - densim.dephase_all(reg).rho)
+    assert fid - 0.5 <= 2 ** (n / 2 - 1) * dist + 1e-12

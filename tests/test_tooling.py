@@ -53,6 +53,34 @@ def test_every_tracer_target_resolves():
     assert missing == []
 
 
+# spans the benchmark reports per layer for the storage and register code
+TRACED_NAMES = {
+    "qfridge.bounds.entropy_ledger_step",
+    "qfridge.densim.von_neumann_entropy",
+    "qfridge.densim.partial_trace",
+    "qfridge.densim.epr_fidelity",
+    "qfridge.densim.step",
+    "qfridge.densim.QRegister.__init__",
+}
+
+
+def test_tracer_targets_are_defined_where_the_tracer_wraps_them():
+    """`Tracer.install` takes a method from its class's own ``__dict__`` and
+    a function from its module's namespace, so a renamed, deleted or
+    inherited target fails only under ``perfbench/run.py --trace 1``."""
+    targets = [(m, a) for m, a in tracer_targets() if m == "qfridge" or m.startswith("qfridge.")]
+    assert TRACED_NAMES <= {f"{m}.{a}" for m, a in targets}
+    missing = []
+    for module_name, attr in targets:
+        owner = importlib.import_module(module_name)
+        *path, name = attr.split(".")
+        for part in path:
+            owner = vars(owner).get(part)
+        if not inspect.isfunction(vars(owner).get(name) if owner is not None else None):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []
+
+
 def _module_aliases(tree) -> dict:
     """Top-level ``name = importlib.import_module("qfridge....")`` bindings."""
     aliases = {}
