@@ -130,8 +130,8 @@ def entropy_ledger_step(before: QRegister, after: QRegister, noise: SuperOp) -> 
     The gap for qubit i conditions on all other qubits (reference included),
     so it reduces to S(noise on i only) - S(before); the chain rule makes the
     global entropy increase at least the largest gap, for every qubit
-    ordering; that consequence is asserted, and a stack's violation names
-    its first failing step.  The noised states, one per step and system
+    ordering; that consequence is asserted, and a stack raises its first
+    failing step's message.  The noised states, one per step and system
     qubit, are held at once and take one stacked `eigvalsh`.
     """
     if before.roles != after.roles or before.rho.shape != after.rho.shape:
@@ -149,9 +149,6 @@ def entropy_ledger_step(before: QRegister, after: QRegister, noise: SuperOp) -> 
     increase, top = np.reshape(global_increase, -1), np.reshape(ledger.max_gap, -1)
     broken = np.flatnonzero(increase < top - 1e-9)
     if broken.size:
-        i = int(broken[0])
-        raise SimulationError(
-            f"chain rule violated: increase {float(increase[i])} < max gap {float(top[i])}",
-            i if lead else None,
-        )
+        i = broken[0]
+        raise SimulationError(f"chain rule violated: increase {float(increase[i])} < max gap {float(top[i])}")
     return ledger

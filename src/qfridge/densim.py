@@ -41,9 +41,9 @@ code serves both, and one 2-D state keeps Python floats and 2-D LAPACK
 calls.  A register is validated once, when it is built: shape, unit trace,
 Hermiticity, and positivity, decided by a Cholesky factorisation of
 rho + PSD_ATOL*I (a full spectrum is computed only to report a rejection),
-one stacked call per support group.  A stack that fails raises the error
-one state at a time would give for its first bad state, with that state's
-index as `SimulationError.index`.  Registers never change, so each one
+one stacked call per support group.  The stacked checks only decide pass
+or fail: a stack that fails is checked again one state at a time, so it
+raises its first bad state's own error.  Registers never change, so each one
 memoises its von Neumann entropies per qubit subset; indexing a stacked
 register takes those with the states.  `partial_trace`, `evolve`,
 `epr_fidelity` and the entropies take stacks as well.
@@ -103,14 +103,7 @@ NAMED_GATES = {
 
 
 class SimulationError(ValueError):
-    """Invalid register, layer, or state encountered during simulation.
-
-    `index` is the position in a (B, d, d) stack of the first state at
-    fault, when a stack was checked; None for one state."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    """Invalid register, layer, or state encountered during simulation."""
 
 
 @dataclass(frozen=True)
@@ -215,8 +208,13 @@ def _support_groups(rho: np.ndarray) -> list:
     return groups
 
 
-def _factors(shifted: np.ndarray) -> bool:
-    """Whether a matrix, or every matrix of a stack, has a Cholesky factor."""
+def _factors(sub: np.ndarray) -> bool:
+    """Whether sub + PSD_ATOL*I has a Cholesky factor, for a matrix or every
+    matrix of a stack: exactly when the smallest eigenvalue of sub exceeds
+    -PSD_ATOL, up to ~dim*eps of rounding."""
+    shifted = sub.copy()
+    diag = np.arange(sub.shape[-1])
+    shifted[..., diag, diag] += PSD_ATOL
     try:
         np.linalg.cholesky(shifted)
         return True
@@ -224,55 +222,28 @@ def _factors(shifted: np.ndarray) -> bool:
         return False
 
 
-def _first_negative(rho: np.ndarray) -> tuple | None:
-    """(stack index, smallest eigenvalue) of the first state of a d x d state
-    or a (B, d, d) stack whose smallest eigenvalue is below -PSD_ATOL, or None.
-
-    rho + PSD_ATOL*I has a Cholesky factor exactly when the smallest
-    eigenvalue of rho exceeds -PSD_ATOL, up to ~dim*eps of rounding; the
-    eigenvalue itself decides only when the factorisation fails.  One
-    stacked factorisation per support group; a group that fails is
-    factorised again state by state."""
-    first = None
-    for members, sub in _support_groups(rho):
-        shifted = sub.copy()
-        diag = np.arange(sub.shape[-1])
-        shifted[..., diag, diag] += PSD_ATOL
-        if _factors(shifted):
-            continue
-        shape = (-1,) + sub.shape[-2:]
-        for i, one, shifted_one in zip(members, sub.reshape(shape), shifted.reshape(shape)):
-            if first is not None and i > first[0]:
-                break
-            if len(members) > 1 and _factors(shifted_one):
-                continue
-            min_eig = float(np.linalg.eigvalsh(one)[0])
-            if min_eig < -PSD_ATOL:
-                first = (int(i), min_eig)
-                break
-    return first
-
-
 def _check_states(rho: np.ndarray) -> None:
-    """Validate a d x d state or a (B, d, d) stack: unit trace, Hermiticity
-    and positivity (`_first_negative`), each state's checks in that order.
-    Raises SimulationError for the first state at fault, with its stack
-    index when rho is a stack."""
-    trace = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
-    bad_trace = (abs(trace.real - 1) > TRACE_ATOL) | (abs(trace.imag) > TRACE_ATOL)
+    """Validate a d x d state or a (B, d, d) stack in one vectorised pass:
+    unit trace, Hermiticity, and positivity (`_factors`, one call per
+    support group; the smallest eigenvalue decides only where a
+    factorisation fails).  A stack that fails any check is checked again
+    one state at a time, which raises the first bad state's own message."""
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if np.any((abs(trace.real - 1) > TRACE_ATOL) | (abs(trace.imag) > TRACE_ATOL)):
+        fault = f"trace {trace} != 1"
     # written so that a NaN entry fails the comparison and is rejected
-    asym = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).reshape(-1)
-    bad = bad_trace | ~(asym <= TRACE_ATOL)
-    end = int(np.argmax(bad)) if bad.any() else len(bad)
-    fault = None
-    if end < len(bad):
-        fault = f"trace {trace[end]} != 1" if bad_trace[end] else "density matrix is not Hermitian"
-    # positivity only of the states before the first trace or Hermiticity fault
-    negative = _first_negative(rho[:end] if rho.ndim == 3 else rho) if end else None
-    if negative is not None:
-        end, fault = negative[0], f"density matrix has eigenvalue {negative[1]} < -{PSD_ATOL}"
-    if fault is not None:
-        raise SimulationError(fault, end if rho.ndim == 3 else None)
+    elif not np.all(np.abs(rho - rho.conj().swapaxes(-1, -2)) <= TRACE_ATOL):
+        fault = "density matrix is not Hermitian"
+    else:
+        failed = [sub for _, sub in _support_groups(rho) if not _factors(sub)]
+        min_eig = min((float(np.linalg.eigvalsh(sub)[..., 0].min()) for sub in failed), default=0.0)
+        if min_eig >= -PSD_ATOL:
+            return
+        fault = f"density matrix has eigenvalue {min_eig} < -{PSD_ATOL}"
+    if rho.ndim == 2:
+        raise SimulationError(fault)
+    for one in rho:
+        _check_states(one)
 
 
 def repetition_code(data: Sequence[int], phase_flip: bool = False) -> tuple:
@@ -454,7 +425,8 @@ def von_neumann_entropy(reg: QRegister, subset: Sequence[int] | None = None) -> 
     a Python float for one state, an array for a stacked register.
 
     One stacked `eigvalsh` per support group (`_support_groups`); a state
-    with an eigenvalue below -PSD_ATOL raises, with its stack index.
+    with an eigenvalue below -PSD_ATOL raises, naming it (a stack names its
+    first such state's).
     Memoised on the register per subset tuple; the full in-order subset
     shares the default's entry.  A subset that raises is not stored.
     """
@@ -471,10 +443,9 @@ def von_neumann_entropy(reg: QRegister, subset: Sequence[int] | None = None) -> 
             eigs = np.linalg.eigvalsh(block)
             entropy[members] = spectrum_entropy_bits(eigs)
             low[members] = eigs[..., 0]
-        negative = np.flatnonzero(low < -PSD_ATOL)
+        negative = low[low < -PSD_ATOL]
         if negative.size:
-            i = int(negative[0])
-            raise SimulationError(f"reduced state has eigenvalue {low[i]}", i if sub.ndim == 3 else None)
+            raise SimulationError(f"reduced state has eigenvalue {negative[0]}")
         reg._entropies[key] = _as_float(entropy.reshape(sub.shape[:-2]))
     return reg._entropies[key]
 

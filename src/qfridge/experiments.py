@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import entropy_ledger_step
 from .channels import SuperOp, dephasing_kraus, kraus_to_superop
-from .classify import DEPHASING_CLASS, DEPOLARIZING_CLASS, classify
+from .classify import DEPOLARIZING_CLASS, classify
 from .densim import (
     DATA,
     MAX_QUBITS,
@@ -151,7 +151,6 @@ def _random_pair_layer(qubits: Sequence[int], rng: np.random.Generator) -> GateL
 @dataclass(frozen=True)
 class DecayResult:
     records: tuple
-    decay_factor: float  # fitted per-step multiplier on the information
 
 
 def run_depolarizing_decay(
@@ -165,8 +164,7 @@ def run_depolarizing_decay(
     """Track the information n - S under a depolarizing-class channel.
 
     Starts from a random pure state, alternates policy gates with noise,
-    asserts the information never increases, and fits a geometric decay rate
-    to the recorded curve.
+    and asserts the information never increases.
     """
     if not 1 <= n <= 8:
         raise ValueError(f"decay experiment needs 1 to 8 system qubits, got {n}")
@@ -192,15 +190,7 @@ def run_depolarizing_decay(
             raise SimulationError(f"information increased at step {t}")
         info = new_info
         records.append(_decay_record(t, reg, with_reference))
-    curve = np.array([r.information_bits for r in records])
-    mask = curve > 1e-9
-    if mask.sum() >= 2:
-        ts = np.arange(len(curve))[mask]
-        slope = np.polyfit(ts, np.log(curve[mask]), 1)[0]
-        factor = float(np.exp(slope))
-    else:
-        factor = 0.0
-    return DecayResult(records=tuple(records), decay_factor=factor)
+    return DecayResult(records=tuple(records))
 
 
 def _decay_record(t: int, reg: QRegister, with_reference: bool) -> TraceRecord:
@@ -254,9 +244,9 @@ def run_stockpile(
         raise ValueError(f"stockpile needs at least 1 qubit, got {n}")
     if ancillas_per_step < 0:
         raise ValueError(f"ancillas per step {ancillas_per_step} must not be negative")
+    if not 0 <= p <= 1:
+        raise ValueError(f"dephasing probability p = {p} must lie in [0, 1]")
     channel = kraus_to_superop(dephasing_kraus(p))
-    if classify(channel).kind != DEPHASING_CLASS:
-        raise ValueError("stockpile experiment needs a dephasing-class channel")
     rng = np.random.default_rng(seed)
     try:
         m = int(np.ceil(n**a_exp))
@@ -347,9 +337,9 @@ def run_epr_storage(code: str, p: float, steps: int) -> EprStorageResult:
     _check_steps(steps)
     if code not in (CODE_NONE, CODE_PHASE_FLIP):
         raise ValueError(f"unknown code {code!r}")
+    if not 0 <= p <= 1:
+        raise ValueError(f"dephasing probability p = {p} must lie in [0, 1]")
     channel = kraus_to_superop(dephasing_kraus(p))
-    if p > 0 and classify(channel).kind != DEPHASING_CLASS:
-        raise ValueError("storage experiment needs a dephasing-class channel")
 
     rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
     if code == CODE_PHASE_FLIP:
@@ -389,29 +379,23 @@ def run_epr_storage(code: str, p: float, steps: int) -> EprStorageResult:
 def _score_block(start, states, post_at, roles, decode, channel) -> list:
     """Records of steps start, start + 1, ... of one block, step i's
     post-noise state at states[post_at[i]] and its pre-noise state just
-    before it.  A block that fails raises the error of its earliest failing
-    step, as the step-by-step loop would: the checks run in the loop's order
-    within a step, each over the whole block, and an error names the first
-    step its check fails.  Rescoring the steps before that one finds any
-    earlier fault; there every check up to the failed one passes, so this
-    recurses at most once per check."""
+    before it.  The stacked checks only decide pass or fail: a block that
+    fails is scored again step by step, each step as a one-step block, so
+    it raises its earliest failing step's error, as the step-by-step loop
+    would."""
     try:
         return _block_records(start, states, post_at, roles, decode, channel)
-    except SimulationError as err:
-        if err.index:
-            _score_block(start, states[: post_at[err.index - 1] + 1], post_at[: err.index], roles, decode, channel)
+    except SimulationError:
+        for i, (first, at) in enumerate(zip([0, *post_at[:-1]], post_at)):
+            _block_records(start + i, states[first : at + 1], np.array([at - first]), roles, decode, channel)
         raise
 
 
 def _block_records(start, states, post_at, roles, decode, channel) -> list:
-    try:
-        # validates the corrected and post-noise states, and takes every
-        # state's entropy once: S(pre-noise) is the previous state's
-        chain = QRegister(states, roles)
-        von_neumann_entropy(chain)
-    except SimulationError as err:
-        err.index = int(np.searchsorted(post_at, err.index))
-        raise
+    # validates the corrected and post-noise states, and takes every
+    # state's entropy once: S(pre-noise) is the previous state's
+    chain = QRegister(states, roles)
+    von_neumann_entropy(chain)
     after = chain[post_at]
     ledger = entropy_ledger_step(chain[post_at - 1], after, channel)
     records = _storage_records(start, after, decode, ledger.max_gap.tolist())
@@ -420,8 +404,7 @@ def _block_records(start, states, post_at, roles, decode, channel) -> list:
     factor = 2.0 ** (len(roles) / 2 - 1)  # sqrt(2^(n-2)), the decoded projector's 2-norm
     above = np.flatnonzero((dist <= SEPARABILITY_EPS) & (fid > 0.5 + factor * dist + 1e-9))
     if above.size:
-        i = int(above[0])
-        raise SimulationError(f"near-dephased state decoded above the separable ceiling: {records[i].epr_fidelity}", i)
+        raise SimulationError(f"near-dephased state decoded above the separable ceiling: {records[above[0]].epr_fidelity}")
     return records
 
 

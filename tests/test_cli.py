@@ -195,12 +195,17 @@ def test_experiment_config_wrong_type_exit_2(runner, tmp_path, name, config, key
          "step count 1000000000 is above the cap of 131072"),
         ("depol_decay", {"p": 0.05, "n": 2, "steps": 131073}, "step count 131073 is above the cap of 131072"),
         ("epr_storage", {"p": 0.05, "steps": 10**12}, "step count 1000000000000 is above the cap of 131072"),
+        ("epr_storage", {"p": -0.1, "steps": 2}, "dephasing probability p = -0.1 must lie in [0, 1]"),
+        ("epr_storage", {"p": 1.5, "steps": 2}, "dephasing probability p = 1.5 must lie in [0, 1]"),
+        ("stockpile", {"a": 0.5, "b": 0.5, "n": 6, "p": -0.1}, "dephasing probability p = -0.1 must lie in [0, 1]"),
+        ("stockpile", {"a": 0.5, "b": 0.5, "n": 6, "p": 1.5}, "dephasing probability p = 1.5 must lie in [0, 1]"),
     ],
     ids=["stockpile-n13", "stockpile-n0", "stockpile-n-overflow", "decay-n9", "decay-n-1", "epr-negative-steps", "stockpile-negative-ancillas",
          "unknown-key", "missing-key", "protocol-negative-cycles", "protocol-zero-cycles",
          "protocol-negative-storage-T", "bounds-zero-samples", "bounds-zero-dim", "bounds-huge-dim",
          "protocol-negative-eps1", "protocol-zero-eps2", "protocol-negative-eps2",
-         "stockpile-step-cap", "decay-step-cap", "epr-step-cap"],
+         "stockpile-step-cap", "decay-step-cap", "epr-step-cap",
+         "epr-negative-p", "epr-p-above-1", "stockpile-negative-p", "stockpile-p-above-1"],
 )
 def test_experiment_bad_input_exit_2(runner, tmp_path, name, config, message):
     """An out-of-range, unknown or missing config value is an input error,
@@ -241,6 +246,22 @@ def test_experiment_epr_coded_strong_noise_exit_0(runner, tmp_path, p):
     result = runner.invoke(main, ["experiment", "epr_storage", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert len((out / "trace.jsonl").read_text().strip().split("\n")) == 51
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-9, 1e-8, 1.0])
+@pytest.mark.parametrize("name, config", [
+    ("epr_storage", {"code": "phase_flip_3", "steps": 6}),
+    ("stockpile", {"a": 0.5, "b": 0.5, "n": 6}),
+], ids=["epr_storage", "stockpile"])
+def test_experiment_dephasing_p_in_range_exit_0(runner, tmp_path, name, config, p):
+    """Every p in [0, 1] gives a dephasing channel the run accepts, however
+    weak: p = 0 and p = 1 are the identity and Z."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**config, "p": p}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", name, "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert (out / "trace.jsonl").exists()
 
 
 def test_experiment_stockpile_long_run_exit_0(runner, tmp_path):
