@@ -31,12 +31,11 @@ from .channels import (
     ChannelError,
     amplitude_damping_kraus,
     channel_from_dict,
-    depolarizing_kraus,
     kraus_to_superop,
     load_channel,
 )
 from .classify import classification_report, relaxation_time
-from .densim import MAX_QUBITS, ZERO, SimulationError
+from .densim import ZERO, SimulationError, check_memory, dense_bytes
 from .experiments import (
     TraceRecord,
     run_depolarizing_decay,
@@ -48,6 +47,7 @@ from .experiments import (
 from .fridge import (
     CoolingError,
     build_cooling_circuit,
+    check_dense_block,
     choose_R,
     run_fridge_ideal,
     run_fridge_noisy,
@@ -139,6 +139,8 @@ def cmd_fridge(q, eps2, r_block, noise_file):
             if eps2 is None:
                 _fail(EXIT_INPUT, "error: provide --r or --eps2")
             r_block = choose_R(q, eps2)
+        if noise_file is not None:
+            check_dense_block(r_block)  # before the compile, which fits at far larger R
         spec = build_cooling_circuit(q, r_block)
         ideal = run_fridge_ideal(spec)
         report = {
@@ -234,10 +236,9 @@ def _channel_from_config(config):
 
 
 def _run_depol_decay(config, seed, mode):
-    channel = kraus_to_superop(depolarizing_kraus(config["p"]))
     result = run_depolarizing_decay(
         n=config["n"],
-        channel=channel,
+        p=config["p"],
         steps=config["steps"],
         policy=config.get("policy", "idle"),
         seed=seed,
@@ -324,8 +325,7 @@ def _run_bounds(config, seed, mode):
         raise ValueError(f"sample count {samples} must be at least 1")
     if dim < 1:
         raise ValueError(f"state dimension {dim} must be at least 1")
-    if dim > 2**MAX_QUBITS:
-        raise ValueError(f"state dimension {dim} is above the cap of {2**MAX_QUBITS} ({MAX_QUBITS} qubits)")
+    check_memory(dense_bytes(dim), f"a bounds sample of dimension {dim}")
     rng = np.random.default_rng(seed)
     # a pair of complex dim x dim states is 32 dim^2 bytes
     block = max(1, BOUNDS_BLOCK_BYTES // (32 * dim * dim))
@@ -334,6 +334,7 @@ def _run_bounds(config, seed, mode):
     for start in range(0, samples, block):
         a, b, weights = _random_state_pairs(rng, min(block, samples - start), dim)
         margins = zip(pinsker_margin(a, b).tolist(), concavity_margin(a, b, weights, mode=mode).tolist())
+        del a, b  # freed before the next block's draw at large dim
         for i, (pm, cm) in enumerate(margins, start):
             worst_pinsker = min(worst_pinsker, pm)
             worst_concavity = min(worst_concavity, cm)

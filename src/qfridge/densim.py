@@ -21,10 +21,16 @@ compiles exactly into one unitary (`compile_layers`), applied as one dense
 U rho U^dag.  `apply_unitary` and `apply_single_qubit_superop` are
 reference kernels for the tests; `evolve` calls neither.
 
-Registers are capped at 12 qubits (dense 4096x4096 complex matrices).  The
-cap bounds what is simulated, not the system a run describes: the stockpile
-experiment holds only the qubits its gates have touched and checks that
-count against the cap before it allocates.
+Every size cap comes from one memory budget, MEMORY_BUDGET bytes, and one
+check, `check_memory`, which raises ValueError (an input error) naming the
+bytes a run needs and the budget.  Two byte formulas state the peaks: a
+dense path holds at most DENSE_COPIES d x d complex matrices
+(`dense_bytes`), so 12 qubits fit and 13 do not; a fridge block on its
+populations holds at most POPULATION_BYTES per basis label
+(`population_bytes`).  Each entry point checks its formula before it
+allocates.  A cap bounds what is simulated, not the system a run describes:
+the stockpile experiment holds only the qubits its gates have touched and
+checks that count.
 
 Entropies come from one helper, `spectrum_entropy_bits`, which scores one
 spectrum or a stack of them along the last axis.  `entropy_bits` and
@@ -68,7 +74,16 @@ import numpy as np
 
 from .channels import SuperOp
 
-MAX_QUBITS = 12
+MEMORY_BUDGET = 2**31  # bytes any one run may hold
+# most d x d complex matrices a dense path holds at once (tracemalloc peaks
+# over 16 d^2): a register build holds 2, a step 3, a stockpile or decay
+# run 4.1, the fridge's dense path 4.1, the protocol's cooling block 2.2 and
+# a bounds sample 6
+DENSE_COPIES = 7
+# most bytes per basis label of a fridge block on its populations: the
+# compile's Python lists, its stage pairs and the permutation (a tracemalloc
+# peak of 99 at R = 18), or an ideal run's population vectors
+POPULATION_BYTES = 128
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-9
 EIG_CLAMP = 1e-12
@@ -104,6 +119,30 @@ NAMED_GATES = {
 
 class SimulationError(ValueError):
     """Invalid register, layer, or state encountered during simulation."""
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise ValueError (an input error) when `what` needs more than
+    MEMORY_BUDGET bytes."""
+    if nbytes > MEMORY_BUDGET:
+        raise ValueError(f"{what} needs {nbytes} bytes, above the memory budget of {MEMORY_BUDGET} bytes")
+
+
+def qubit_dim(n: int) -> int:
+    """2^n, the dimension of n qubits, taken at n = 64 for larger n (already
+    far past the budget), so that an absurd count costs no huge power."""
+    return 2 ** min(n, 64)
+
+
+def dense_bytes(d: int) -> int:
+    """Peak bytes of a dense path on d x d complex matrices."""
+    return DENSE_COPIES * 16 * d * d
+
+
+def population_bytes(r: int) -> int:
+    """Peak bytes of an R-qubit fridge block on its 2^R populations: its
+    compile, its spec and an ideal run."""
+    return POPULATION_BYTES * qubit_dim(r)
 
 
 @dataclass(frozen=True)
@@ -143,10 +182,9 @@ class QRegister:
     roles: tuple
 
     def __init__(self, rho: np.ndarray, roles: Sequence[str]):
-        rho = np.asarray(rho, dtype=complex)
         n = len(roles)
-        if n > MAX_QUBITS:
-            raise SimulationError(f"register of {n} qubits exceeds cap {MAX_QUBITS}")
+        check_memory(dense_bytes(qubit_dim(n)), f"a register of {n} qubits")
+        rho = np.asarray(rho, dtype=complex)
         if rho.ndim not in (2, 3) or rho.shape[-2:] != (2**n, 2**n):
             raise SimulationError("density matrix dimension does not match roles")
         _check_states(rho)

@@ -16,23 +16,24 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import entropy_ledger_step
-from .channels import SuperOp, dephasing_kraus, kraus_to_superop
-from .classify import DEPOLARIZING_CLASS, classify
+from .channels import dephasing_kraus, depolarizing_kraus, kraus_to_superop
 from .densim import (
     DATA,
-    MAX_QUBITS,
     PHI_PLUS,
     REFERENCE,
     ZERO,
     GateLayer,
     QRegister,
     SimulationError,
+    check_memory,
     compile_layers,
+    dense_bytes,
     dephase_all,
     epr_fidelity,
     evolve,
     information,
     partial_trace,
+    qubit_dim,
     repetition_code,
     step,
     von_neumann_entropy,
@@ -155,41 +156,37 @@ class DecayResult:
 
 def run_depolarizing_decay(
     n: int,
-    channel: SuperOp,
+    p: float,
     steps: int,
     policy: str = "idle",
     seed: int = 0,
     with_reference: bool = False,
 ) -> DecayResult:
-    """Track the information n - S under a depolarizing-class channel.
+    """Track the information n - S under depolarizing noise of probability p.
 
-    Starts from a random pure state, alternates policy gates with noise,
-    and asserts the information never increases.
+    Starts from a random pure state of n system qubits (and a reference
+    qubit, with_reference), alternates policy gates with noise, and asserts
+    the information never increases.  Any p in [0, 1] runs (p = 0 is the
+    identity); any other p is an input error.
     """
-    if not 1 <= n <= 8:
-        raise ValueError(f"decay experiment needs 1 to 8 system qubits, got {n}")
+    if n < 1:
+        raise ValueError(f"decay experiment needs at least 1 system qubit, got {n}")
+    check_memory(dense_bytes(qubit_dim(n + with_reference)), f"a decay run on {n + with_reference} qubits")
     _check_steps(steps)
     if policy not in ("idle", "random_circuit"):
         raise ValueError(f"unknown policy {policy!r}")
-    if classify(channel).kind != DEPOLARIZING_CLASS:
-        raise ValueError("decay experiment needs a depolarizing-class channel")
+    if not 0 <= p <= 1:
+        raise ValueError(f"depolarizing probability p = {p} must lie in [0, 1]")
+    channel = kraus_to_superop(depolarizing_kraus(p))
     rng = np.random.default_rng(seed)
     reg = _random_pure_register(n, rng, with_reference)
-    records = []
-    info = information(reg)
-    records.append(_decay_record(0, reg, with_reference))
+    records = [_decay_record(0, reg, with_reference)]
     for t in range(1, steps + 1):
-        layer = (
-            _random_pair_layer(reg.system_qubits, rng)
-            if policy == "random_circuit"
-            else GateLayer([])
-        )
+        layer = _random_pair_layer(reg.system_qubits, rng) if policy == "random_circuit" else GateLayer([])
         reg = step(reg, layer, channel)
-        new_info = information(reg)
-        if new_info > info + 1e-9:
-            raise SimulationError(f"information increased at step {t}")
-        info = new_info
         records.append(_decay_record(t, reg, with_reference))
+        if records[-1].information_bits > records[-2].information_bits + 1e-9:
+            raise SimulationError(f"information increased at step {t}")
     return DecayResult(records=tuple(records))
 
 
@@ -236,8 +233,8 @@ def run_stockpile(
     Only the working and retired qubits are simulated.  They are the prefix
     0..k-1 and a draw takes index k, so no gate ever touches a waiting
     stockpile qubit: each stays in product with the rest, in |0>, and is
-    appended by a Kronecker product when drawn.  The size cap applies to the
-    m + min(budget, (n - m) // a) * a qubits simulated, checked before
+    appended by a Kronecker product when drawn.  The memory budget applies to
+    the m + min(budget, (n - m) // a) * a qubits simulated, checked before
     anything is allocated.
     """
     if n < 1:
@@ -246,7 +243,6 @@ def run_stockpile(
         raise ValueError(f"ancillas per step {ancillas_per_step} must not be negative")
     if not 0 <= p <= 1:
         raise ValueError(f"dephasing probability p = {p} must lie in [0, 1]")
-    channel = kraus_to_superop(dephasing_kraus(p))
     rng = np.random.default_rng(seed)
     try:
         m = int(np.ceil(n**a_exp))
@@ -259,10 +255,9 @@ def run_stockpile(
     draws = min(budget, (n - m) // ancillas_per_step) if ancillas_per_step else 0
     _check_steps(draws if ancillas_per_step else budget)
     simulated = m + draws * ancillas_per_step
-    if simulated > MAX_QUBITS:
-        raise ValueError(f"stockpile run simulates {simulated} qubits, above the cap of {MAX_QUBITS}")
+    check_memory(dense_bytes(qubit_dim(simulated)), f"a stockpile run simulating {simulated} qubits")
 
-    nat = channel.natural()
+    nat = kraus_to_superop(dephasing_kraus(p)).natural()
     reg = QRegister.from_product([ZERO] * m)
     left = n - m  # waiting qubits; the next one drawn is qubit n - left
     records = []

@@ -19,6 +19,11 @@ diagonal to within eps per location, is a Markov chain on the 2^R
 basis-state probabilities.  The runner takes that path when
 2 F eps <= 1e-12, which bounds its trace-norm deviation from the dense
 density-matrix run; every other run takes the dense path.
+
+The compile, the spec and an ideal run hold O(2^R) bytes, so they are held
+to `densim.population_bytes`.  A noisy run is held to `densim.dense_bytes`
+on both of its paths: it can fall back to the dense path, and its
+populations work, F R 2^R updates, grows as 4^R too.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from functools import reduce
 import numpy as np
 
 from .channels import ChannelError, SuperOp, diamond_upper, identity_channel, kraus_to_superop, trace_norm
-from .densim import MAX_QUBITS, ZERO, SimulationError, entropy_bits, evolve, partial_trace, spectrum_entropy_bits
+from .densim import (ZERO, SimulationError, check_memory, dense_bytes, entropy_bits, evolve, partial_trace,
+                     population_bytes, qubit_dim, spectrum_entropy_bits)
 
 # largest trace-norm deviation from the dense run that run_fridge_noisy's
 # probability-vector path may add (the float-reordering allowance)
@@ -50,63 +56,64 @@ class FridgeSpec:
     ``q`` is the minority population of the fixed point, so q < 1/2 strictly;
     the block is cooled in its computational basis, so a caller whose fixed
     point lies elsewhere rotates the input first.  ``permutation[x]`` is the
-    output basis label for input label x.
-    ``stages`` holds the compiled circuit, derived from ``permutation``, as a
-    tuple of ``np.intp`` index arrays, one per stage: ``(x, y)`` swaps basis
-    labels x and y, and an empty array is a wait stage.  Their product, in
-    order, is ``permutation``.  Each transposition of ``permutation`` occupies
-    one stage; an identity permutation still spends one wait stage.
+    output basis label for input label x, held as a read-only ``np.intp``
+    array.  ``stages`` holds the compiled circuit, derived from
+    ``permutation``, as a read-only (F, 2) ``np.intp`` array: row ``(x, y)``
+    swaps basis labels x and y.  Their product, in order, is ``permutation``.
+    Each transposition of ``permutation`` occupies one stage; an identity
+    permutation still spends one wait stage, the self-swap ``(0, 0)``.
     ``f_count`` counts locations = stages x R, idle qubits included as waits.
     """
 
     q: float
     r_block: int
-    permutation: tuple
-    stages: tuple = field(init=False)
+    permutation: np.ndarray
+    stages: np.ndarray = field(init=False)
     f_count: int = field(init=False)
 
     def __post_init__(self):
-        if not 0 <= self.q < 0.5:
-            raise CoolingError(f"bias q={self.q} must lie in [0, 1/2)")
-        _check_register_cap(self.r_block)
-        if sorted(self.permutation) != list(range(2**self.r_block)):
+        _check_block(self.q, self.r_block)
+        permutation = np.array(self.permutation, dtype=np.intp)
+        if permutation.shape != (2**self.r_block,):
             raise CoolingError("permutation is not a bijection on basis states")
-        permutation = self.permutation
-        r = self.r_block
-
-        # decompose into transpositions via cycles
-        transpositions = []
-        seen = [False] * 2**r
-        for start in range(2**r):
-            if seen[start] or permutation[start] == start:
-                seen[start] = True
+        # one transposition (start, x) for each later label x of the cycle
+        # that its least label, start, opens; only a bijection lets every
+        # walk return to its start without leaving the labels or meeting a
+        # label already walked
+        image = permutation.tolist()
+        seen = bytearray(len(image))
+        pairs = []
+        for start in range(len(image)):
+            if seen[start]:
                 continue
-            cycle = []
-            x = start
-            while not seen[x]:
+            x = image[start]
+            while x != start:
+                if not 0 <= x < len(image) or seen[x]:
+                    raise CoolingError("permutation is not a bijection on basis states")
+                pairs += (start, x)
                 seen[x] = True
-                cycle.append(x)
-                x = permutation[x]
-            for other in cycle[1:]:
-                transpositions.append((cycle[0], other))
-
-        stages = [np.array(pair, dtype=np.intp) for pair in transpositions]
-        if not stages:
-            stages.append(np.array([], dtype=np.intp))  # wait stage
-        object.__setattr__(self, "stages", tuple(stages))
-        object.__setattr__(self, "f_count", len(stages) * r)
+                x = image[x]
+        stages = np.array(pairs or [0, 0], dtype=np.intp).reshape(-1, 2)
+        permutation.setflags(write=False)
+        stages.setflags(write=False)
+        object.__setattr__(self, "permutation", permutation)
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "f_count", len(stages) * self.r_block)
 
 
-def _check_register_cap(r: int) -> None:
-    # every 2^R enumeration and dense 2^R x 2^R state sits behind this check
+def _check_block(q: float, r: int) -> None:
+    """Reject a bias outside [0, 1/2), a block under one qubit, or one whose
+    populations exceed the memory budget, before any 2^R enumeration."""
+    if not 0 <= q < 0.5:
+        raise CoolingError(f"bias q={q} must lie in [0, 1/2)")
     if r < 1:
         raise ChannelError(f"block size {r} must be at least 1")
-    if r > MAX_QUBITS:
-        raise ChannelError(f"block size {r} exceeds the {MAX_QUBITS}-qubit register cap")
+    check_memory(population_bytes(r), f"a cooling block of {r} qubits")
 
 
 def _swap_rows(a: np.ndarray, stage: np.ndarray) -> None:
-    """Swap the rows a stage transposes, in place; a wait stage is a no-op."""
+    """Swap the rows a stage transposes, in place; the wait stage (0, 0)
+    swaps row 0 with itself."""
     a[stage] = a[stage[::-1]]
 
 
@@ -133,7 +140,7 @@ class CoolingReport:
 
 def _block_probabilities(q: float, r: int) -> np.ndarray:
     """Product distribution over {0,1}^R basis labels; a 1 bit has weight q."""
-    weights = np.array([bin(x).count("1") for x in range(2**r)])
+    weights = np.bitwise_count(np.arange(2**r))
     return (1 - q) ** (r - weights) * q**weights
 
 
@@ -142,9 +149,7 @@ def top_mass(q: float, r: int) -> float:
     distribution, via binomial weight classes (no 2^R enumeration).  Class
     sizes are exact integers; where one is too large for a float, its share
     is taken in logs."""
-    if r == 0:
-        return 1.0
-    if q == 0:
+    if r == 0 or q == 0:
         return 1.0
     target = 2 ** (r - 1)
     taken = 0
@@ -192,15 +197,10 @@ def build_cooling_circuit(q: float, r: int) -> FridgeSpec:
     Basis states are ordered by descending probability, ties broken by
     ascending label; the i-th most likely state is mapped to label i.
     """
-    if not 0 <= q < 0.5:
-        raise CoolingError(f"bias q={q} must lie in [0, 1/2)")
-    _check_register_cap(r)
-    probs = _block_probabilities(q, r)
-    order = sorted(range(2**r), key=lambda x: (-probs[x], x))
-    permutation = [0] * 2**r
-    for rank, x in enumerate(order):
-        permutation[x] = rank
-    return FridgeSpec(q=q, r_block=r, permutation=tuple(permutation))
+    _check_block(q, r)
+    order = np.lexsort((np.arange(2**r), -_block_probabilities(q, r)))
+    # each label's rank in that order: the order's inverse
+    return FridgeSpec(q=q, r_block=r, permutation=np.argsort(order))
 
 
 def _coherence_leak(nat: np.ndarray) -> float:
@@ -252,8 +252,15 @@ def _run(spec: FridgeSpec, noise: SuperOp | None) -> CoolingReport:
 
 
 def run_fridge_ideal(spec: FridgeSpec) -> CoolingReport:
-    """Noiseless cooling of the thermal product block."""
+    """Noiseless cooling of the thermal product block, within the populations
+    budget its spec was built under."""
     return _run(spec, None)
+
+
+def check_dense_block(r: int) -> None:
+    """Reject a block whose dense 2^R x 2^R state would exceed the memory
+    budget: a noisy run's, on both of its paths, or the protocol's."""
+    check_memory(dense_bytes(qubit_dim(r)), f"a dense cooling block of {r} qubits")
 
 
 def run_fridge_noisy(spec: FridgeSpec, noise: SuperOp) -> CoolingReport:
@@ -265,6 +272,7 @@ def run_fridge_noisy(spec: FridgeSpec, noise: SuperOp) -> CoolingReport:
     noise by the identity one location at a time moves the state by at most
     d in trace norm, F times over.  A broken bound raises SimulationError.
     """
+    check_dense_block(spec.r_block)
     report = _run(spec, noise)
     d = diamond_upper(noise, kraus_to_superop(identity_channel()))
     bound = run_fridge_ideal(spec).reset_distance + spec.f_count * d

@@ -48,7 +48,7 @@ from .densim import (
     repetition_code,
 )
 from .experiments import TraceRecord
-from .fridge import FridgeSpec, apply_permutation, build_cooling_circuit, choose_R
+from .fridge import FridgeSpec, apply_permutation, build_cooling_circuit, check_dense_block, choose_R
 
 MODE_EXACT = "exact"
 MODE_FACTORIZED = "factorized"
@@ -194,6 +194,7 @@ def run_refrigerator_protocol(
     purity = float(np.linalg.norm(w))
     q_bias = max(0.0, (1 - purity) / 2)
     r = cfg.r_block if cfg.r_block is not None else choose_R(q_bias, cfg.eps2)
+    check_dense_block(r)  # before the compile: each cooling block is a dense state
     rho_p = bloch_to_density(w)
     eigvals, eigvecs = np.linalg.eigh(rho_p)
     pre_rot = eigvecs[:, ::-1].conj().T  # rotate the fixed point onto |0>

@@ -171,11 +171,15 @@ def test_experiment_config_wrong_type_exit_2(runner, tmp_path, name, config, key
 @pytest.mark.parametrize(
     "name, config, message",
     [
-        ("stockpile", {"a": 1.0, "b": 0.5, "n": 13, "p": 0.05}, "stockpile run simulates 13 qubits, above the cap of 12"),
+        ("stockpile", {"a": 1.0, "b": 0.5, "n": 13, "p": 0.05},
+         "a stockpile run simulating 13 qubits needs 7516192768 bytes, above the memory budget of 2147483648 bytes"),
         ("stockpile", {"a": 0.5, "b": 0.5, "n": 0, "p": 0.05}, "stockpile needs at least 1 qubit, got 0"),
         ("stockpile", {"a": 0.5, "b": 0.5, "n": 10**400, "p": 0.05}, "n^a or n^b is too large for a float"),
-        ("depol_decay", {"p": 0.05, "n": 9, "steps": 2}, "decay experiment needs 1 to 8 system qubits, got 9"),
-        ("depol_decay", {"p": 0.05, "n": -1, "steps": 2}, "decay experiment needs 1 to 8 system qubits, got -1"),
+        ("depol_decay", {"p": 0.05, "n": 13, "steps": 2}, "a decay run on 13 qubits needs 7516192768 bytes, above the memory budget of 2147483648 bytes"),
+        ("depol_decay", {"p": 0.05, "n": -1, "steps": 2}, "decay experiment needs at least 1 system qubit, got -1"),
+        # a count above 64 qubits is taken as 64: no 2^(10^12) is computed
+        ("depol_decay", {"p": 0.05, "n": 10**12, "steps": 2},
+         f"a decay run on 1000000000000 qubits needs {7 * 16 * 4**64} bytes, above the memory budget of 2147483648 bytes"),
         ("epr_storage", {"p": 0.05, "steps": -3}, "step count -3 must not be negative"),
         ("stockpile", {"a": 0.5, "b": 0.5, "n": 6, "p": 0.05, "ancillas_per_step": -2},
          "ancillas per step -2 must not be negative"),
@@ -187,7 +191,7 @@ def test_experiment_config_wrong_type_exit_2(runner, tmp_path, name, config, key
         ("bounds", {"p": 0.1, "n": 4, "samples": 0}, "sample count 0 must be at least 1"),
         ("bounds", {"p": 0.1, "n": 4, "dim": 0}, "state dimension 0 must be at least 1"),
         ("bounds", {"p": 0.1, "n": 4, "dim": 1000000, "samples": 1},
-         "state dimension 1000000 is above the cap of 4096 (12 qubits)"),
+         "a bounds sample of dimension 1000000 needs 112000000000000 bytes, above the memory budget of 2147483648 bytes"),
         ("fridge_protocol", {"p": 0.01, "cycles": 3, "storage_T": 20, "eps1": -1}, "eps1 -1 must be positive"),
         ("fridge_protocol", {"p": 0.01, "cycles": 3, "eps2": 0, "r_block": None}, "eps2 0 must be positive"),
         ("fridge_protocol", {"p": 0.01, "cycles": 3, "eps2": -1, "r_block": 2, "storage_T": 20}, "eps2 -1 must be positive"),
@@ -199,13 +203,16 @@ def test_experiment_config_wrong_type_exit_2(runner, tmp_path, name, config, key
         ("epr_storage", {"p": 1.5, "steps": 2}, "dephasing probability p = 1.5 must lie in [0, 1]"),
         ("stockpile", {"a": 0.5, "b": 0.5, "n": 6, "p": -0.1}, "dephasing probability p = -0.1 must lie in [0, 1]"),
         ("stockpile", {"a": 0.5, "b": 0.5, "n": 6, "p": 1.5}, "dephasing probability p = 1.5 must lie in [0, 1]"),
+        ("depol_decay", {"p": -0.1, "n": 2, "steps": 3}, "depolarizing probability p = -0.1 must lie in [0, 1]"),
+        ("depol_decay", {"p": 1.5, "n": 2, "steps": 3}, "depolarizing probability p = 1.5 must lie in [0, 1]"),
     ],
-    ids=["stockpile-n13", "stockpile-n0", "stockpile-n-overflow", "decay-n9", "decay-n-1", "epr-negative-steps", "stockpile-negative-ancillas",
+    ids=["stockpile-n13", "stockpile-n0", "stockpile-n-overflow", "decay-n13", "decay-n-1", "decay-n-absurd", "epr-negative-steps", "stockpile-negative-ancillas",
          "unknown-key", "missing-key", "protocol-negative-cycles", "protocol-zero-cycles",
          "protocol-negative-storage-T", "bounds-zero-samples", "bounds-zero-dim", "bounds-huge-dim",
          "protocol-negative-eps1", "protocol-zero-eps2", "protocol-negative-eps2",
          "stockpile-step-cap", "decay-step-cap", "epr-step-cap",
-         "epr-negative-p", "epr-p-above-1", "stockpile-negative-p", "stockpile-p-above-1"],
+         "epr-negative-p", "epr-p-above-1", "stockpile-negative-p", "stockpile-p-above-1",
+         "decay-negative-p", "decay-p-above-1"],
 )
 def test_experiment_bad_input_exit_2(runner, tmp_path, name, config, message):
     """An out-of-range, unknown or missing config value is an input error,
@@ -262,6 +269,18 @@ def test_experiment_dephasing_p_in_range_exit_0(runner, tmp_path, name, config, 
     result = runner.invoke(main, ["experiment", name, "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert (out / "trace.jsonl").exists()
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-9, 1.0])
+def test_experiment_depol_decay_p_in_range_exit_0(runner, tmp_path, p):
+    """Every p in [0, 1] gives a depolarizing channel the run accepts,
+    however weak: p = 0 is the identity."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": 2, "p": p, "steps": 3}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", "depol_decay", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len((out / "trace.jsonl").read_text().strip().split("\n")) == 4
 
 
 def test_experiment_stockpile_long_run_exit_0(runner, tmp_path):
@@ -354,10 +373,37 @@ def test_experiment_fridge_protocol(runner, tmp_path):
 
 
 def test_fridge_register_cap_exit_2(runner):
-    result = runner.invoke(main, ["fridge", "--q", "0.1", "--r", "13"])
+    # 128 bytes per basis label: R = 24 fits the budget and R = 25 does not
+    result = runner.invoke(main, ["fridge", "--q", "0.1", "--r", "25"])
     assert result.exit_code == 2
-    assert "register cap" in result.output
-    assert "no cooling possible" not in result.output
+    assert result.output.strip() == "error: a cooling block of 25 qubits needs 4294967296 bytes, above the memory budget of 2147483648 bytes"
+
+
+def test_fridge_ideal_r16_runs_on_populations(runner):
+    # an ideal run holds O(2^R) bytes, so R = 16 fits the memory budget
+    result = runner.invoke(main, ["fridge", "--q", "0.1", "--r", "16"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert abs(doc["reset_distance"] - 2 * (1 - doc["reset_population"])) <= 1e-12
+    assert doc["R"] == 16 and doc["F"] % 16 == 0
+
+
+def test_fridge_noisy_r16_exit_2(runner, tmp_path):
+    # a noisy run is held to the dense 4^R formula, checked before the
+    # compile, whose arrays alone would take ~6 MB at R = 16
+    noise = write_channel(tmp_path / "ad.json", amplitude_damping_kraus(1e-3))
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["fridge", "--q", "0.1", "--r", "16", "--noise", noise])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert result.exit_code == 2
+    assert result.output.strip() == (
+        "error: a dense cooling block of 16 qubits needs 481036337152 bytes, "
+        "above the memory budget of 2147483648 bytes"
+    )
 
 
 @pytest.mark.parametrize("r", ["0", "-1"])

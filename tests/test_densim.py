@@ -329,8 +329,11 @@ def test_step_result_has_its_own_memo():
 
 
 def test_register_cap():
-    with pytest.raises(SimulationError):
-        QRegister(np.eye(2**13) / 2**13, [DATA] * 13)
+    # checked on the roles before the matrix is read, so an input error
+    # (exit 2), not a broken invariant
+    with pytest.raises(ValueError, match="a register of 13 qubits needs 7516192768 bytes") as info:
+        QRegister(np.eye(1), [DATA] * 13)
+    assert not isinstance(info.value, SimulationError)
 
 
 def test_apply_unitary_agrees_with_dense_kron():

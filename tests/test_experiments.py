@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfridge import bounds, densim, experiments
-from qfridge.channels import dephasing_kraus, depolarizing_kraus, kraus_to_superop
-from qfridge.densim import DATA, MAX_QUBITS, PHI_PLUS, REFERENCE, QRegister, SimulationError
+from qfridge.channels import dephasing_kraus, kraus_to_superop
+from qfridge.densim import DATA, MEMORY_BUDGET, PHI_PLUS, REFERENCE, QRegister, SimulationError
 from qfridge.experiments import (
     CODE_NONE,
     CODE_PHASE_FLIP,
@@ -58,29 +58,23 @@ def test_write_jsonl_deterministic(tmp_path):
 
 class TestDepolarizingDecay:
     def test_information_monotone_and_geometric(self):
-        channel = kraus_to_superop(depolarizing_kraus(0.15))
-        result = run_depolarizing_decay(3, channel, 15, policy="random_circuit", seed=5)
+        result = run_depolarizing_decay(3, 0.15, 15, policy="random_circuit", seed=5)
         infos = [r.information_bits for r in result.records]
         assert all(b <= a + 1e-9 for a, b in zip(infos, infos[1:]))
 
     def test_idle_policy_and_reference(self):
-        channel = kraus_to_superop(depolarizing_kraus(0.2))
-        result = run_depolarizing_decay(2, channel, 5, policy="idle", seed=6, with_reference=True)
+        result = run_depolarizing_decay(2, 0.2, 5, policy="idle", seed=6, with_reference=True)
         fids = [r.epr_fidelity for r in result.records]
         assert fids[0] > 0.999
         assert all(b <= a + 1e-9 for a, b in zip(fids, fids[1:]))
 
-    def test_rejects_wrong_class(self):
-        from qfridge.channels import amplitude_damping_kraus
-
-        with pytest.raises(ValueError):
-            run_depolarizing_decay(2, kraus_to_superop(amplitude_damping_kraus(0.1)), 3)
-
     def test_size_cap(self):
-        # an oversized register is an input error, not a broken invariant
-        with pytest.raises(ValueError, match="1 to 8 system qubits") as info:
-            run_depolarizing_decay(9, kraus_to_superop(depolarizing_kraus(0.1)), 2)
-        assert not isinstance(info.value, SimulationError)
+        # an oversized register is an input error, not a broken invariant;
+        # the reference qubit counts towards it
+        for n, with_reference in ((13, False), (12, True)):
+            with pytest.raises(ValueError, match=f"a decay run on 13 qubits needs .* budget of {MEMORY_BUDGET}") as info:
+                run_depolarizing_decay(n, 0.1, 2, with_reference=with_reference)
+            assert not isinstance(info.value, SimulationError)
 
 
 class TestStockpile:
@@ -114,7 +108,7 @@ class TestStockpile:
     def test_register_cap_checked_before_allocating(self):
         # a = 1 works on all 13 qubits; no register is built for it
         with mock.patch.object(QRegister, "from_product", side_effect=AssertionError("allocated")):
-            with pytest.raises(ValueError, match=f"simulates 13 qubits, above the cap of {MAX_QUBITS}") as info:
+            with pytest.raises(ValueError, match=f"simulating 13 qubits needs .* budget of {MEMORY_BUDGET}") as info:
                 run_stockpile(1.0, 0.5, 13, 0.05)
         assert not isinstance(info.value, SimulationError)
 
