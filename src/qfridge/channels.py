@@ -89,9 +89,6 @@ class SuperOp:
         """3x3 Bloch linear block."""
         return self.ptm[1:, 1:]
 
-    def apply_bloch(self, w: np.ndarray) -> np.ndarray:
-        return self.shift + self.linear @ np.asarray(w, dtype=float)
-
     def natural(self) -> np.ndarray:
         """4x4 superoperator on row-major-flattened 2x2 matrices: the PTM
         in the vec(rho) basis.

@@ -12,13 +12,14 @@ input state, which no unitary can exceed (majorization -- a unitary cannot
 push more weight onto a rank-2^(R-1) subspace than the top eigenvalues hold).
 
 Ideal and noisy runs share one runner that cools the thermal product block,
-the input the protocol's relaxed qubits approach, by applying the stages in
-order.  The stages only permute basis states and that block is diagonal, so
-the ideal run, and a noisy run under noise that keeps diagonal states
-diagonal to within eps per location, is a Markov chain on the 2^R
-basis-state probabilities.  The runner takes that path when
-2 F eps <= 1e-12, which bounds its trace-norm deviation from the dense
-density-matrix run; every other run takes the dense path.
+the input the protocol's relaxed qubits approach.  The stages only permute
+basis states and that block is diagonal, so the ideal run is one gather of
+its 2^R basis-state probabilities by the inverse permutation.  A noisy run
+applies the stages in order; under noise that keeps diagonal states
+diagonal to within eps per location it is a Markov chain on those
+probabilities.  The runner takes that path when 2 F eps <= 1e-12, which
+bounds its trace-norm deviation from the dense density-matrix run; every
+other noisy run takes the dense path.
 
 The compile, the spec and an ideal run hold O(2^R) bytes, so they are held
 to `densim.population_bytes`.  A noisy run is held to `densim.dense_bytes`
@@ -213,11 +214,12 @@ def _coherence_leak(nat: np.ndarray) -> float:
 
 
 def _run(spec: FridgeSpec, noise: SuperOp | None) -> CoolingReport:
-    """Cool the thermal block: apply the stages in order, each followed by
-    one noise pass per qubit when `noise` is given.
+    """Cool the thermal block.  Without noise, gather its populations once
+    by the inverse permutation; with noise, apply the stages in order, each
+    followed by one noise pass per qubit.
 
-    The run is a Markov chain on the 2^R populations, in O(F 2^R) time and
-    O(2^R) memory, without noise or when 2 F eps <= POPULATION_ATOL: eps is
+    A noisy run is a Markov chain on the 2^R populations, in O(F 2^R) time
+    and O(2^R) memory, when 2 F eps <= POPULATION_ATOL: eps is
     the largest population -> coherence entry of the noise's natural rep, or
     imaginary part of its population block, and a telescoping argument over
     the F locations bounds the trace-norm deviation from the dense run by
@@ -231,16 +233,20 @@ def _run(spec: FridgeSpec, noise: SuperOp | None) -> CoolingReport:
     dense = nat is not None and 2 * spec.f_count * _coherence_leak(nat) > POPULATION_ATOL
     if dense:
         state = np.diag(state).astype(complex)
-    transfer = None if nat is None else nat[np.ix_((0, 3), (0, 3))].real
-    for stage in spec.stages:
-        # state -> S state S^T in place: swap the stage's rows, then its columns
-        _swap_rows(state, stage)
-        if dense:
-            _swap_rows(state.T, stage)
-            state = evolve(state, [], r, nat)
-        elif nat is not None:
-            for q_idx in range(r):
-                state = np.matmul(transfer, state.reshape(2**q_idx, 2, -1)).reshape(-1)
+    if nat is None:
+        # the stages' product, as one exact gather
+        state = state[np.argsort(spec.permutation)]
+    else:
+        transfer = nat[np.ix_((0, 3), (0, 3))].real
+        for stage in spec.stages:
+            # state -> S state S^T in place: swap the stage's rows, then its columns
+            _swap_rows(state, stage)
+            if dense:
+                _swap_rows(state.T, stage)
+                state = evolve(state, [], r, nat)
+            else:
+                for q_idx in range(r):
+                    state = np.matmul(transfer, state.reshape(2**q_idx, 2, -1)).reshape(-1)
     if dense:
         waste_entropy = entropy_bits(partial_trace(state, list(range(1, r)), r)) if r > 1 else 0.0
         reset = partial_trace(state, [0], r)

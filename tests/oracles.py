@@ -1,21 +1,26 @@
 """Test fixtures and oracles that the package itself does not need.
 
-Dense unitaries for a compiled fridge, the linear block-size search,
+Dense unitaries for a compiled fridge, the ideal fridge run stage by stage,
+the linear block-size search, the entropy verdict by sampling states,
 Haar-random unitaries, an EPR register, conditional entropy, Bloch
-read-out, two Kraus constructors, direct channel application and
-composition, the stockpile run on its full register, the EPR storage run
-one step at a time, and the entropy margins and bounds-experiment sample
-loop one state pair at a time: the tests build inputs and check results
-with them, while the program works on index maps, natural reps, PTMs, the
-touched qubits and stacks of state pairs and of storage steps only.
+read-out, two Kraus constructors, direct channel application to a Bloch
+vector or a matrix and composition, the stockpile run on its full
+register, the EPR storage run one step at a time, and the entropy margins
+and bounds-experiment sample loop one state pair at a time: the tests build
+inputs and check results with them, while the program works on index maps,
+one population gather, natural reps, PTMs, the channel's class, the touched
+qubits and stacks of state pairs and of storage steps only.
 """
 
 import math
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from qfridge.channels import PAULIS, ChannelError, KrausSet, SuperOp, dephasing_kraus, kraus_to_superop
+from qfridge.channels import (PAULIS, ChannelError, KrausSet, SuperOp, canonical_form, dephasing_kraus,
+                              kraus_to_superop, trace_norm)
+from qfridge.classify import CAN_DECREASE, NON_DECREASING, STRICTLY_INCREASING
 from qfridge.bounds import _CONCAVITY_K
 from qfridge.densim import (
     DATA,
@@ -33,6 +38,7 @@ from qfridge.densim import (
     information,
     partial_trace,
     repetition_code,
+    spectrum_entropy_bits,
     step,
     von_neumann_entropy,
 )
@@ -47,7 +53,7 @@ from qfridge.experiments import (
     _random_pair_layer,
 )
 from qfridge import fridge
-from qfridge.fridge import FridgeSpec, _swap_rows
+from qfridge.fridge import CoolingReport, FridgeSpec, _swap_rows
 
 
 def permutation_unitary(spec: FridgeSpec) -> np.ndarray:
@@ -65,6 +71,19 @@ def stage_unitary(spec: FridgeSpec, i: int) -> np.ndarray:
     return u
 
 
+def ideal_run_stage_walk(spec: FridgeSpec) -> CoolingReport:
+    """`fridge.run_fridge_ideal` as a walk: the thermal block's populations
+    swapped one stage at a time, reduced as the program reduces them."""
+    r = spec.r_block
+    state = reduce(np.kron, [np.array([1 - spec.q, spec.q])] * r, np.ones(1))
+    for stage in spec.stages:
+        _swap_rows(state, stage)
+    by_reset_bit = state.reshape(2, -1)
+    waste_entropy = spectrum_entropy_bits(by_reset_bit.sum(axis=0)) if r > 1 else 0.0
+    reset = np.diag(by_reset_bit.sum(axis=1)).astype(complex)
+    return CoolingReport(reset_state=reset, reset_distance=trace_norm(reset - ZERO), waste_entropy=waste_entropy)
+
+
 def choose_R_linear(q: float, eps2: float) -> int | None:
     """`fridge.choose_R` as a scan of R = 1..MAX_R_SEARCH in order: the
     first block size whose reset residual 2(1 - top_mass) is below eps2, or
@@ -73,6 +92,40 @@ def choose_R_linear(q: float, eps2: float) -> int | None:
         if 2 * (1 - fridge.top_mass(q, r)) < eps2:
             return r
     return None
+
+
+def _bloch_entropy(w: np.ndarray) -> float:
+    x = 0.5 * (1 + min(np.linalg.norm(w), 1.0))
+    return spectrum_entropy_bits(np.array([x, 1 - x]))
+
+
+def entropy_behavior_sampled(c: SuperOp) -> tuple[str, float]:
+    """`classify.entropy_behavior` by sampling: the entropy change of six
+    states on the canonical axes, 200 random states from a fixed seed
+    and I/2, with a 1e-9 tolerance.  Returns the verdict and the largest
+    entropy drop observed (negative when every probe gained)."""
+    rng = np.random.default_rng(0)
+    # deterministic probes along the canonical axes catch invariant diameters
+    # that random sampling misses with probability one
+    f = canonical_form(c)
+    probes = [sign * 0.5 * f.pre_rot[i] for i in range(3) for sign in (1, -1)]
+    for _ in range(200):
+        w = rng.normal(size=3)
+        w *= rng.random() ** (1 / 3) / np.linalg.norm(w)
+        probes.append(w)
+    # the maximally mixed state is the decisive witness for non-unital maps
+    probes.append(np.zeros(3))
+    max_drop = -math.inf
+    all_gain = True
+    for w in probes:
+        before = _bloch_entropy(w)
+        after = _bloch_entropy(apply_bloch(c, w))
+        max_drop = max(max_drop, before - after)
+        if before < 1 - 1e-12 and after - before <= 1e-9:
+            all_gain = False
+    if max_drop > 1e-9:
+        return CAN_DECREASE, max_drop
+    return (STRICTLY_INCREASING if all_gain else NON_DECREASING), max_drop
 
 
 def random_unitary(rng, dim: int = 2) -> np.ndarray:
@@ -116,6 +169,11 @@ def pauli_channel_kraus(p_x: float, p_y: float, p_z: float) -> KrausSet:
 
 def unitary_kraus(u: np.ndarray) -> KrausSet:
     return KrausSet([np.asarray(u, dtype=complex)])
+
+
+def apply_bloch(c: SuperOp, w) -> np.ndarray:
+    """The channel on a Bloch vector: w -> t + Lam w."""
+    return c.shift + c.linear @ np.asarray(w, dtype=float)
 
 
 def apply_superop(c: SuperOp, rho: np.ndarray) -> np.ndarray:

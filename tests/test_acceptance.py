@@ -66,7 +66,7 @@ from qfridge.fridge import (
 from qfridge import protocol
 from qfridge.protocol import ProtocolConfig, run_refrigerator_protocol
 
-from oracles import apply_superop, epr_register, stage_unitary
+from oracles import apply_bloch, apply_superop, epr_register, stage_unitary
 from test_protocol import cycle_joint
 
 PS = (0.01, 0.05, 0.1, 0.2, 0.3)
@@ -120,7 +120,7 @@ def test_criterion_2_fixed_point():
         w_closed = fixed_point(f).w
         w = np.zeros(3)
         for _ in range(10000):
-            w_next = c.apply_bloch(w)
+            w_next = apply_bloch(c, w)
             if np.linalg.norm(w_next - w) < 1e-14:
                 break
             w = w_next

@@ -34,7 +34,7 @@ from qfridge.channels import (
     thermal_kraus,
 )
 
-from oracles import apply_kraus, apply_superop, compose, density_to_bloch, pauli_channel_kraus, unitary_kraus
+from oracles import apply_bloch, apply_kraus, apply_superop, compose, density_to_bloch, pauli_channel_kraus, unitary_kraus
 
 
 def random_cp_channel(rng, n_kraus=3):
@@ -219,7 +219,7 @@ def test_fixed_point_is_fixed():
         if np.max(np.abs(f.lam)) >= 1 - 1e-8:
             continue
         w = fixed_point(f).w
-        assert np.allclose(c.apply_bloch(w), w, atol=1e-9)
+        assert np.allclose(apply_bloch(c, w), w, atol=1e-9)
 
 
 def test_power_composition():
@@ -231,7 +231,7 @@ def test_power_composition():
 def test_replacement_channel_outputs_target():
     p = BlochVector([0.2, 0.0, -0.3])
     c = replacement_channel(p)
-    assert np.allclose(c.apply_bloch([0.9, -0.9, 0.1]), p.w)
+    assert np.allclose(apply_bloch(c, [0.9, -0.9, 0.1]), p.w)
 
 
 def test_thermal_kraus_fixed_population():

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfridge.channels import (
     BlochVector,
+    SuperOp,
     amplitude_damping_kraus,
     canonical_form,
     dephasing_kraus,
@@ -28,7 +31,8 @@ from qfridge.classify import (
 )
 from qfridge.protocol import ProtocolConfig
 
-from oracles import compose, pauli_channel_kraus, random_unitary, unitary_kraus
+from oracles import apply_bloch, compose, entropy_behavior_sampled, pauli_channel_kraus, random_unitary, unitary_kraus
+from test_channels import random_cp_channel
 
 
 def test_named_channel_classes():
@@ -62,18 +66,21 @@ def test_limit_set_kinds():
 
 
 def test_classify_invariant_under_unitary_dressing():
-    """Class labels survive pre/post rotation; the reported geometry rotates."""
+    """Class labels and entropy verdicts survive pre/post rotation; the
+    reported geometry rotates."""
     rng = np.random.default_rng(21)
     base = {
-        DEPOLARIZING_CLASS: kraus_to_superop(depolarizing_kraus(0.1)),
-        DEPHASING_CLASS: kraus_to_superop(dephasing_kraus(0.1)),
-        NON_UNITAL_CLASS: kraus_to_superop(amplitude_damping_kraus(0.1)),
+        (DEPOLARIZING_CLASS, STRICTLY_INCREASING): kraus_to_superop(depolarizing_kraus(0.1)),
+        (DEPHASING_CLASS, NON_DECREASING): kraus_to_superop(dephasing_kraus(0.1)),
+        (NON_UNITAL_CLASS, CAN_DECREASE): kraus_to_superop(amplitude_damping_kraus(0.1)),
     }
     for _ in range(30):
         u = kraus_to_superop(unitary_kraus(random_unitary(rng)))
         v = kraus_to_superop(unitary_kraus(random_unitary(rng)))
-        for kind, c in base.items():
-            assert classify(compose(compose(u, c), v)).kind == kind
+        for (kind, verdict), c in base.items():
+            dressed = compose(compose(u, c), v)
+            assert classify(dressed).kind == kind
+            assert entropy_behavior(dressed) == verdict
 
 
 def test_non_unital_iteration_converges_to_fixed_point():
@@ -85,7 +92,7 @@ def test_non_unital_iteration_converges_to_fixed_point():
         w = rng.normal(size=3)
         w *= rng.random() ** (1 / 3) / np.linalg.norm(w)
         for _ in range(200):
-            w = c.apply_bloch(w)
+            w = apply_bloch(c, w)
         assert np.linalg.norm(w - target) < 1e-6
 
 
@@ -93,7 +100,7 @@ def test_dephasing_diameter_points_are_fixed():
     c = kraus_to_superop(dephasing_kraus(0.15))
     axis = classify(c).axis
     for s in np.linspace(-1, 1, 9):
-        assert np.linalg.norm(c.apply_bloch(s * axis) - s * axis) < 1e-10
+        assert np.linalg.norm(apply_bloch(c, s * axis) - s * axis) < 1e-10
 
 
 def test_relaxation_time_minimality():
@@ -134,6 +141,54 @@ def test_entropy_behavior_taxonomy():
     assert entropy_behavior(kraus_to_superop(depolarizing_kraus(0.1))) == STRICTLY_INCREASING
     assert entropy_behavior(kraus_to_superop(dephasing_kraus(0.1))) == NON_DECREASING
     assert entropy_behavior(kraus_to_superop(amplitude_damping_kraus(0.1))) == CAN_DECREASE
+
+
+@pytest.mark.parametrize("excited", [0.499, 0.4995, 0.4999])
+def test_entropy_behavior_of_nearly_unital_thermal_channel(excited):
+    # |t| = 2e-5 .. 2e-6: I/2 maps off centre, though its entropy drops by
+    # only ~|t|^2 / (2 ln 2), below a sampled probe's tolerance
+    c = kraus_to_superop(thermal_kraus(0.01, excited))
+    assert classify(c).kind == NON_UNITAL_CLASS
+    assert entropy_behavior(c) == CAN_DECREASE
+
+
+def test_entropy_behavior_of_unitary_channel():
+    u = kraus_to_superop(unitary_kraus(random_unitary(np.random.default_rng(23))))
+    assert entropy_behavior(u) == NON_DECREASING
+
+
+def test_entropy_behavior_rejects_two_uncontracted_axes():
+    with pytest.raises(ClassificationError):
+        entropy_behavior(SuperOp(np.diag([1.0, 1.0, 1.0, 0.9])))
+
+
+def _dressed_pauli(weights, seed):
+    rng = np.random.default_rng(seed)
+    p = np.array(weights) / sum(weights)
+    c = kraus_to_superop(pauli_channel_kraus(*p[1:]))
+    u, v = (kraus_to_superop(unitary_kraus(random_unitary(rng))) for _ in range(2))
+    return compose(compose(u, c), v)
+
+
+_seeds = st.integers(0, 2**32 - 1)
+_channels = st.one_of(
+    st.builds(lambda seed, n: kraus_to_superop(random_cp_channel(np.random.default_rng(seed), n)),
+              _seeds, st.integers(1, 4)),
+    st.builds(_dressed_pauli, st.lists(st.floats(0, 1), min_size=4, max_size=4).filter(lambda w: sum(w) > 0), _seeds),
+    st.builds(lambda gamma, excited: kraus_to_superop(thermal_kraus(gamma, excited)),
+              st.floats(1e-3, 1), st.floats(0.49, 0.5)),
+)
+
+
+@settings(max_examples=300)
+@given(c=_channels)
+def test_sampled_entropy_drops_agree_with_the_class(c):
+    verdict = entropy_behavior(c)
+    _, max_drop = entropy_behavior_sampled(c)
+    if max_drop > 1e-9:
+        assert verdict == CAN_DECREASE
+    if verdict != CAN_DECREASE:
+        assert max_drop <= 1e-12
 
 
 def test_classification_report_contents():

@@ -30,7 +30,7 @@ from qfridge.fridge import (
     top_mass,
 )
 
-from oracles import choose_R_linear, permutation_unitary, random_unitary, stage_unitary
+from oracles import choose_R_linear, ideal_run_stage_walk, permutation_unitary, random_unitary, stage_unitary
 
 
 def h2(x):
@@ -185,6 +185,27 @@ def test_ideal_run_reset_population():
     report = run_fridge_ideal(spec)
     assert abs(report.reset_state[0, 0].real - top_mass(0.1, 3)) < 1e-12
     assert abs(report.reset_distance - 2 * (1 - top_mass(0.1, 3))) < 1e-12
+
+
+@pytest.mark.parametrize("q", [0.01, 0.1, 0.3])
+def test_ideal_run_gathers_what_the_stages_swap(monkeypatch, q):
+    # one gather by the inverse permutation, bit for bit the stage walk
+    want = {r: ideal_run_stage_walk(build_cooling_circuit(q, r)) for r in range(1, 11)}
+
+    def no_stage_walk(*args):
+        raise AssertionError("an ideal run walked its stages")
+
+    monkeypatch.setattr(fridge, "_swap_rows", no_stage_walk)
+    for r, walk in want.items():
+        report = run_fridge_ideal(build_cooling_circuit(q, r))
+        assert np.array_equal(report.reset_state, walk.reset_state)
+        assert report.reset_distance == walk.reset_distance
+        assert report.waste_entropy == walk.waste_entropy
+
+
+def test_ideal_run_reset_population_at_r16():
+    report = run_fridge_ideal(build_cooling_circuit(0.1, 16))
+    assert abs(report.reset_state[0, 0].real - top_mass(0.1, 16)) <= 1e-12
 
 
 def test_ideal_run_entropy_conservation():

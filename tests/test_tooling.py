@@ -1,19 +1,22 @@
 """The benchmark and the README's CLI examples must keep working against the
-program's API, every exception the program defines must map onto the
-CLI's exit-code contract, and every public function, and every defaulted
-parameter of one, must have a caller in the program or the benchmark that
-uses it.
+program's API, the classification report must keep the keys of the
+benchmark's stored reference, every exception the program defines must map
+onto the CLI's exit-code contract, and every public function, and every
+defaulted parameter of one, must have a caller in the program or the
+benchmark that uses it.
 
 ``perfbench/tracer.py`` wraps each ``(module, attribute)`` named in its
 ``TARGETS`` table, and ``perfbench/workloads.py`` calls the program through
 module aliases; a target that no longer resolves, or a call whose arguments
 no longer bind, breaks the benchmark.  Both files are read from their syntax
-trees, so nothing under ``perfbench/`` is imported or written.
+trees and the reference as JSON, so nothing under ``perfbench/`` is
+imported or written.
 """
 
 import ast
 import importlib
 import inspect
+import json
 import pkgutil
 import shlex
 from collections import Counter
@@ -21,6 +24,8 @@ from pathlib import Path
 
 import qfridge
 from qfridge import cli
+from qfridge.channels import kraus_to_superop, thermal_kraus
+from qfridge.classify import classification_report
 from qfridge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,6 +129,15 @@ def test_every_workload_call_binds():
                 problems.append(f"{text}: {err}")
     assert sum(call is not None for *_, call in refs) >= 15
     assert problems == []
+
+
+def test_classification_report_keys_match_the_benchmark_reference():
+    """The benchmark checks every key of its ``classify_relax`` op against
+    its stored reference, so a key added to or dropped from the report fails
+    ``relax_search`` as incorrect until the reference is rewritten."""
+    reference = json.loads((PERFBENCH / "reference" / "relax_search.json").read_text())["classify_relax"]
+    report = classification_report(kraus_to_superop(thermal_kraus(0.05, 0.1)))
+    assert set(report) == {key for key in reference if not key.startswith("relax_")}
 
 
 def readme_cli_examples() -> list:
