@@ -89,9 +89,12 @@ def classify(c: SuperOp) -> ChannelClass:
     """Class of a non-unitary channel from the limit of repeated application,
     read off its canonical form: center / diameter / off-center point."""
     f = canonical_form(c)
-    uncontracted = [i for i in range(3) if abs(f.lam[i]) >= 1 - CLASS_TOL]
+    lam = np.abs(f.lam)
+    uncontracted = [i for i in range(3) if lam[i] >= 1 - CLASS_TOL]
     unital = bool(np.linalg.norm(f.t) <= CLASS_TOL)
-    if len(uncontracted) == 3 and unital:
+    # a CP unital channel has |lam_k| >= |lam_i| + |lam_j| - 1, so two
+    # uncontracted axes hold the third within 2 CLASS_TOL of 1: a unitary
+    if unital and len(uncontracted) >= 2 and lam.min() >= 1 - 2 * CLASS_TOL:
         raise UnitaryChannelError("unitary channel: no noise to classify")
     if not unital:
         return ChannelClass(kind=NON_UNITAL_CLASS, fixed_point=fixed_point(f))

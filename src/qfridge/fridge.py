@@ -11,15 +11,21 @@ reset population equals the sum of the 2^(R-1) largest eigenvalues of the
 input state, which no unitary can exceed (majorization -- a unitary cannot
 push more weight onto a rank-2^(R-1) subspace than the top eigenvalues hold).
 
-Ideal and noisy runs share one runner that cools the thermal product block,
-the input the protocol's relaxed qubits approach.  The stages only permute
-basis states and that block is diagonal, so the ideal run is one gather of
-its 2^R basis-state probabilities by the inverse permutation.  A noisy run
-applies the stages in order; under noise that keeps diagonal states
-diagonal to within eps per location it is a Markov chain on those
-probabilities.  The runner takes that path when 2 F eps <= 1e-12, which
-bounds its trace-norm deviation from the dense density-matrix run; every
-other noisy run takes the dense path.
+One populations kernel, `cool_populations`, cools every diagonal product
+block: the product of the R qubits' diagonals, gathered once at
+``np.argsort(permutation)``.  The stages only permute basis states, so on a
+diagonal block their product is that one exact gather, and each qubit's
+marginal is a reshaped sum of the result.  The ideal run cools the thermal
+product block, the input the protocol's relaxed qubits approach, through it;
+the protocol cools each of its blocks through it when the block's drawn
+states pass a certified gate (see `qfridge.protocol`).  Both gates reuse
+POPULATION_ATOL as their trace-norm allowance.
+
+A noisy run applies the stages in order; under noise that keeps diagonal
+states diagonal to within eps per location it is a Markov chain on the
+block's probabilities.  The runner takes that path when
+2 F eps <= POPULATION_ATOL, which bounds its trace-norm deviation from the
+dense density-matrix run; every other noisy run takes the dense path.
 
 The compile, the spec and an ideal run hold O(2^R) bytes, so they are held
 to `densim.population_bytes`.  A noisy run is held to `densim.dense_bytes`
@@ -32,7 +38,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -40,8 +45,9 @@ from .channels import ChannelError, SuperOp, diamond_upper, identity_channel, kr
 from .densim import (ZERO, SimulationError, check_memory, dense_bytes, entropy_bits, evolve, partial_trace,
                      population_bytes, qubit_dim, spectrum_entropy_bits)
 
-# largest trace-norm deviation from the dense run that run_fridge_noisy's
-# probability-vector path may add (the float-reordering allowance)
+# largest trace-norm deviation from the dense run that a populations path
+# (a noisy run's Markov chain, a protocol block's gather) may add: the
+# float-reordering allowance
 POPULATION_ATOL = 1e-12
 MAX_R_SEARCH = 4096  # largest block size choose_R considers
 
@@ -126,6 +132,23 @@ def apply_permutation(rho: np.ndarray, spec: FridgeSpec) -> np.ndarray:
     """
     inverse = np.argsort(spec.permutation)
     return rho[np.ix_(inverse, inverse)]
+
+
+def _product(diagonals) -> np.ndarray:
+    """Populations of a product of diagonal qubits, qubit 0 the leading bit:
+    np.kron's products, without its per-call overhead."""
+    block = np.ones(1)
+    for diagonal in diagonals:
+        block = (block[:, None] * diagonal).reshape(-1)
+    return block
+
+
+def cool_populations(diagonals, spec: FridgeSpec) -> np.ndarray:
+    """Populations of a block of R diagonal qubits after the cooling
+    permutation: their product, gathered at the inverse permutation.  Equal,
+    bit for bit, to the diagonal of ``apply_permutation`` on the diagonal
+    product state."""
+    return _product(diagonals)[np.argsort(spec.permutation)]
 
 
 @dataclass(frozen=True)
@@ -214,9 +237,9 @@ def _coherence_leak(nat: np.ndarray) -> float:
 
 
 def _run(spec: FridgeSpec, noise: SuperOp | None) -> CoolingReport:
-    """Cool the thermal block.  Without noise, gather its populations once
-    by the inverse permutation; with noise, apply the stages in order, each
-    followed by one noise pass per qubit.
+    """Cool the thermal block.  Without noise, through `cool_populations`;
+    with noise, apply the stages in order, each followed by one noise pass
+    per qubit.
 
     A noisy run is a Markov chain on the 2^R populations, in O(F 2^R) time
     and O(2^R) memory, when 2 F eps <= POPULATION_ATOL: eps is
@@ -229,14 +252,14 @@ def _run(spec: FridgeSpec, noise: SuperOp | None) -> CoolingReport:
     """
     r = spec.r_block
     nat = None if noise is None else noise.natural()
-    state = reduce(np.kron, [np.array([1 - spec.q, spec.q])] * r, np.ones(1))
+    thermal = [np.array([1 - spec.q, spec.q])] * r
     dense = nat is not None and 2 * spec.f_count * _coherence_leak(nat) > POPULATION_ATOL
-    if dense:
-        state = np.diag(state).astype(complex)
     if nat is None:
-        # the stages' product, as one exact gather
-        state = state[np.argsort(spec.permutation)]
+        state = cool_populations(thermal, spec)
     else:
+        state = _product(thermal)
+        if dense:
+            state = np.diag(state).astype(complex)
         transfer = nat[np.ix_((0, 3), (0, 3))].real
         for stage in spec.stages:
             # state -> S state S^T in place: swap the stage's rows, then its columns

@@ -19,7 +19,20 @@ and all 2R drawn qubits would give.
 
 Storage qubits relax toward the channel's fixed point.  The protocol rotates
 each drawn qubit so that point lands on |0>; the fridge cools in its own
-computational basis.
+computational basis.  A prefilled draw is the fixed point itself, rotated
+once per run.
+
+A block whose R drawn states are diagonal cools on its 2^R populations
+through `fridge.cool_populations`, the kernel the ideal fridge runs on, and
+each marginal is a reshaped sum of the result.  The block takes that path
+when sum_i ||rho_i - diag(Re rho_i)||_1 <= POPULATION_ATOL over its drawn
+states (taken as the entrywise sum, which bounds each trace norm from
+above).  That sum bounds the trace-norm error of every marginal: the block
+is a product state, so dropping each factor's off-diagonal part moves it by
+at most the sum, and neither the permutation nor a partial trace can grow a
+trace norm.  Any other block, such as one holding recycled syndrome garbage
+that carries coherences, is cooled as a dense 2^R x 2^R state by
+`fridge.apply_permutation` and `densim.partial_trace`.
 
 The code circuit is :func:`densim.repetition_code` on data qubits 0..2, and
 a correction is its decoder, a swap of the two syndrome qubits with the
@@ -31,6 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -48,7 +62,15 @@ from .densim import (
     repetition_code,
 )
 from .experiments import TraceRecord
-from .fridge import FridgeSpec, apply_permutation, build_cooling_circuit, check_dense_block, choose_R
+from .fridge import (
+    POPULATION_ATOL,
+    FridgeSpec,
+    apply_permutation,
+    build_cooling_circuit,
+    check_dense_block,
+    choose_R,
+    cool_populations,
+)
 
 MODE_EXACT = "exact"
 MODE_FACTORIZED = "factorized"
@@ -106,11 +128,13 @@ class ProtocolResult:
 class _Storage:
     """FIFO of single-qubit states relaxing toward the fixed point.
 
-    Prefilled with an unbounded supply of fixed-point states; recycled
-    entries only requalify after dwelling storage_T noise layers.  Every
-    dequeue (prefilled or recycled) counts toward the throughput ledger.
-    An entry is aged only when it is drawn: the noise layers it sat through
-    are applied then, as one matrix power.
+    Prefilled with an unbounded supply of fixed-point states: a prefilled
+    draw returns ``p_state`` itself, whose dwell gap is exactly 0.  Recycled
+    entries only requalify after dwelling storage_T noise layers, and their
+    dwell gap is checked when drawn.  Every dequeue (prefilled or recycled)
+    counts toward the throughput ledger.  An entry is aged only when it is
+    drawn: the noise layers it sat through are applied then, as one matrix
+    power.
     """
 
     def __init__(self, p_state, nat_layer, storage_T, dwell_target):
@@ -131,12 +155,11 @@ class _Storage:
 
     def dequeue(self) -> np.ndarray:
         self.drawn += 1
-        if self.entries and self.layers - self.entries[0][1] >= self.storage_T:
-            state, enqueued = self.entries.popleft()
-            aged = np.linalg.matrix_power(self.nat_layer, self.layers - enqueued)
-            state = evolve(state, [], 1, aged)
-        else:
-            state = self.p_state
+        if not self.entries or self.layers - self.entries[0][1] < self.storage_T:
+            return self.p_state
+        state, enqueued = self.entries.popleft()
+        aged = np.linalg.matrix_power(self.nat_layer, self.layers - enqueued)
+        state = evolve(state, [], 1, aged)
         gap = trace_norm(state - self.p_state)
         if gap >= self.dwell_target:
             raise SimulationError(
@@ -194,7 +217,7 @@ def run_refrigerator_protocol(
     purity = float(np.linalg.norm(w))
     q_bias = max(0.0, (1 - purity) / 2)
     r = cfg.r_block if cfg.r_block is not None else choose_R(q_bias, cfg.eps2)
-    check_dense_block(r)  # before the compile: each cooling block is a dense state
+    check_dense_block(r)  # before the compile: a block that fails the gate is cooled dense
     rho_p = bloch_to_density(w)
     eigvals, eigvecs = np.linalg.eigh(rho_p)
     pre_rot = eigvecs[:, ::-1].conj().T  # rotate the fixed point onto |0>
@@ -247,11 +270,17 @@ def _run_policy(cfg, channel, spec, pre_rot, code, logical_ket, rho_p, storage_t
     ket = np.kron(ket, np.array([1, 0], dtype=complex))
     rho = evolve(np.outer(ket, ket.conj()), encode, 3)
 
+    rotated_p = pre_rot @ rho_p @ pre_rot.conj().T
+
+    def draw():
+        state = storage.dequeue()
+        return rotated_p if state is rho_p else pre_rot @ state @ pre_rot.conj().T
+
     stale_ancillas = [ZERO, ZERO]  # first cycle runs on fresh |0> qubits
     records = []
     for cycle in range(1, cfg.d_prime + 1):
         if policy == POLICY_REFRIGERATED:
-            drawn = [pre_rot @ storage.dequeue() @ pre_rot.conj().T for _ in range(2 * r)]
+            drawn = [draw() for _ in range(2 * r)]
             rho, returned = _cycle_factorized(rho, drawn, spec, correction, nat, r)
             for m in returned:
                 storage.enqueue(m)
@@ -263,20 +292,29 @@ def _run_policy(cfg, channel, spec, pre_rot, code, logical_ket, rho_p, storage_t
     return records, storage.drawn
 
 
+def _cool_block(states, spec):
+    """(R, 2, 2) marginals, reset qubit first, of an (R, 2, 2) stack of drawn
+    states cooled as one block: on its populations when the states pass the
+    gate (see the module docstring), else as a dense state."""
+    r = spec.r_block
+    diagonals = states.diagonal(axis1=1, axis2=2).real
+    if np.abs(states - diagonals[:, :, None] * np.eye(2)).sum() <= POPULATION_ATOL:
+        cube = cool_populations(diagonals, spec).reshape((2,) * r)
+        marginals = [cube.sum(axis=tuple(j for j in range(r) if j != i)) for i in range(r)]
+        return (np.array(marginals)[:, :, None] * np.eye(2)).astype(complex)
+    block = apply_permutation(reduce(np.kron, states), spec)
+    return np.array([partial_trace(block, [i], r) for i in range(r)])
+
+
 def _cycle_factorized(rho3, drawn, spec, correction, nat, r):
     # fridge blocks run in their own registers, gates noiseless within the
     # cycle; every qubit then takes the cycle's single noise application
-    resets, wastes = [], []
-    for b in range(2):
-        block = np.array([[1.0]], dtype=complex)
-        for state in drawn[b * r:(b + 1) * r]:
-            block = np.kron(block, state)
-        block = apply_permutation(block, spec)
-        resets.append(partial_trace(block, [0], r))
-        wastes.extend(partial_trace(block, [i], r) for i in range(1, r))
+    states = np.array(drawn)
+    cooled = [_cool_block(states[:r], spec), _cool_block(states[r:], spec)]
     # correction with the two resets injected as product ancillas
-    rho, garbage = _cycle_stale(rho3, resets, correction, nat)
-    return rho, garbage + [evolve(w, [], 1, nat) for w in wastes]
+    rho, garbage = _cycle_stale(rho3, [block[0] for block in cooled], correction, nat)
+    wastes = evolve(np.concatenate([block[1:] for block in cooled]), [], 1, nat)
+    return rho, garbage + list(wastes)
 
 
 def _cycle_stale(rho3, ancillas, correction, nat):

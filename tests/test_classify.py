@@ -24,6 +24,7 @@ from qfridge.classify import (
     NON_UNITAL_CLASS,
     STRICTLY_INCREASING,
     ClassificationError,
+    UnitaryChannelError,
     classification_report,
     classify,
     entropy_behavior,
@@ -160,6 +161,19 @@ def test_entropy_behavior_of_unitary_channel():
 def test_entropy_behavior_rejects_two_uncontracted_axes():
     with pytest.raises(ClassificationError):
         entropy_behavior(SuperOp(np.diag([1.0, 1.0, 1.0, 0.9])))
+
+
+def test_contraction_straddling_the_tolerance_is_unitary():
+    # lam = (1 - 8e-9, 1 - 1.6e-8, 1 - 8e-9): two axes within CLASS_TOL of 1,
+    # the third within 2 CLASS_TOL, as complete positivity demands
+    c = kraus_to_superop(pauli_channel_kraus(4e-9, 0, 4e-9))
+    with pytest.raises(UnitaryChannelError):
+        classify(c)
+    assert entropy_behavior(c) == NON_DECREASING
+    # two uncontracted axes and a third far from 1 is no CP channel
+    with pytest.raises(ClassificationError) as err:
+        classify(SuperOp(np.diag([1.0, 1.0, 1.0, 0.5])))
+    assert not isinstance(err.value, UnitaryChannelError)
 
 
 def _dressed_pauli(weights, seed):

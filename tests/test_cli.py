@@ -18,7 +18,7 @@ from qfridge.channels import (
 from qfridge.cli import main
 from qfridge.densim import SimulationError
 
-from oracles import bounds_margins_loop
+from oracles import bounds_margins_loop, pauli_channel_kraus
 
 
 @pytest.fixture
@@ -78,6 +78,23 @@ def test_classify_malformed_channel_exit_2(runner, tmp_path, doc, message):
     bad.write_text(json.dumps(doc))
     result = runner.invoke(main, ["classify", str(bad)])
     assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "doc, code, message",
+    [
+        # contraction factors straddling CLASS_TOL: a CP channel, unitary to the tolerance
+        (kraus_to_dict(pauli_channel_kraus(4e-9, 0, 4e-9)), 2, "unitary channel"),
+        ({"ptm": np.diag([1, 1, 1, 0.5]).tolist()}, 3, '"cp": false'),
+    ],
+    ids=["straddle", "cp_violation"],
+)
+def test_classify_two_uncontracted_axes_exit_code(runner, tmp_path, doc, code, message):
+    f = tmp_path / "channel.json"
+    f.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["classify", str(f)])
+    assert result.exit_code == code, result.output
     assert message in result.output
 
 

@@ -3,6 +3,7 @@ the marginal simulation against a joint-register oracle."""
 
 from collections import deque
 from contextlib import suppress
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from qfridge.densim import (
     GateLayer,
     SimulationError,
     apply_unitary,
+    compile_layers,
     evolve,
     partial_trace,
     repetition_code,
 )
+from qfridge.fridge import apply_permutation, build_cooling_circuit, cool_populations
 from qfridge.protocol import (
     N_PRIME,
     ProtocolConfig,
@@ -90,20 +93,23 @@ def test_exact_and_factorized_agree_on_minimal_instance(monkeypatch):
         assert abs(a.logical_fidelity - b.logical_fidelity) <= 1e-12
 
 
-def test_storage_dwell_discipline():
+def test_storage_dwell_discipline(monkeypatch):
+    gaps = []
+    monkeypatch.setattr(protocol, "trace_norm", lambda a: gaps.append(a) or trace_norm(a))
     p_state = np.diag([0.9, 0.1]).astype(complex)
     nat = kraus_to_superop(amplitude_damping_kraus(0.3)).natural()
     store = _Storage(p_state, nat, storage_T=5, dwell_target=0.5)
-    # prefilled draws are exactly the fixed point
-    assert np.allclose(store.dequeue(), p_state)
+    # prefilled draws are the fixed point itself, whose dwell gap is exactly 0
+    assert store.dequeue() is p_state
     store.enqueue(np.diag([0.2, 0.8]).astype(complex))
     # not yet dwelled: prefilled supply is used instead
-    assert np.allclose(store.dequeue(), p_state)
+    assert store.dequeue() is p_state
+    assert store.drawn == 2 and gaps == []
     for _ in range(6):
         store.tick()
     out = store.dequeue()  # the recycled entry, relaxed for 6 layers
     assert not np.allclose(out, p_state)
-    assert store.drawn == 3
+    assert store.drawn == 3 and len(gaps) == 1
 
 
 def test_storage_dwell_assertion_fires():
@@ -198,15 +204,108 @@ def test_draws_enter_fridge_in_its_basis(monkeypatch, frame):
     channel = kraus_to_superop(KrausSet([u @ k @ u.conj().T for k in thermal_kraus(0.05, 0.1).ops]))
     blocks = []
 
-    def capture(rho, spec):
-        blocks.append(rho)
+    def capture(states, spec):
+        blocks.append(states)
         raise _FirstBlock
 
-    monkeypatch.setattr(protocol, "apply_permutation", capture)
+    # the drawn states the first block is cooled from, whichever path cools it
+    monkeypatch.setattr(protocol, "_cool_block", capture)
     with pytest.raises(_FirstBlock):
         run_refrigerator_protocol(ProtocolConfig(d_prime=5, r_block=2, storage_T=40), channel)
     single = np.diag([0.9, 0.1])
-    assert np.max(np.abs(blocks[0] - np.kron(single, single))) <= 1e-12
+    assert np.max(np.abs(np.kron(*blocks[0]) - np.kron(single, single))) <= 1e-12
+
+
+def _no_dense_block(*args):
+    raise AssertionError("a diagonal block took the dense path")
+
+
+@settings(max_examples=40)
+@given(r=st.integers(1, 8), q=st.floats(0, 0.45), seed=st.integers(0, 2**32 - 1))
+def test_block_populations_match_the_dense_oracle(r, q, seed):
+    spec = build_cooling_circuit(q, r)
+    populations = np.random.default_rng(seed).uniform(0, 1, r)
+    diagonals = np.stack([1 - populations, populations], axis=1)
+    states = (diagonals[:, :, None] * np.eye(2)).astype(complex)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "apply_permutation", _no_dense_block)
+        got = protocol._cool_block(states, spec)
+    # the oracle: the dense product state, permuted, and each qubit's partial trace
+    block = apply_permutation(reduce(np.kron, states), spec)
+    want = np.array([partial_trace(block, [i], r) for i in range(r)])
+    assert np.array_equal(cool_populations(diagonals, spec), block.diagonal().real)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class _PathCounts:
+    """Spies on the two ways a protocol block is cooled."""
+
+    def __init__(self, mp):
+        self.dense = self.populations = 0
+        dense, populations = protocol.apply_permutation, protocol.cool_populations
+
+        def counted_dense(*args):
+            self.dense += 1
+            return dense(*args)
+
+        def counted_populations(*args):
+            self.populations += 1
+            return populations(*args)
+
+        mp.setattr(protocol, "apply_permutation", counted_dense)
+        mp.setattr(protocol, "cool_populations", counted_populations)
+
+
+def test_coherent_draw_takes_the_dense_path(monkeypatch):
+    # one draw of block 0 carries a coherence far above the gate's 1e-12
+    channel = kraus_to_superop(thermal_kraus(0.05, 0.1))
+    nat = channel.natural()
+    r = 3
+    spec = build_cooling_circuit(0.1, r)
+    encode, decode = repetition_code((0, 1, 2))
+    swap = NAMED_GATES["SWAP"]
+    correction = compile_layers(decode + [GateLayer([(swap, (1, 3)), (swap, (2, 4))])] + encode, 5)
+    rho3 = evolve(np.diag(np.eye(8)[7]).astype(complex), [], 3, nat)
+    single = np.diag([0.9, 0.1]).astype(complex)
+    drawn = [single] * (2 * r)
+    drawn[1] = np.array([[0.9, 1e-3], [1e-3, 0.1]], dtype=complex)
+    paths = _PathCounts(monkeypatch)
+    got_rho, got_marginals = protocol._cycle_factorized(rho3, drawn, spec, correction, nat, r)
+    assert (paths.dense, paths.populations) == (1, 1)
+    want_rho, want_marginals = cycle_joint(rho3, drawn, spec, correction, nat, r)
+    assert np.max(np.abs(got_rho - want_rho)) <= 1e-12
+    assert np.max(np.abs(np.array(got_marginals) - np.array(want_marginals))) <= 1e-12
+
+
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "frame, ket, recycled_dense",
+    [
+        # the bit-flip code leaves z-diagonal noise's syndrome marginals
+        # exactly diagonal, so garbage from a superposition still cools on
+        # its populations
+        (np.eye(2), np.array([1, 1]) / np.sqrt(2), False),
+        # a fixed point on +x: relaxed garbage carries coherences in the
+        # fridge's basis, and every recycled draw is cooled as a dense state
+        (_H, np.array([0, 1]), True),
+    ],
+    ids=["z_frame_superposition", "x_frame"],
+)
+def test_recycled_draws_choose_their_path(frame, ket, recycled_dense):
+    channel = kraus_to_superop(KrausSet([frame @ k @ frame.conj().T for k in amplitude_damping_kraus(0.3).ops]))
+    cfg = ProtocolConfig(d_prime=60, r_block=1)
+    with pytest.MonkeyPatch.context() as mp:
+        paths = _PathCounts(mp)
+        got = _policy_records(channel, cfg, ket)
+    # storage_T (searched: 45) is below D' = 60: the last 15 cycles draw
+    # 2 recycled qubits each
+    recycled = 2 * (cfg.d_prime - 45)
+    assert paths.dense == (recycled if recycled_dense else 0)
+    assert paths.dense + paths.populations == 2 * cfg.d_prime
+    want = _policy_records(channel, cfg, ket, cycle_joint)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def cycle_joint(rho3, drawn, spec, correction, nat, r):

@@ -8,9 +8,10 @@ benchmark that uses it.
 ``perfbench/tracer.py`` wraps each ``(module, attribute)`` named in its
 ``TARGETS`` table, and ``perfbench/workloads.py`` calls the program through
 module aliases; a target that no longer resolves, or a call whose arguments
-no longer bind, breaks the benchmark.  Both files are read from their syntax
-trees and the reference as JSON, so nothing under ``perfbench/`` is
-imported or written.
+no longer bind, breaks the benchmark; a target that the program no longer
+calls leaves its span empty.  Both files are read from their syntax trees
+and the reference as JSON, so nothing under ``perfbench/`` is imported or
+written.
 """
 
 import ast
@@ -56,6 +57,37 @@ def test_every_tracer_target_resolves():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def uncalled_tracer_targets(package=PACKAGE) -> list:
+    """``module.attribute`` of each qfridge tracer target that no call in the
+    package makes: a span the benchmark can never record.  A call matches by
+    the callee's name (a class's name for its ``__init__``); the tracer's own
+    strings are not calls."""
+    callees = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callees.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    found = []
+    for module_name, attr in tracer_targets():
+        owner, _, name = attr.rpartition(".")
+        if module_name.startswith("qfridge.") and (owner if name == "__init__" else name) not in callees:
+            found.append(f"{module_name.removeprefix('qfridge.')}.{attr}")
+    return found
+
+
+def test_uncalled_tracer_targets_do_not_grow():
+    """A refactor that routes the program around a traced function passes
+    tier-1 yet leaves the benchmark's span for it empty.  These three wait on
+    the benchmark refresh and the shim deletions (ROADMAP items 0 and 1),
+    which drop them from the tracer; any other entry is new drift."""
+    assert uncalled_tracer_targets() == [
+        "channels.channel_distance",
+        "densim.apply_unitary",
+        "densim.apply_single_qubit_superop",
+    ]
 
 
 # spans the benchmark reports per layer for the storage and register code
