@@ -168,20 +168,19 @@ def _block_probabilities(q: float, r: int) -> np.ndarray:
     return (1 - q) ** (r - weights) * q**weights
 
 
-def top_mass(q: float, r: int) -> float:
-    """Mass of the 2^(R-1) most likely basis states of the product
-    distribution, via binomial weight classes (no 2^R enumeration).  Class
-    sizes are exact integers; where one is too large for a float, its share
-    is taken in logs."""
-    if r == 0 or q == 0:
-        return 1.0
+def _half_mass(q: float, r: int, weights) -> float:
+    """Mass of 2^(R-1) basis states of the product distribution, taken whole
+    weight classes at a time in the given order of weights (a 1 bit has
+    weight q), via binomial class sizes (no 2^R enumeration).  Class sizes
+    are exact integers; where one is too large for a float, its share is
+    taken in logs."""
     target = 2 ** (r - 1)
     taken = 0
     mass = 0.0
-    count = 1  # C(r, weight), updated exactly
-    for weight in range(r + 1):
-        if weight:
-            count = count * (r - weight + 1) // weight
+    count = 1  # C(r, k) = C(r, r - k) at the k-th class taken, updated exactly
+    for k, weight in enumerate(weights):
+        if k:
+            count = count * (r - k + 1) // k
         take = min(count, target - taken)
         p_one = (1 - q) ** (r - weight) * q**weight
         try:
@@ -191,14 +190,33 @@ def top_mass(q: float, r: int) -> float:
         taken += take
         if taken == target:
             break
-    return min(mass, 1.0)
+    return mass
+
+
+def top_mass(q: float, r: int) -> float:
+    """Mass of the 2^(R-1) most likely basis states: the lightest classes."""
+    if r == 0 or q == 0:
+        return 1.0
+    return min(_half_mass(q, r, range(r + 1)), 1.0)
+
+
+def bottom_mass(q: float, r: int) -> float:
+    """Mass of the 2^(R-1) least likely basis states, 1 - top_mass(q, r),
+    summed over the heaviest classes so that it keeps its relative
+    precision where 1 - top_mass is rounding: at q = 0.375, R = 4096 that
+    difference reads 8e-14 while this mass is 1e-59."""
+    if r == 0 or q == 0:
+        return 0.0
+    return _half_mass(q, r, range(r, -1, -1))
 
 
 def choose_R(q: float, eps2: float) -> int:
-    """Minimal block size with reset 1-norm residual 2(1 - top_mass) < eps2,
-    by bisection over 1..MAX_R_SEARCH: top_mass is non-decreasing in R (up
-    to ~1e-15 of rounding), as an idle qubit added to a block cannot lower
-    its best top mass.
+    """Minimal block size with reset 1-norm residual 2 bottom_mass < eps2,
+    over 1..MAX_R_SEARCH: probe R = 1, 2, 4, ... until one passes, then
+    bisect inside the last doubling.  bottom_mass is non-increasing in R (up
+    to its rounding, ~1e-15 relative), as an idle qubit added to a block
+    cannot lower its best top mass, and a probe at R costs O(R), so a small
+    answer is found without a probe at a large R.
 
     A non-positive (or NaN) eps2 is an input error (ValueError), not an
     infeasible request."""
@@ -208,10 +226,16 @@ def choose_R(q: float, eps2: float) -> int:
         raise ValueError(f"eps2 {eps2} must be positive")
     if q == 0.5:
         raise CoolingError("unreachable: fixed point is the center, no cooling possible")
-    r = 1 + bisect.bisect_left(range(1, MAX_R_SEARCH + 1), True, key=lambda r: 2 * (1 - top_mass(q, r)) < eps2)
-    if r > MAX_R_SEARCH:
-        raise CoolingError(f"no block size up to {MAX_R_SEARCH} meets eps2={eps2}")
-    return r
+
+    def meets(r):
+        return 2 * bottom_mass(q, r) < eps2
+
+    failed, r = 0, 1
+    while not meets(r):
+        if r == MAX_R_SEARCH:
+            raise CoolingError(f"no block size up to {MAX_R_SEARCH} meets eps2={eps2}")
+        failed, r = r, min(2 * r, MAX_R_SEARCH)
+    return failed + 1 + bisect.bisect_left(range(failed + 1, r), True, key=meets)
 
 
 def build_cooling_circuit(q: float, r: int) -> FridgeSpec:

@@ -36,8 +36,17 @@ that carries coherences, is cooled as a dense 2^R x 2^R state by
 
 The code circuit is :func:`densim.repetition_code` on data qubits 0..2, and
 a correction is its decoder, a swap of the two syndrome qubits with the
-ancillas, and its encoder, compiled once per run into one unitary
-(:func:`densim.compile_layers`); every cycle runs on :func:`densim.evolve`.
+ancillas, and its encoder.  Each run compiles its data-side cycle once
+(:func:`_compile_data_cycle`): the correction as one 32 x 32 unitary U, the
+channel on the three data qubits as one 64 x 64 natural rep, and the record
+as one observable.  A trace-preserving channel on a qubit that is then traced
+out changes nothing, so Tr_34[N^(x)5(s)] = N^(x)3(Tr_34 s) and each garbage
+marginal is N(Tr_not k s): a cycle applies U once to rho_3 (x) a_0 (x) a_1,
+reads the three reduced states off one reshape, and only then applies the
+noise, to the 8 x 8 data state and to each 2 x 2 marginal.  The logical
+fidelity after decoding with D is tr(O rho_3), O = D^dag (|psi><psi| (x) I_4)
+D, and a policy's entropies come from one stacked `eigvalsh` at the end of
+its run.  Both are exact for every channel and every logical ket.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,9 +65,9 @@ from .densim import (
     ZERO,
     GateLayer,
     SimulationError,
+    check_memory,
     compile_layers,
     entropy_bits,
-    evolve,
     partial_trace,
     repetition_code,
 )
@@ -159,7 +169,7 @@ class _Storage:
             return self.p_state
         state, enqueued = self.entries.popleft()
         aged = np.linalg.matrix_power(self.nat_layer, self.layers - enqueued)
-        state = evolve(state, [], 1, aged)
+        state = (aged @ state.reshape(4)).reshape(2, 2)
         gap = trace_norm(state - self.p_state)
         if gap >= self.dwell_target:
             raise SimulationError(
@@ -169,22 +179,53 @@ class _Storage:
 
 
 def _renorm(rho):
-    """Divide out the trace.  A cycle's stale ancillas are partial traces of
-    the previous cycle's state, so with that state's trace T the product of
-    data and two ancillas has trace T^3: without this, rounding drift would
-    compound as T_{k+1} = T_k^3 and the fidelities would collapse."""
-    return rho / np.trace(rho).real
+    """Divide out the trace, imaginary part included, of a matrix or of each
+    matrix of a stack.  A cycle's stale ancillas are partial traces of the
+    previous cycle's state, so with that state's trace T the product of data
+    and two ancillas has trace T^3: without this, rounding drift would
+    compound as T_{k+1} = T_k^3.  Dividing by Re T alone leaves T = 1 + ix,
+    and x triples each stale cycle: from the ~1e-17 that rounding leaves, 50
+    cycles of a mixed-Kraus-form channel grow it past 1, and the entropies
+    are then read off a non-Hermitian state."""
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
 
 
-def _record(cycle, rho3, decode, logical_ket) -> TraceRecord:
-    entropy = entropy_bits(rho3)
-    one = partial_trace(evolve(rho3, decode, 3), [0], 3)
-    return TraceRecord(
-        step=cycle,
-        entropy_bits=entropy,
-        information_bits=3 - entropy,
-        logical_fidelity=float((logical_ket.conj() @ one @ logical_ket).real),
-    )
+class _DataCycle(NamedTuple):
+    """A run's data-side cycle, compiled once (see the module docstring)."""
+
+    correction: np.ndarray  # 32 x 32: decode, swap syndromes with ancillas, encode
+    nat: np.ndarray  # 4 x 4 natural rep of the channel
+    nat3: np.ndarray  # 64 x 64 natural rep of the channel on each data qubit
+    observable: np.ndarray  # 8 x 8: the logical fidelity is tr(observable rho_3)
+
+
+def _compile_data_cycle(nat, logical_ket) -> tuple:
+    """The encoded input state and the compiled data-side cycle."""
+    encode, decode = repetition_code((0, 1, 2))
+    swap = NAMED_GATES["SWAP"]
+    correction = compile_layers(decode + [GateLayer([(swap, (1, 3)), (swap, (2, 4))])] + encode, 5)
+    tensor = nat.reshape(2, 2, 2, 2)  # (ket out, bra out, ket in, bra in)
+    nat3 = np.einsum("aAbB,cCdD,eEfF->aceACEbdfBDF", tensor, tensor, tensor).reshape(64, 64)
+    d = compile_layers(decode, 3)
+    observable = d.conj().T @ np.kron(np.outer(logical_ket, logical_ket.conj()), np.eye(4)) @ d
+    # encode the logical input; no noise during preparation
+    ket = compile_layers(encode, 3) @ np.kron(logical_ket, np.eye(4)[0])
+    return np.outer(ket, ket.conj()), _DataCycle(correction, nat, nat3, observable)
+
+
+def _records(states, observable) -> list:
+    """One TraceRecord per data state of a policy's (D', 8, 8) stack."""
+    fidelities = np.einsum("ij,cji->c", observable, states).real
+    entropies = entropy_bits(states)
+    return [
+        TraceRecord(
+            step=cycle,
+            entropy_bits=float(entropy),
+            information_bits=3 - float(entropy),
+            logical_fidelity=float(fidelity),
+        )
+        for cycle, (entropy, fidelity) in enumerate(zip(entropies, fidelities), start=1)
+    ]
 
 
 def run_refrigerator_protocol(
@@ -204,6 +245,8 @@ def run_refrigerator_protocol(
         raise SimulationError("refrigerator protocol needs a non-unital channel")
     if cfg.mode not in (MODE_EXACT, MODE_FACTORIZED):
         raise SimulationError(f"unknown simulation mode {cfg.mode!r}")
+    # a policy keeps every cycle's 8 x 8 complex data state for its records
+    check_memory(cfg.d_prime * 64 * 16, f"a run of {cfg.d_prime} cycles")
 
     if logical_ket is None:
         # |1> opposes the (rotated) noise fixed point, so it is the state the
@@ -222,22 +265,15 @@ def run_refrigerator_protocol(
     eigvals, eigvecs = np.linalg.eigh(rho_p)
     pre_rot = eigvecs[:, ::-1].conj().T  # rotate the fixed point onto |0>
     spec = build_cooling_circuit(q_bias, r)
-    encode, decode = repetition_code((0, 1, 2))
-    swap = NAMED_GATES["SWAP"]
-    correction = decode + [GateLayer([(swap, (1, 3)), (swap, (2, 4))])] + encode
-    code = compile_layers(encode, 3), compile_layers(decode, 3), compile_layers(correction, 5)
+    rho0, cycle = _compile_data_cycle(channel.natural(), logical_ket)
 
     if cfg.storage_T is not None:
         storage_t = cfg.storage_T
     else:
         storage_t = relaxation_time(channel, cfg.dwell_target(r)).steps
 
-    refrig, thru = _run_policy(
-        cfg, channel, spec, pre_rot, code, logical_ket, rho_p, storage_t, POLICY_REFRIGERATED
-    )
-    stale, _ = _run_policy(
-        cfg, channel, spec, pre_rot, code, logical_ket, rho_p, storage_t, POLICY_STALE
-    )
+    refrig, thru = _run_policy(cfg, spec, pre_rot, cycle, rho0, rho_p, storage_t, POLICY_REFRIGERATED)
+    stale, _ = _run_policy(cfg, spec, pre_rot, cycle, rho0, rho_p, storage_t, POLICY_STALE)
     if thru > cfg.throughput_bound(r):
         raise SimulationError(
             f"storage throughput {thru} exceeds bound {cfg.throughput_bound(r)}"
@@ -259,17 +295,9 @@ def run_refrigerator_protocol(
     )
 
 
-def _run_policy(cfg, channel, spec, pre_rot, code, logical_ket, rho_p, storage_t, policy):
-    nat = channel.natural()
+def _run_policy(cfg, spec, pre_rot, cycle, rho, rho_p, storage_t, policy):
     r = spec.r_block
-    encode, decode, correction = code
-    storage = _Storage(rho_p, nat, storage_t, cfg.dwell_target(r))
-
-    # encode the logical input; no noise during preparation
-    ket = np.kron(logical_ket, np.array([1, 0], dtype=complex))
-    ket = np.kron(ket, np.array([1, 0], dtype=complex))
-    rho = evolve(np.outer(ket, ket.conj()), encode, 3)
-
+    storage = _Storage(rho_p, cycle.nat, storage_t, cfg.dwell_target(r))
     rotated_p = pre_rot @ rho_p @ pre_rot.conj().T
 
     def draw():
@@ -277,19 +305,18 @@ def _run_policy(cfg, channel, spec, pre_rot, code, logical_ket, rho_p, storage_t
         return rotated_p if state is rho_p else pre_rot @ state @ pre_rot.conj().T
 
     stale_ancillas = [ZERO, ZERO]  # first cycle runs on fresh |0> qubits
-    records = []
-    for cycle in range(1, cfg.d_prime + 1):
+    states = np.empty((cfg.d_prime, 8, 8), dtype=complex)
+    for i in range(cfg.d_prime):
         if policy == POLICY_REFRIGERATED:
             drawn = [draw() for _ in range(2 * r)]
-            rho, returned = _cycle_factorized(rho, drawn, spec, correction, nat, r)
+            rho, returned = _cycle_factorized(rho, drawn, spec, cycle)
             for m in returned:
                 storage.enqueue(m)
         else:
-            rho, stale_ancillas = _cycle_stale(rho, stale_ancillas, correction, nat)
-        rho = _renorm(rho)
+            rho, stale_ancillas = _cycle_stale(rho, stale_ancillas, cycle)
+        rho = states[i] = _renorm(rho)
         storage.tick()
-        records.append(_record(cycle, rho, decode, logical_ket))
-    return records, storage.drawn
+    return _records(states, cycle.observable), storage.drawn
 
 
 def _cool_block(states, spec):
@@ -306,21 +333,30 @@ def _cool_block(states, spec):
     return np.array([partial_trace(block, [i], r) for i in range(r)])
 
 
-def _cycle_factorized(rho3, drawn, spec, correction, nat, r):
+def _noisy(states, nat):
+    """The channel, as its natural rep, on each 2 x 2 state of a stack."""
+    return (states.reshape(-1, 4) @ nat.T).reshape(states.shape)
+
+
+def _cycle_factorized(rho3, drawn, spec, cycle):
     # fridge blocks run in their own registers, gates noiseless within the
     # cycle; every qubit then takes the cycle's single noise application
+    r = spec.r_block
     states = np.array(drawn)
     cooled = [_cool_block(states[:r], spec), _cool_block(states[r:], spec)]
     # correction with the two resets injected as product ancillas
-    rho, garbage = _cycle_stale(rho3, [block[0] for block in cooled], correction, nat)
-    wastes = evolve(np.concatenate([block[1:] for block in cooled]), [], 1, nat)
+    rho, garbage = _cycle_stale(rho3, [block[0] for block in cooled], cycle)
+    wastes = _noisy(np.concatenate([block[1:] for block in cooled]), cycle.nat)
     return rho, garbage + list(wastes)
 
 
-def _cycle_stale(rho3, ancillas, correction, nat):
+def _cycle_stale(rho3, ancillas, cycle):
     # identical cycle schedule, but the ancillas are last cycle's garbage
-    rho = np.kron(np.kron(rho3, ancillas[0]), ancillas[1])
-    rho = evolve(rho, correction, 5, nat)
-    garbage = [_renorm(partial_trace(rho, [3], 5)), _renorm(partial_trace(rho, [4], 5))]
-    rho = partial_trace(rho, [0, 1, 2], 5)
-    return rho, garbage
+    u = cycle.correction
+    a0, a1 = ancillas
+    pair = (a0[:, None, :, None] * a1[None, :, None, :]).reshape(4, 4)
+    rho = (rho3[:, None, :, None] * pair[None, :, None, :]).reshape(32, 32)
+    rho = (u @ rho @ u.conj().T).reshape(8, 2, 2, 8, 2, 2)
+    garbage = _noisy(np.array([np.einsum("aijakj->ik", rho), np.einsum("aijaik->jk", rho)]), cycle.nat)
+    data = cycle.nat3 @ np.einsum("aijbij->ab", rho).reshape(64)
+    return data.reshape(8, 8), list(_renorm(garbage))

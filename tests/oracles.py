@@ -1,17 +1,20 @@
 """Test fixtures and oracles that the package itself does not need.
 
 Dense unitaries for a compiled fridge, the ideal fridge run stage by stage,
-the linear block-size search, the entropy verdict by sampling states,
-Haar-random unitaries, an EPR register, conditional entropy, Bloch
+the linear and the bisecting block-size searches, the protocol's data-side
+cycle and record on the 5-qubit register, the entropy verdict by sampling
+states, Haar-random unitaries, an EPR register, conditional entropy, Bloch
 read-out, two Kraus constructors, direct channel application to a Bloch
 vector or a matrix and composition, the stockpile run on its full
 register, the EPR storage run one step at a time, and the entropy margins
 and bounds-experiment sample loop one state pair at a time: the tests build
 inputs and check results with them, while the program works on index maps,
 one population gather, natural reps, PTMs, the channel's class, the touched
-qubits and stacks of state pairs and of storage steps only.
+qubits, one compiled data-side cycle and stacks of state pairs and of
+storage steps only.
 """
 
+import bisect
 import math
 from functools import reduce
 from typing import Sequence
@@ -25,6 +28,7 @@ from qfridge.bounds import _CONCAVITY_K
 from qfridge.densim import (
     DATA,
     EIG_CLAMP,
+    NAMED_GATES,
     PHI_PLUS,
     REFERENCE,
     ZERO,
@@ -33,6 +37,7 @@ from qfridge.densim import (
     SimulationError,
     compile_layers,
     dephase_all,
+    entropy_bits,
     epr_fidelity,
     evolve,
     information,
@@ -53,7 +58,7 @@ from qfridge.experiments import (
     _random_pair_layer,
 )
 from qfridge import fridge
-from qfridge.fridge import CoolingReport, FridgeSpec, _swap_rows
+from qfridge.fridge import CoolingError, CoolingReport, FridgeSpec, _swap_rows
 
 
 def permutation_unitary(spec: FridgeSpec) -> np.ndarray:
@@ -86,12 +91,58 @@ def ideal_run_stage_walk(spec: FridgeSpec) -> CoolingReport:
 
 def choose_R_linear(q: float, eps2: float) -> int | None:
     """`fridge.choose_R` as a scan of R = 1..MAX_R_SEARCH in order: the
-    first block size whose reset residual 2(1 - top_mass) is below eps2, or
+    first block size whose reset residual 2 bottom_mass is below eps2, or
     None.  No input checks."""
     for r in range(1, fridge.MAX_R_SEARCH + 1):
-        if 2 * (1 - fridge.top_mass(q, r)) < eps2:
+        if 2 * fridge.bottom_mass(q, r) < eps2:
             return r
     return None
+
+
+def choose_R_bisect(q: float, eps2: float) -> int:
+    """`fridge.choose_R` as one bisection over R = 1..MAX_R_SEARCH, its
+    first probe at R = 2048, with the same input checks and errors."""
+    if not 0 <= q <= 0.5:
+        raise CoolingError(f"bias q={q} outside [0, 1/2]")
+    if not eps2 > 0:
+        raise ValueError(f"eps2 {eps2} must be positive")
+    if q == 0.5:
+        raise CoolingError("unreachable: fixed point is the center, no cooling possible")
+    limit = fridge.MAX_R_SEARCH
+    r = 1 + bisect.bisect_left(range(1, limit + 1), True, key=lambda r: 2 * fridge.bottom_mass(q, r) < eps2)
+    if r > limit:
+        raise CoolingError(f"no block size up to {limit} meets eps2={eps2}")
+    return r
+
+
+def _correction_layers() -> list:
+    """The protocol's correction on data qubits 0..2 and ancillas 3, 4:
+    decode, swap the syndrome qubits with the ancillas, encode."""
+    encode, decode = repetition_code((0, 1, 2))
+    swap = NAMED_GATES["SWAP"]
+    return decode + [GateLayer([(swap, (1, 3)), (swap, (2, 4))])] + encode
+
+
+def cycle_stale_dense(rho3: np.ndarray, ancillas, nat: np.ndarray) -> tuple:
+    """`protocol._cycle_stale` on the 5-qubit register: the correction gate
+    by gate with the channel's noise pass on all five qubits, then a partial
+    trace for the data state and for each garbage qubit, renormalised."""
+    rho = evolve(np.kron(np.kron(rho3, ancillas[0]), ancillas[1]), _correction_layers(), 5, nat)
+    garbage = [partial_trace(rho, [q], 5) for q in (3, 4)]
+    return partial_trace(rho, [0, 1, 2], 5), [g / np.trace(g) for g in garbage]
+
+
+def record_dense(cycle: int, rho3: np.ndarray, logical_ket: np.ndarray) -> TraceRecord:
+    """`protocol`'s per-cycle record the long way: the decoder gate by gate,
+    the logical qubit's partial trace and its overlap with the ket."""
+    entropy = entropy_bits(rho3)
+    one = partial_trace(evolve(rho3, repetition_code((0, 1, 2))[1], 3), [0], 3)
+    return TraceRecord(
+        step=cycle,
+        entropy_bits=entropy,
+        information_bits=3 - entropy,
+        logical_fidelity=float((logical_ket.conj() @ one @ logical_ket).real),
+    )
 
 
 def _bloch_entropy(w: np.ndarray) -> float:

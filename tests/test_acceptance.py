@@ -57,11 +57,11 @@ from qfridge.experiments import (
 )
 from qfridge.fridge import (
     _block_probabilities,
+    bottom_mass,
     build_cooling_circuit,
     choose_R,
     run_fridge_ideal,
     run_fridge_noisy,
-    top_mass,
 )
 from qfridge import protocol
 from qfridge.protocol import ProtocolConfig, run_refrigerator_protocol
@@ -255,9 +255,11 @@ def test_criterion_8_fridge_exactness():
     for q in np.arange(0.05, 0.46, 0.05):
         for eps2 in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5):
             r = choose_R(q, eps2)
-            assert 2 * (1 - top_mass(q, r)) < eps2
+            # the residual summed directly: 2(1 - top_mass) rounds q = 0.1's
+            # residual 2q, which equals eps2 = 0.2, to just below it
+            assert 2 * bottom_mass(q, r) < eps2
             if r > 1:
-                assert 2 * (1 - top_mass(q, r - 1)) >= eps2
+                assert 2 * bottom_mass(q, r - 1) >= eps2
     for q in np.arange(0.05, 0.46, 0.05):
         rs = [choose_R(q, e) for e in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)]
         assert rs == sorted(rs, reverse=True)

@@ -523,16 +523,16 @@ def test_cooling_error_exits_4_from_every_command(runner, tmp_path, monkeypatch)
 
 
 def test_infeasible_block_search_exits_4_in_few_evaluations(runner, monkeypatch):
-    # the search bisects 1..4096, so 13 top_mass evaluations reach the
-    # answer that a scan of every block size took 4,096 for
+    # the search gallops 1, 2, 4, ..., 4096, so 13 bottom_mass evaluations
+    # reach the answer that a scan of every block size took 4,096 for
     calls = []
-    top_mass = fridge.top_mass
+    bottom_mass = fridge.bottom_mass
 
     def counted(q, r):
         calls.append(r)
-        return top_mass(q, r)
+        return bottom_mass(q, r)
 
-    monkeypatch.setattr(fridge, "top_mass", counted)
+    monkeypatch.setattr(fridge, "bottom_mass", counted)
     result = runner.invoke(main, ["fridge", "--q", "0.49", "--eps2", "1e-3"])
     assert result.exit_code == 4
     assert "no block size up to 4096 meets eps2=0.001" in result.output

@@ -24,13 +24,15 @@ from qfridge.fridge import (
     _block_probabilities,
     apply_permutation,
     build_cooling_circuit,
+    bottom_mass,
     choose_R,
     run_fridge_ideal,
     run_fridge_noisy,
     top_mass,
 )
 
-from oracles import choose_R_linear, ideal_run_stage_walk, permutation_unitary, random_unitary, stage_unitary
+from oracles import (choose_R_bisect, choose_R_linear, ideal_run_stage_walk, permutation_unitary, random_unitary,
+                     stage_unitary)
 
 
 def h2(x):
@@ -56,10 +58,11 @@ def test_top_mass_large_r_no_enumeration():
     assert 0.99 < top_mass(0.3, 500) <= 1.0
 
 
-def exact_top_mass(q, r):
+def exact_top_mass(q, r, bottom=False):
     """top_mass in exact integer arithmetic on the float q's exact value
     num/den: the sum of take * (den - num)^(r - w) num^w over den^r, rounded
-    once by the integer true division."""
+    once by the integer true division.  With ``bottom``, bottom_mass: den^r
+    less that sum, over den^r."""
     num, den = q.as_integer_ratio()
     target, taken, total = 2 ** (r - 1), 0, 0
     term = (den - num) ** r  # (den - num)^(r - w) num^w at weight w
@@ -68,7 +71,7 @@ def exact_top_mass(q, r):
         total += take * term
         taken += take
         if taken == target:
-            return total / den**r
+            return (den**r - total if bottom else total) / den**r
         term = term // (den - num) * num
 
 
@@ -80,6 +83,16 @@ def test_top_mass_past_float_class_sizes():
     want = exact_top_mass(0.49, 1100)
     assert abs(got - want) <= 1e-12
     assert 0.5 < got < 1
+
+
+def test_bottom_mass_keeps_its_precision_past_the_top_mass_rounding():
+    # 2(1 - top_mass(0.375, r)) is rounding from R ~ 1000 on and reads
+    # 1.6e-13 at R = 4096, so a search on it called eps2 = 1e-14 infeasible
+    for r in (1, 2, 7, 928, 929, 2048, 4096):
+        want = exact_top_mass(0.375, r, bottom=True)
+        assert abs(bottom_mass(0.375, r) - want) <= 1e-12 * want
+    assert 2 * exact_top_mass(0.375, 928, bottom=True) >= 1e-14 > 2 * exact_top_mass(0.375, 929, bottom=True)
+    assert choose_R(0.375, 1e-14) == 929
 
 
 def test_choose_r_examples():
@@ -111,6 +124,26 @@ def test_choose_r_bisection_matches_the_linear_scan():
     for q in np.arange(0.01, 0.46, 0.04):
         for eps2 in (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1.0):
             assert choose_R(float(q), eps2) == choose_R_linear(float(q), eps2)
+
+
+def _search_outcome(search, q, eps2):
+    try:
+        return search(q, eps2)
+    except CoolingError as err:
+        return str(err)
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.floats(0, 0.5), log_eps2=st.floats(-16, 0.5))
+@example(q=1e-16, log_eps2=math.log10(0.2))
+@example(q=0.1, log_eps2=math.log10(0.2))
+@example(q=0.45, log_eps2=-3)
+@example(q=0.3, log_eps2=-6)
+@example(q=0.01, log_eps2=-9)
+@example(q=0.49, log_eps2=-3)  # no R up to MAX_R_SEARCH
+def test_choose_r_gallop_matches_the_bisection(q, log_eps2):
+    eps2 = 10.0**log_eps2
+    assert _search_outcome(choose_R, q, eps2) == _search_outcome(choose_R_bisect, q, eps2)
 
 
 def test_choose_r_center_infeasible():

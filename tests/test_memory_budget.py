@@ -65,13 +65,15 @@ def _noisy_fridge_over_cap():
      "a decay run on 13 qubits"),
     (["experiment", "fridge_protocol", {"p": 0.05, "cycles": 1, "r_block": 13, "storage_T": 0}],
      "a dense cooling block of 13 qubits"),
+    (["experiment", "fridge_protocol", {"p": 0.05, "cycles": 2**21 + 1, "r_block": 1, "storage_T": 0}],
+     "a run of 2097153 cycles"),
     (["fridge", "--q", "0.1", "--r", "13", "--noise", "NOISE"], "a dense cooling block of 13 qubits"),
     (["fridge", "--q", "0.1", "--r", "25"], "a cooling block of 25 qubits"),
     (["experiment", "bounds", {"p": 0.1, "n": 4, "dim": 4379, "samples": 1}], "a bounds sample of dimension 4379"),
     (_register_over_cap, "a register of 13 qubits"),
     (_noisy_fridge_over_cap, "a dense cooling block of 13 qubits"),
-], ids=["stockpile", "depol_decay", "protocol", "noisy_fridge", "ideal_fridge", "bounds_dim", "register",
-        "noisy_fridge_api"])
+], ids=["stockpile", "depol_decay", "protocol", "protocol_cycles", "noisy_fridge", "ideal_fridge", "bounds_dim",
+        "register", "noisy_fridge_api"])
 def test_one_size_over_its_cap_exits_2_before_allocating(tmp_path, args, what):
     if callable(args):
         run = args()  # its inputs are built outside the measured window

@@ -24,7 +24,6 @@ from qfridge.densim import (
     GateLayer,
     SimulationError,
     apply_unitary,
-    compile_layers,
     evolve,
     partial_trace,
     repetition_code,
@@ -37,7 +36,7 @@ from qfridge.protocol import (
     run_refrigerator_protocol,
 )
 
-from oracles import permutation_unitary
+from oracles import cycle_stale_dense, permutation_unitary, random_unitary, record_dense
 
 
 def test_rejects_unital_channel():
@@ -262,17 +261,15 @@ def test_coherent_draw_takes_the_dense_path(monkeypatch):
     nat = channel.natural()
     r = 3
     spec = build_cooling_circuit(0.1, r)
-    encode, decode = repetition_code((0, 1, 2))
-    swap = NAMED_GATES["SWAP"]
-    correction = compile_layers(decode + [GateLayer([(swap, (1, 3)), (swap, (2, 4))])] + encode, 5)
+    _, cycle = protocol._compile_data_cycle(nat, np.array([0, 1], dtype=complex))
     rho3 = evolve(np.diag(np.eye(8)[7]).astype(complex), [], 3, nat)
     single = np.diag([0.9, 0.1]).astype(complex)
     drawn = [single] * (2 * r)
     drawn[1] = np.array([[0.9, 1e-3], [1e-3, 0.1]], dtype=complex)
     paths = _PathCounts(monkeypatch)
-    got_rho, got_marginals = protocol._cycle_factorized(rho3, drawn, spec, correction, nat, r)
+    got_rho, got_marginals = protocol._cycle_factorized(rho3, drawn, spec, cycle)
     assert (paths.dense, paths.populations) == (1, 1)
-    want_rho, want_marginals = cycle_joint(rho3, drawn, spec, correction, nat, r)
+    want_rho, want_marginals = cycle_joint(rho3, drawn, spec, cycle)
     assert np.max(np.abs(got_rho - want_rho)) <= 1e-12
     assert np.max(np.abs(np.array(got_marginals) - np.array(want_marginals))) <= 1e-12
 
@@ -308,13 +305,16 @@ def test_recycled_draws_choose_their_path(frame, ket, recycled_dense):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def cycle_joint(rho3, drawn, spec, correction, nat, r):
+def cycle_joint(rho3, drawn, spec, cycle):
     """Oracle for ``protocol._cycle_factorized``: the data and all 2R drawn
     qubits evolve in one 3 + 2R-qubit register, block b on qubits
     3 + bR .. 3 + (b + 1)R - 1, with the correction rebuilt on that register
-    (the compiled 5-qubit one is not used).  Returns the data state and the
-    storage marginals in the protocol's order: both syndrome qubits, then
-    block 0's wastes, then block 1's."""
+    and the noise pass on every qubit (of the compiled cycle only the
+    channel's natural rep is used).  Returns the data state and the storage
+    marginals in the protocol's order: both syndrome qubits, then block 0's
+    wastes, then block 1's."""
+    r = spec.r_block
+    nat = cycle.nat
     n = 3 + 2 * r
     rho = rho3
     for state in drawn:
@@ -374,3 +374,62 @@ def test_marginal_simulation_matches_joint_register(thermal, gamma, excited, r, 
     got = _policy_records(channel, cfg, ket)
     want = _policy_records(channel, cfg, ket, cycle_joint)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _random_state(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@settings(max_examples=60)
+@given(
+    kind=st.sampled_from(["thermal", "amplitude_damping", "hadamard_amplitude_damping", "haar_thermal"]),
+    gamma=st.floats(0.01, 0.9),
+    excited=st.floats(0, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_cycle_matches_the_dense_oracle(kind, gamma, excited, seed):
+    # the Hadamard frame and the Haar dressing U K V give noise whose natural
+    # rep mixes populations and coherences
+    rng = np.random.default_rng(seed)
+    kraus = amplitude_damping_kraus(gamma) if kind.endswith("amplitude_damping") else thermal_kraus(gamma, excited)
+    u, v = {
+        "hadamard_amplitude_damping": (_H, _H),
+        "haar_thermal": (random_unitary(rng), random_unitary(rng)),
+    }.get(kind, (np.eye(2), np.eye(2)))
+    nat = kraus_to_superop(KrausSet([u @ k @ v for k in kraus.ops])).natural()
+    rho3 = _random_state(rng, 8)
+    ancillas = [_random_state(rng, 2), _random_state(rng, 2)]
+    ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+    ket /= np.linalg.norm(ket)
+    _, cycle = protocol._compile_data_cycle(nat, ket)
+    got_rho, got_garbage = protocol._cycle_stale(rho3, ancillas, cycle)
+    want_rho, want_garbage = cycle_stale_dense(rho3, ancillas, nat)
+    assert np.max(np.abs(got_rho - want_rho)) <= 1e-12
+    assert np.max(np.abs(np.array(got_garbage) - np.array(want_garbage))) <= 1e-12
+    [got] = protocol._records(got_rho[None], cycle.observable)
+    want = record_dense(1, got_rho, ket)
+    assert abs(got.logical_fidelity - want.logical_fidelity) <= 1e-12
+    assert abs(got.entropy_bits - want.entropy_bits) <= 1e-12
+
+
+def test_stale_run_keeps_a_real_trace(monkeypatch):
+    # a mixed Kraus form leaves rounding-sized imaginary parts on the
+    # populations; the stale run's trace follows T_{k+1} = T_k^3, so an
+    # imaginary part of T that is not divided out triples every cycle
+    rng = np.random.default_rng(3)
+    v = random_unitary(rng)
+    kraus = amplitude_damping_kraus(0.01).ops
+    channel = kraus_to_superop(KrausSet([v[i, 0] * kraus[0] + v[i, 1] * kraus[1] for i in range(2)]))
+    ket = np.array([np.sin(0.2) * np.exp(2j), np.cos(0.2)])
+    traces = []
+    renorm = protocol._renorm
+
+    def recording(rho):
+        traces.append(np.trace(rho, axis1=-2, axis2=-1))
+        return renorm(rho)
+
+    monkeypatch.setattr(protocol, "_renorm", recording)
+    run_refrigerator_protocol(ProtocolConfig(d_prime=50, r_block=1, storage_T=1558), channel, logical_ket=ket)
+    assert max(np.abs(t.imag).max() for t in traces) <= 1e-12
