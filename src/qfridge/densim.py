@@ -27,10 +27,10 @@ bytes a run needs and the budget.  Two byte formulas state the peaks: a
 dense path holds at most DENSE_COPIES d x d complex matrices
 (`dense_bytes`), so 12 qubits fit and 13 do not; a fridge block on its
 populations holds at most POPULATION_BYTES per basis label
-(`population_bytes`).  Each entry point checks its formula before it
-allocates.  A cap bounds what is simulated, not the system a run describes:
-the stockpile experiment holds only the qubits its gates have touched and
-checks that count.
+(`population_bytes`), and a protocol's cooling block at most R times that.
+Each entry point checks its formula before it allocates.  A cap bounds what
+is simulated, not the system a run describes: the stockpile experiment holds
+only the qubits its gates have touched and checks that count.
 
 Entropies come from one helper, `spectrum_entropy_bits`, which scores one
 spectrum or a stack of them along the last axis.  `entropy_bits` and
@@ -77,8 +77,7 @@ from .channels import SuperOp
 MEMORY_BUDGET = 2**31  # bytes any one run may hold
 # most d x d complex matrices a dense path holds at once (tracemalloc peaks
 # over 16 d^2): a register build holds 2, a step 3, a stockpile or decay
-# run 4.1, the fridge's dense path 4.1, the protocol's cooling block 2.2 and
-# a bounds sample 6
+# run 4.1, the fridge's dense path 4.1 and a bounds sample 6
 DENSE_COPIES = 7
 # most bytes per basis label of a fridge block on its populations: the
 # compile's Python lists, its stage pairs and the permutation (a tracemalloc

@@ -11,15 +11,12 @@ reset population equals the sum of the 2^(R-1) largest eigenvalues of the
 input state, which no unitary can exceed (majorization -- a unitary cannot
 push more weight onto a rank-2^(R-1) subspace than the top eigenvalues hold).
 
-One populations kernel, `cool_populations`, cools every diagonal product
-block: the product of the R qubits' diagonals, gathered once at
+The ideal run cools the thermal product block through `cool_populations`:
+the product of the R qubits' diagonals, gathered once at
 ``np.argsort(permutation)``.  The stages only permute basis states, so on a
-diagonal block their product is that one exact gather, and each qubit's
-marginal is a reshaped sum of the result.  The ideal run cools the thermal
-product block, the input the protocol's relaxed qubits approach, through it;
-the protocol cools each of its blocks through it when the block's drawn
-states pass a certified gate (see `qfridge.protocol`).  Both gates reuse
-POPULATION_ATOL as their trace-norm allowance.
+diagonal block their product is that one exact gather.  The protocol cools
+every block, coherent or diagonal, through `MarginalKernel`: each output
+qubit's marginal, exactly, without the 2^R x 2^R state.
 
 A noisy run applies the stages in order; under noise that keeps diagonal
 states diagonal to within eps per location it is a Markov chain on the
@@ -28,7 +25,8 @@ block's probabilities.  The runner takes that path when
 dense density-matrix run; every other noisy run takes the dense path.
 
 The compile, the spec and an ideal run hold O(2^R) bytes, so they are held
-to `densim.population_bytes`.  A noisy run is held to `densim.dense_bytes`
+to `densim.population_bytes`; a `MarginalKernel` holds O(R 2^R), and its
+caller holds it to R times that.  A noisy run is held to `densim.dense_bytes`
 on both of its paths: it can fall back to the dense path, and its
 populations work, F R 2^R updates, grows as 4^R too.
 """
@@ -45,9 +43,8 @@ from .channels import ChannelError, SuperOp, diamond_upper, identity_channel, kr
 from .densim import (ZERO, SimulationError, check_memory, dense_bytes, entropy_bits, evolve, partial_trace,
                      population_bytes, qubit_dim, spectrum_entropy_bits)
 
-# largest trace-norm deviation from the dense run that a populations path
-# (a noisy run's Markov chain, a protocol block's gather) may add: the
-# float-reordering allowance
+# largest trace-norm deviation from the dense run that a noisy run's Markov
+# chain on populations may add: the float-reordering allowance
 POPULATION_ATOL = 1e-12
 MAX_R_SEARCH = 4096  # largest block size choose_R considers
 
@@ -124,31 +121,58 @@ def _swap_rows(a: np.ndarray, stage: np.ndarray) -> None:
     a[stage] = a[stage[::-1]]
 
 
-def apply_permutation(rho: np.ndarray, spec: FridgeSpec) -> np.ndarray:
-    """rho -> P rho P^T with the compiled permutation P on the R-qubit block.
-
-    An exact index gather, so it equals the product of the 0/1 stage matrices
-    bit for bit.
-    """
-    inverse = np.argsort(spec.permutation)
-    return rho[np.ix_(inverse, inverse)]
-
-
-def _product(diagonals) -> np.ndarray:
-    """Populations of a product of diagonal qubits, qubit 0 the leading bit:
-    np.kron's products, without its per-call overhead."""
+def _product(factors) -> np.ndarray:
+    """Entries of a product of qubits, qubit 0 the leading digit, from each
+    qubit's populations or its flattened 2 x 2 state: np.kron's products,
+    without its per-call overhead."""
     block = np.ones(1)
-    for diagonal in diagonals:
-        block = (block[:, None] * diagonal).reshape(-1)
+    for factor in factors:
+        block = (block[:, None] * factor).reshape(-1)
     return block
 
 
 def cool_populations(diagonals, spec: FridgeSpec) -> np.ndarray:
     """Populations of a block of R diagonal qubits after the cooling
     permutation: their product, gathered at the inverse permutation.  Equal,
-    bit for bit, to the diagonal of ``apply_permutation`` on the diagonal
-    product state."""
+    bit for bit, to the diagonal of P diag(product) P^T."""
     return _product(diagonals)[np.argsort(spec.permutation)]
+
+
+class MarginalKernel:
+    """The R single-qubit marginals of P(rho_1 (x) ... (x) rho_R)P^dag, for
+    the spec's permutation P and any product input.
+
+    Qubit i's marginal is M_i[a, b] = sum_s rho_in[x, x'] over the 2^(R-1)
+    settings s of the other output bits, x = P^-1(a at bit i, s) and
+    x' = P^-1(b at bit i, s).  rho_in[x, x'] is the product of one entry of
+    the Kronecker product of the first R // 2 qubits' flattened states and
+    one of the rest's, each at the digits 2 x_j + x'_j.  The index tables
+    are built once per spec; a block then costs O(R 2^R) time and bytes:
+    tables of 32 R 2^R bytes, and 64 R 2^R more a call.
+    """
+
+    def __init__(self, spec: FridgeSpec):
+        r = spec.r_block
+        tail_digits = r - r // 2
+        labels = np.arange(2**r).reshape((2,) * r)
+        # (R, 2, 2^(R-1)): the output labels with bit i at a, the rest at s
+        by_bit = np.stack([np.moveaxis(labels, i, 0).reshape(2, -1) for i in range(r)])
+        inputs = np.argsort(spec.permutation)[by_bit]
+        ket, bra = inputs[:, :, None, :], inputs[:, None, :, :]
+        digits = 0
+        for shift in range(r - 1, -1, -1):
+            digits = 4 * digits + 2 * ((ket >> shift) & 1) + ((bra >> shift) & 1)
+        self.spec = spec
+        self.lead, self.tail = digits >> 2 * tail_digits, digits & (4**tail_digits - 1)
+
+    def __call__(self, states) -> np.ndarray:
+        """(R, 2, 2) marginals, reset qubit first, of the block cooled from
+        an (R, 2, 2) stack of input states."""
+        flat = np.asarray(states).reshape(-1, 4)
+        split = len(flat) // 2
+        marginals = _product(flat[split:])[self.tail]
+        marginals *= _product(flat[:split])[self.lead]
+        return marginals.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -312,7 +336,7 @@ def run_fridge_ideal(spec: FridgeSpec) -> CoolingReport:
 
 def check_dense_block(r: int) -> None:
     """Reject a block whose dense 2^R x 2^R state would exceed the memory
-    budget: a noisy run's, on both of its paths, or the protocol's."""
+    budget: a noisy run's, on both of its paths."""
     check_memory(dense_bytes(qubit_dim(r)), f"a dense cooling block of {r} qubits")
 
 

@@ -22,17 +22,10 @@ each drawn qubit so that point lands on |0>; the fridge cools in its own
 computational basis.  A prefilled draw is the fixed point itself, rotated
 once per run.
 
-A block whose R drawn states are diagonal cools on its 2^R populations
-through `fridge.cool_populations`, the kernel the ideal fridge runs on, and
-each marginal is a reshaped sum of the result.  The block takes that path
-when sum_i ||rho_i - diag(Re rho_i)||_1 <= POPULATION_ATOL over its drawn
-states (taken as the entrywise sum, which bounds each trace norm from
-above).  That sum bounds the trace-norm error of every marginal: the block
-is a product state, so dropping each factor's off-diagonal part moves it by
-at most the sum, and neither the permutation nor a partial trace can grow a
-trace norm.  Any other block, such as one holding recycled syndrome garbage
-that carries coherences, is cooled as a dense 2^R x 2^R state by
-`fridge.apply_permutation` and `densim.partial_trace`.
+Every cooling block, its drawn states diagonal or carrying coherences (as
+recycled syndrome garbage does), is cooled exactly by `fridge.MarginalKernel`,
+compiled once per run, without its 2^R x 2^R state; a run is held to R times
+`densim.population_bytes(R)`.
 
 The code circuit is :func:`densim.repetition_code` on data qubits 0..2, and
 a correction is its decoder, a swap of the two syndrome qubits with the
@@ -53,7 +46,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -68,19 +60,11 @@ from .densim import (
     check_memory,
     compile_layers,
     entropy_bits,
-    partial_trace,
+    population_bytes,
     repetition_code,
 )
 from .experiments import TraceRecord
-from .fridge import (
-    POPULATION_ATOL,
-    FridgeSpec,
-    apply_permutation,
-    build_cooling_circuit,
-    check_dense_block,
-    choose_R,
-    cool_populations,
-)
+from .fridge import FridgeSpec, MarginalKernel, build_cooling_circuit, choose_R
 
 MODE_EXACT = "exact"
 MODE_FACTORIZED = "factorized"
@@ -260,11 +244,11 @@ def run_refrigerator_protocol(
     purity = float(np.linalg.norm(w))
     q_bias = max(0.0, (1 - purity) / 2)
     r = cfg.r_block if cfg.r_block is not None else choose_R(q_bias, cfg.eps2)
-    check_dense_block(r)  # before the compile: a block that fails the gate is cooled dense
+    check_memory(r * population_bytes(r), f"a protocol cooling block of {r} qubits")
     rho_p = bloch_to_density(w)
     eigvals, eigvecs = np.linalg.eigh(rho_p)
     pre_rot = eigvecs[:, ::-1].conj().T  # rotate the fixed point onto |0>
-    spec = build_cooling_circuit(q_bias, r)
+    kernel = MarginalKernel(build_cooling_circuit(q_bias, r))
     rho0, cycle = _compile_data_cycle(channel.natural(), logical_ket)
 
     if cfg.storage_T is not None:
@@ -272,8 +256,8 @@ def run_refrigerator_protocol(
     else:
         storage_t = relaxation_time(channel, cfg.dwell_target(r)).steps
 
-    refrig, thru = _run_policy(cfg, spec, pre_rot, cycle, rho0, rho_p, storage_t, POLICY_REFRIGERATED)
-    stale, _ = _run_policy(cfg, spec, pre_rot, cycle, rho0, rho_p, storage_t, POLICY_STALE)
+    refrig, thru = _run_policy(cfg, kernel, pre_rot, cycle, rho0, rho_p, storage_t, POLICY_REFRIGERATED)
+    stale, _ = _run_policy(cfg, kernel, pre_rot, cycle, rho0, rho_p, storage_t, POLICY_STALE)
     if thru > cfg.throughput_bound(r):
         raise SimulationError(
             f"storage throughput {thru} exceeds bound {cfg.throughput_bound(r)}"
@@ -290,13 +274,13 @@ def run_refrigerator_protocol(
         storage_T=storage_t,
         throughput=thru,
         throughput_bound=cfg.throughput_bound(r),
-        fridge=spec,
+        fridge=kernel.spec,
         code_frame=FRAME_BIT_FLIP,
     )
 
 
-def _run_policy(cfg, spec, pre_rot, cycle, rho, rho_p, storage_t, policy):
-    r = spec.r_block
+def _run_policy(cfg, kernel, pre_rot, cycle, rho, rho_p, storage_t, policy):
+    r = kernel.spec.r_block
     storage = _Storage(rho_p, cycle.nat, storage_t, cfg.dwell_target(r))
     rotated_p = pre_rot @ rho_p @ pre_rot.conj().T
 
@@ -309,7 +293,7 @@ def _run_policy(cfg, spec, pre_rot, cycle, rho, rho_p, storage_t, policy):
     for i in range(cfg.d_prime):
         if policy == POLICY_REFRIGERATED:
             drawn = [draw() for _ in range(2 * r)]
-            rho, returned = _cycle_factorized(rho, drawn, spec, cycle)
+            rho, returned = _cycle_factorized(rho, drawn, kernel, cycle)
             for m in returned:
                 storage.enqueue(m)
         else:
@@ -319,34 +303,18 @@ def _run_policy(cfg, spec, pre_rot, cycle, rho, rho_p, storage_t, policy):
     return _records(states, cycle.observable), storage.drawn
 
 
-def _cool_block(states, spec):
-    """(R, 2, 2) marginals, reset qubit first, of an (R, 2, 2) stack of drawn
-    states cooled as one block: on its populations when the states pass the
-    gate (see the module docstring), else as a dense state."""
-    r = spec.r_block
-    diagonals = states.diagonal(axis1=1, axis2=2).real
-    if np.abs(states - diagonals[:, :, None] * np.eye(2)).sum() <= POPULATION_ATOL:
-        cube = cool_populations(diagonals, spec).reshape((2,) * r)
-        marginals = [cube.sum(axis=tuple(j for j in range(r) if j != i)) for i in range(r)]
-        return (np.array(marginals)[:, :, None] * np.eye(2)).astype(complex)
-    block = apply_permutation(reduce(np.kron, states), spec)
-    return np.array([partial_trace(block, [i], r) for i in range(r)])
-
-
 def _noisy(states, nat):
     """The channel, as its natural rep, on each 2 x 2 state of a stack."""
     return (states.reshape(-1, 4) @ nat.T).reshape(states.shape)
 
 
-def _cycle_factorized(rho3, drawn, spec, cycle):
+def _cycle_factorized(rho3, drawn, kernel, cycle):
     # fridge blocks run in their own registers, gates noiseless within the
     # cycle; every qubit then takes the cycle's single noise application
-    r = spec.r_block
-    states = np.array(drawn)
-    cooled = [_cool_block(states[:r], spec), _cool_block(states[r:], spec)]
+    cooled = np.array([kernel(block) for block in np.reshape(drawn, (2, -1, 2, 2))])
     # correction with the two resets injected as product ancillas
-    rho, garbage = _cycle_stale(rho3, [block[0] for block in cooled], cycle)
-    wastes = _noisy(np.concatenate([block[1:] for block in cooled]), cycle.nat)
+    rho, garbage = _cycle_stale(rho3, list(cooled[:, 0]), cycle)
+    wastes = _noisy(cooled[:, 1:].reshape(-1, 2, 2), cycle.nat)
     return rho, garbage + list(wastes)
 
 

@@ -1,17 +1,18 @@
 """Test fixtures and oracles that the package itself does not need.
 
-Dense unitaries for a compiled fridge, the ideal fridge run stage by stage,
-the linear and the bisecting block-size searches, the protocol's data-side
-cycle and record on the 5-qubit register, the entropy verdict by sampling
-states, Haar-random unitaries, an EPR register, conditional entropy, Bloch
-read-out, two Kraus constructors, direct channel application to a Bloch
-vector or a matrix and composition, the stockpile run on its full
-register, the EPR storage run one step at a time, and the entropy margins
-and bounds-experiment sample loop one state pair at a time: the tests build
-inputs and check results with them, while the program works on index maps,
-one population gather, natural reps, PTMs, the channel's class, the touched
-qubits, one compiled data-side cycle and stacks of state pairs and of
-storage steps only.
+Dense unitaries for a compiled fridge, its permutation gathered on a dense
+block, the ideal fridge run stage by stage, the linear and the bisecting
+block-size searches, the protocol's data-side cycle and record on the
+5-qubit register, the entropy verdict by sampling states, Haar-random
+unitaries, an EPR register, conditional entropy, Bloch read-out, two Kraus
+constructors, direct channel application to a Bloch vector or a matrix and
+composition, the stockpile run on its full register, the EPR storage run one
+step at a time, and the entropy margins and bounds-experiment sample loop
+one state pair at a time: the tests build inputs and check results with
+them, while the program works on index maps, one population gather, a
+block's marginals gathered from two half-block products, natural reps,
+PTMs, the channel's class, the touched qubits, one compiled data-side cycle
+and stacks of state pairs and of storage steps only.
 """
 
 import bisect
@@ -67,6 +68,16 @@ def permutation_unitary(spec: FridgeSpec) -> np.ndarray:
     for x, y in enumerate(spec.permutation):
         u[y, x] = 1.0
     return u
+
+
+def apply_permutation(rho: np.ndarray, spec: FridgeSpec) -> np.ndarray:
+    """rho -> P rho P^T with the compiled permutation P on the R-qubit block.
+
+    An exact index gather, so it equals the product of the 0/1 stage matrices
+    bit for bit.
+    """
+    inverse = np.argsort(spec.permutation)
+    return rho[np.ix_(inverse, inverse)]
 
 
 def stage_unitary(spec: FridgeSpec, i: int) -> np.ndarray:

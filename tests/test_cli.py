@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from qfridge import cli, densim, fridge
 from qfridge.channels import (
+    KrausSet,
     amplitude_damping_kraus,
     dephasing_kraus,
     depolarizing_kraus,
@@ -387,6 +388,20 @@ def test_experiment_fridge_protocol(runner, tmp_path):
     lines = (out / "trace.jsonl").read_text().strip().split("\n")
     assert len(lines) == 4
     assert "stale_logical_fidelity" in json.loads(lines[-1])
+
+
+def test_experiment_fridge_protocol_coherent_r13_exit_0(runner, tmp_path):
+    # damping in the Hadamard frame: from cycle 17 on both blocks are cooled
+    # from recycled draws that carry coherences, and a block's marginals
+    # hold O(R 2^R) bytes, so R = 13, past the dense 2^R x 2^R cap, runs
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    channel = KrausSet([h @ k @ h for k in amplitude_damping_kraus(0.7).ops])
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"channel": kraus_to_dict(channel), "cycles": 20, "r_block": 13, "storage_T": 16}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", "fridge_protocol", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len((out / "trace.jsonl").read_text().strip().split("\n")) == 20
 
 
 def test_fridge_register_cap_exit_2(runner):

@@ -21,18 +21,19 @@ from qfridge.densim import apply_channel, apply_single_qubit_superop, apply_unit
 from qfridge.fridge import (
     CoolingError,
     FridgeSpec,
+    MarginalKernel,
     _block_probabilities,
-    apply_permutation,
     build_cooling_circuit,
     bottom_mass,
     choose_R,
+    cool_populations,
     run_fridge_ideal,
     run_fridge_noisy,
     top_mass,
 )
 
-from oracles import (choose_R_bisect, choose_R_linear, ideal_run_stage_walk, permutation_unitary, random_unitary,
-                     stage_unitary)
+from oracles import (apply_permutation, choose_R_bisect, choose_R_linear, ideal_run_stage_walk, permutation_unitary,
+                     random_unitary, stage_unitary)
 
 
 def h2(x):
@@ -358,11 +359,24 @@ def test_spec_derives_its_stages_from_the_permutation(q, r_and_permutation):
 @settings(max_examples=40)
 @given(q=_biases, r=st.integers(1, 6), seed=_seeds)
 def test_index_map_ideal_run_equals_dense_permutation(q, r, seed):
-    # the protocol gathers arbitrary blocks, so any state, not just the thermal one
+    # the tests' oracle gathers arbitrary blocks, so any state, not just the thermal one
     spec = build_cooling_circuit(q, r)
     rho = _random_psd(np.random.default_rng(seed), 2**r)
     p = permutation_unitary(spec)
     assert np.array_equal(apply_permutation(rho, spec), p @ rho @ p.T)
+
+
+def test_marginal_kernel_matches_the_populations_at_r13():
+    # no dense oracle fits at R = 13; on a diagonal block the populations
+    # gather is exact, and each marginal is diagonal, a reshaped sum of it
+    r = 13
+    spec = build_cooling_circuit(0.1, r)
+    p = np.random.default_rng(13).uniform(0, 1, r)
+    diagonals = np.stack([1 - p, p], axis=1)
+    got = MarginalKernel(spec)((diagonals[:, :, None] * np.eye(2)).astype(complex))
+    cube = cool_populations(diagonals, spec).reshape((2,) * r)
+    want = [np.diag(cube.sum(axis=tuple(j for j in range(r) if j != i))) for i in range(r)]
+    assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
 
 def _reduced(rho, r):

@@ -63,8 +63,8 @@ def _noisy_fridge_over_cap():
      "a stockpile run simulating 13 qubits"),
     (["experiment", "depol_decay", {"n": 12, "p": 0.05, "steps": 2, "with_reference": True}],
      "a decay run on 13 qubits"),
-    (["experiment", "fridge_protocol", {"p": 0.05, "cycles": 1, "r_block": 13, "storage_T": 0}],
-     "a dense cooling block of 13 qubits"),
+    (["experiment", "fridge_protocol", {"p": 0.05, "cycles": 1, "r_block": 20, "storage_T": 0}],
+     "a protocol cooling block of 20 qubits"),
     (["experiment", "fridge_protocol", {"p": 0.05, "cycles": 2**21 + 1, "r_block": 1, "storage_T": 0}],
      "a run of 2097153 cycles"),
     (["fridge", "--q", "0.1", "--r", "13", "--noise", "NOISE"], "a dense cooling block of 13 qubits"),
@@ -124,8 +124,10 @@ def _depol_decay(tmp_path):
 
 
 def _protocol(tmp_path):
-    cfg = ProtocolConfig(d_prime=1, r_block=9, storage_T=0)
-    channel = kraus_to_superop(amplitude_damping_kraus(0.05))
+    # damping in the Hadamard frame: from cycle 17 on every block is cooled
+    # from recycled draws that carry coherences
+    channel = kraus_to_superop(KrausSet([_H @ k @ _H for k in amplitude_damping_kraus(0.7).ops]))
+    cfg = ProtocolConfig(d_prime=20, r_block=13, storage_T=16)
     return lambda: run_refrigerator_protocol(cfg, channel)
 
 
@@ -155,7 +157,7 @@ _SETUPS = [
     (_step, dense_bytes(2**10)),
     (_stockpile, dense_bytes(2**10)),
     (_depol_decay, dense_bytes(2**10)),
-    (_protocol, dense_bytes(2**9)),
+    (_protocol, 13 * population_bytes(13)),
     (_noisy_fridge_dense, dense_bytes(2**7)),
     (_ideal_fridge, population_bytes(16)),
     (_bounds, dense_bytes(384)),

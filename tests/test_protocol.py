@@ -28,7 +28,7 @@ from qfridge.densim import (
     partial_trace,
     repetition_code,
 )
-from qfridge.fridge import apply_permutation, build_cooling_circuit, cool_populations
+from qfridge.fridge import MarginalKernel, build_cooling_circuit
 from qfridge.protocol import (
     N_PRIME,
     ProtocolConfig,
@@ -36,7 +36,7 @@ from qfridge.protocol import (
     run_refrigerator_protocol,
 )
 
-from oracles import cycle_stale_dense, permutation_unitary, random_unitary, record_dense
+from oracles import apply_permutation, cycle_stale_dense, permutation_unitary, random_unitary, record_dense
 
 
 def test_rejects_unital_channel():
@@ -203,73 +203,68 @@ def test_draws_enter_fridge_in_its_basis(monkeypatch, frame):
     channel = kraus_to_superop(KrausSet([u @ k @ u.conj().T for k in thermal_kraus(0.05, 0.1).ops]))
     blocks = []
 
-    def capture(states, spec):
-        blocks.append(states)
+    def capture(rho3, drawn, kernel, cycle):
+        r = kernel.spec.r_block
+        blocks.extend([drawn[:r], drawn[r:]])
         raise _FirstBlock
 
-    # the drawn states the first block is cooled from, whichever path cools it
-    monkeypatch.setattr(protocol, "_cool_block", capture)
+    # the drawn states the first cycle's two blocks are cooled from
+    monkeypatch.setattr(protocol, "_cycle_factorized", capture)
     with pytest.raises(_FirstBlock):
         run_refrigerator_protocol(ProtocolConfig(d_prime=5, r_block=2, storage_T=40), channel)
     single = np.diag([0.9, 0.1])
-    assert np.max(np.abs(np.kron(*blocks[0]) - np.kron(single, single))) <= 1e-12
+    for block in blocks:
+        assert np.max(np.abs(np.kron(*block) - np.kron(single, single))) <= 1e-12
 
 
-def _no_dense_block(*args):
-    raise AssertionError("a diagonal block took the dense path")
+def _random_state(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
-@settings(max_examples=40)
-@given(r=st.integers(1, 8), q=st.floats(0, 0.45), seed=st.integers(0, 2**32 - 1))
-def test_block_populations_match_the_dense_oracle(r, q, seed):
+def _input_state(rng, kind):
+    """One qubit of a block: a random mixed state, or diag(1 - p, p) turned
+    by a random unitary as a prefilled draw is turned by the frame rotation,
+    or diag(1 - p, p) itself."""
+    if kind == "mixed":
+        return _random_state(rng, 2)
+    p = rng.uniform(0, 1)
+    u = random_unitary(rng) if kind == "rotated" else np.eye(2)
+    return u @ np.diag([1 - p, p]).astype(complex) @ u.conj().T
+
+
+@settings(max_examples=60)
+@given(
+    q=st.floats(0, 0.45),
+    kinds=st.lists(st.sampled_from(["mixed", "rotated", "diagonal"]), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_marginals_match_the_dense_oracle(q, kinds, seed):
+    r = len(kinds)
     spec = build_cooling_circuit(q, r)
-    populations = np.random.default_rng(seed).uniform(0, 1, r)
-    diagonals = np.stack([1 - populations, populations], axis=1)
-    states = (diagonals[:, :, None] * np.eye(2)).astype(complex)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "apply_permutation", _no_dense_block)
-        got = protocol._cool_block(states, spec)
+    rng = np.random.default_rng(seed)
+    states = np.array([_input_state(rng, kind) for kind in kinds])
+    got = MarginalKernel(spec)(states)
     # the oracle: the dense product state, permuted, and each qubit's partial trace
     block = apply_permutation(reduce(np.kron, states), spec)
     want = np.array([partial_trace(block, [i], r) for i in range(r)])
-    assert np.array_equal(cool_populations(diagonals, spec), block.diagonal().real)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-class _PathCounts:
-    """Spies on the two ways a protocol block is cooled."""
-
-    def __init__(self, mp):
-        self.dense = self.populations = 0
-        dense, populations = protocol.apply_permutation, protocol.cool_populations
-
-        def counted_dense(*args):
-            self.dense += 1
-            return dense(*args)
-
-        def counted_populations(*args):
-            self.populations += 1
-            return populations(*args)
-
-        mp.setattr(protocol, "apply_permutation", counted_dense)
-        mp.setattr(protocol, "cool_populations", counted_populations)
-
-
-def test_coherent_draw_takes_the_dense_path(monkeypatch):
-    # one draw of block 0 carries a coherence far above the gate's 1e-12
+def test_coherent_draw_matches_the_joint_register():
+    # one draw of block 0 carries a coherence
     channel = kraus_to_superop(thermal_kraus(0.05, 0.1))
     nat = channel.natural()
     r = 3
-    spec = build_cooling_circuit(0.1, r)
+    kernel = MarginalKernel(build_cooling_circuit(0.1, r))
     _, cycle = protocol._compile_data_cycle(nat, np.array([0, 1], dtype=complex))
     rho3 = evolve(np.diag(np.eye(8)[7]).astype(complex), [], 3, nat)
     single = np.diag([0.9, 0.1]).astype(complex)
     drawn = [single] * (2 * r)
     drawn[1] = np.array([[0.9, 1e-3], [1e-3, 0.1]], dtype=complex)
-    paths = _PathCounts(monkeypatch)
-    got_rho, got_marginals = protocol._cycle_factorized(rho3, drawn, spec, cycle)
-    assert (paths.dense, paths.populations) == (1, 1)
-    want_rho, want_marginals = cycle_joint(rho3, drawn, spec, cycle)
+    got_rho, got_marginals = protocol._cycle_factorized(rho3, drawn, kernel, cycle)
+    want_rho, want_marginals = cycle_joint(rho3, drawn, kernel, cycle)
     assert np.max(np.abs(got_rho - want_rho)) <= 1e-12
     assert np.max(np.abs(np.array(got_marginals) - np.array(want_marginals))) <= 1e-12
 
@@ -278,41 +273,47 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 @pytest.mark.parametrize(
-    "frame, ket, recycled_dense",
+    "frame, ket, recycled_coherent",
     [
         # the bit-flip code leaves z-diagonal noise's syndrome marginals
-        # exactly diagonal, so garbage from a superposition still cools on
-        # its populations
+        # exactly diagonal, so garbage from a superposition is diagonal too
         (np.eye(2), np.array([1, 1]) / np.sqrt(2), False),
         # a fixed point on +x: relaxed garbage carries coherences in the
-        # fridge's basis, and every recycled draw is cooled as a dense state
+        # fridge's basis, so every recycled draw does
         (_H, np.array([0, 1]), True),
     ],
     ids=["z_frame_superposition", "x_frame"],
 )
-def test_recycled_draws_choose_their_path(frame, ket, recycled_dense):
+def test_recycled_draws_match_the_joint_register(frame, ket, recycled_coherent):
     channel = kraus_to_superop(KrausSet([frame @ k @ frame.conj().T for k in amplitude_damping_kraus(0.3).ops]))
     cfg = ProtocolConfig(d_prime=60, r_block=1)
-    with pytest.MonkeyPatch.context() as mp:
-        paths = _PathCounts(mp)
-        got = _policy_records(channel, cfg, ket)
+    coherences = []
+    cycle_factorized = protocol._cycle_factorized
+
+    def recording(rho3, drawn, kernel, cycle):
+        coherences.extend(abs(state[0, 1]) for state in drawn)
+        return cycle_factorized(rho3, drawn, kernel, cycle)
+
+    got = _policy_records(channel, cfg, ket, recording)
     # storage_T (searched: 45) is below D' = 60: the last 15 cycles draw
     # 2 recycled qubits each
     recycled = 2 * (cfg.d_prime - 45)
-    assert paths.dense == (recycled if recycled_dense else 0)
-    assert paths.dense + paths.populations == 2 * cfg.d_prime
+    assert len(coherences) == 2 * cfg.d_prime
+    assert sum(c > 1e-12 for c in coherences) == (recycled if recycled_coherent else 0)
     want = _policy_records(channel, cfg, ket, cycle_joint)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def cycle_joint(rho3, drawn, spec, cycle):
+def cycle_joint(rho3, drawn, kernel, cycle):
     """Oracle for ``protocol._cycle_factorized``: the data and all 2R drawn
     qubits evolve in one 3 + 2R-qubit register, block b on qubits
-    3 + bR .. 3 + (b + 1)R - 1, with the correction rebuilt on that register
-    and the noise pass on every qubit (of the compiled cycle only the
-    channel's natural rep is used).  Returns the data state and the storage
-    marginals in the protocol's order: both syndrome qubits, then block 0's
-    wastes, then block 1's."""
+    3 + bR .. 3 + (b + 1)R - 1, with the kernel's permutation as a dense
+    unitary, the correction rebuilt on that register and the noise pass on
+    every qubit (of the compiled cycle only the channel's natural rep is
+    used).  Returns the data state and the storage marginals in the
+    protocol's order: both syndrome qubits, then block 0's wastes, then
+    block 1's."""
+    spec = kernel.spec
     r = spec.r_block
     nat = cycle.nat
     n = 3 + 2 * r
@@ -374,12 +375,6 @@ def test_marginal_simulation_matches_joint_register(thermal, gamma, excited, r, 
     got = _policy_records(channel, cfg, ket)
     want = _policy_records(channel, cfg, ket, cycle_joint)
     assert np.max(np.abs(got - want)) <= 1e-12
-
-
-def _random_state(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 @settings(max_examples=60)
