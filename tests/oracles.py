@@ -11,8 +11,9 @@ step at a time, and the entropy margins and bounds-experiment sample loop
 one state pair at a time: the tests build inputs and check results with
 them, while the program works on index maps, one population gather, a
 block's marginals gathered from two half-block products, natural reps,
-PTMs, the channel's class, the touched qubits, one compiled data-side cycle
-and stacks of state pairs and of storage steps only.
+PTMs, the channel's class, the touched qubits, a data-side cycle compiled
+into one read and one write map on the decoded logical qubit, and stacks of
+state pairs and of storage steps only.
 """
 
 import bisect

@@ -404,6 +404,18 @@ def test_experiment_fridge_protocol_coherent_r13_exit_0(runner, tmp_path):
     assert len((out / "trace.jsonl").read_text().strip().split("\n")) == 20
 
 
+def test_experiment_fridge_protocol_uncertified_storage_T_exit_5(runner, tmp_path):
+    # storage_T 44 is below D' = 60, so draws would be recycled, and AD(0.3)
+    # needs 45 layers to meet the dwell target: the run stops before a cycle
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"p": 0.3, "cycles": 60, "r_block": 1, "storage_T": 44}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", "fridge_protocol", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 5
+    assert "assertion failure: storage time 44 leaves stored qubits" in result.output
+    assert (out / "trace.jsonl").read_text().strip() == ""
+
+
 def test_fridge_register_cap_exit_2(runner):
     # 128 bytes per basis label: R = 24 fits the budget and R = 25 does not
     result = runner.invoke(main, ["fridge", "--q", "0.1", "--r", "25"])

@@ -17,7 +17,6 @@ from qfridge.channels import (
     dephasing_kraus,
     kraus_to_superop,
     thermal_kraus,
-    trace_norm,
 )
 from qfridge.densim import (
     NAMED_GATES,
@@ -92,34 +91,51 @@ def test_exact_and_factorized_agree_on_minimal_instance(monkeypatch):
         assert abs(a.logical_fidelity - b.logical_fidelity) <= 1e-12
 
 
-def test_storage_dwell_discipline(monkeypatch):
-    gaps = []
-    monkeypatch.setattr(protocol, "trace_norm", lambda a: gaps.append(a) or trace_norm(a))
+def test_storage_dwell_discipline():
     p_state = np.diag([0.9, 0.1]).astype(complex)
     nat = kraus_to_superop(amplitude_damping_kraus(0.3)).natural()
-    store = _Storage(p_state, nat, storage_T=5, dwell_target=0.5)
-    # prefilled draws are the fixed point itself, whose dwell gap is exactly 0
+    store = _Storage(p_state, nat, storage_T=5)
+    # prefilled draws are the fixed point itself
     assert store.dequeue() is p_state
-    store.enqueue(np.diag([0.2, 0.8]).astype(complex))
+    returned = np.diag([0.2, 0.8]).astype(complex)
+    store.enqueue(returned)
     # not yet dwelled: prefilled supply is used instead
+    for _ in range(4):
+        store.tick()
     assert store.dequeue() is p_state
-    assert store.drawn == 2 and gaps == []
-    for _ in range(6):
-        store.tick()
-    out = store.dequeue()  # the recycled entry, relaxed for 6 layers
+    store.tick()
+    # the recycled entry, relaxed for exactly storage_T layers at its draw
+    out = store.dequeue()
+    want = (np.linalg.matrix_power(nat, 5) @ returned.reshape(4)).reshape(2, 2)
+    assert np.max(np.abs(out - want)) <= 1e-15
     assert not np.allclose(out, p_state)
-    assert store.drawn == 3 and len(gaps) == 1
+    assert store.dequeue() is p_state
+    assert store.drawn == 4
 
 
-def test_storage_dwell_assertion_fires():
-    p_state = np.diag([0.9, 0.1]).astype(complex)
-    nat = np.eye(4)  # no relaxation at all
-    store = _Storage(p_state, nat, storage_T=1, dwell_target=1e-3)
-    store.enqueue(np.diag([0.2, 0.8]).astype(complex))
-    for _ in range(2):
-        store.tick()
-    with pytest.raises(SimulationError):
-        store.dequeue()
+class _PolicyRan(Exception):
+    pass
+
+
+def test_uncertified_storage_time_raises_before_any_cycle(monkeypatch):
+    # AD(0.3) at R = 1, D' = 60 needs 45 layers (the searched storage_T) for
+    # diamond_upper(N^T, C_P) to meet the dwell target
+    channel = kraus_to_superop(amplitude_damping_kraus(0.3))
+
+    def policy(*args):
+        raise _PolicyRan
+
+    monkeypatch.setattr(protocol, "_run_policy", policy)
+    with pytest.raises(SimulationError, match="storage time 44 leaves stored qubits"):
+        run_refrigerator_protocol(ProtocolConfig(d_prime=60, r_block=1, storage_T=44), channel)
+    with pytest.raises(_PolicyRan):
+        run_refrigerator_protocol(ProtocolConfig(d_prime=60, r_block=1, storage_T=45), channel)
+    # D' - 1 recycles in the last cycle; D' or more recycles no draw, so it
+    # needs no certificate
+    with pytest.raises(SimulationError, match="storage time 4 leaves stored qubits"):
+        run_refrigerator_protocol(ProtocolConfig(d_prime=5, r_block=1, storage_T=4), channel)
+    with pytest.raises(_PolicyRan):
+        run_refrigerator_protocol(ProtocolConfig(d_prime=5, r_block=1, storage_T=5), channel)
 
 
 def test_thermal_channel_full_pipeline():
@@ -148,11 +164,8 @@ class _AgedEveryCycle(_Storage):
         self.drawn += 1
         if self.entries and self.entries[0][1] >= self.storage_T:
             state, _ = self.entries.popleft()
-        else:
-            state = self.p_state
-        if trace_norm(state - self.p_state) >= self.dwell_target:
-            raise SimulationError("dequeued qubit is too far from the fixed point")
-        return state
+            return state
+        return self.p_state
 
 
 def _recording(storage_cls, recycled):
@@ -377,6 +390,48 @@ def test_marginal_simulation_matches_joint_register(thermal, gamma, excited, r, 
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@settings(max_examples=8)
+@given(
+    kind=st.sampled_from(["thermal", "amplitude_damping", "hadamard_amplitude_damping"]),
+    gamma=st.floats(0.3, 0.5),
+    excited=st.floats(0.02, 0.15),
+    r=st.integers(1, 3),
+    cycles=st.integers(20, 60),
+    theta=st.floats(0, np.pi),
+    phi=st.floats(0, 2 * np.pi),
+)
+def test_prefilled_run_is_powers_of_the_logical_channel(kind, gamma, excited, r, cycles, theta, phi):
+    # with storage_T above D' every draw is prefilled, so both ancillas are
+    # the kernel's reset marginal a of a prefilled block, and a cycle is the
+    # qubit channel L = (the read map's sigma rows) W (I (x) vec a (x) vec a)
+    # on the logical qubit: cycle t's fidelity is <psi|L^t(|psi><psi|)|psi>
+    kraus = thermal_kraus(gamma, excited) if kind == "thermal" else amplitude_damping_kraus(gamma)
+    u = _H if kind.startswith("hadamard") else np.eye(2)
+    channel = kraus_to_superop(KrausSet([u @ k @ u for k in kraus.ops]))
+    d_prime = cycles if r < 3 else min(cycles, 4)
+    cfg = ProtocolConfig(d_prime=d_prime, r_block=r, storage_T=d_prime + 1)
+    ket = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    calls = []
+
+    def recording(rho3, drawn, kernel, cycle):
+        calls.append((drawn, kernel, cycle))
+        return cycle_joint(rho3, drawn, kernel, cycle)
+
+    want = _policy_records(channel, cfg, ket, recording)[0, :, 0]
+    got = _policy_records(channel, cfg, ket)[0, :, 0]
+    drawn, kernel, cycle = calls[0]
+    assert all(np.array_equal(later, drawn) for later, _, _ in calls)
+    reset = kernel(np.array(drawn[:r]))[0].reshape(4, 1)
+    logical = cycle.read[:4] @ cycle.write @ np.kron(np.eye(4), np.kron(reset, reset))
+    sigma = np.outer(ket, ket.conj()).reshape(4)
+    predicted = []
+    for _ in range(d_prime):
+        sigma = logical @ sigma
+        predicted.append((np.kron(ket.conj(), ket) @ sigma).real)
+    assert np.max(np.abs(np.array(predicted) - want)) <= 1e-12
+    assert np.max(np.abs(np.array(predicted) - got)) <= 1e-12
+
+
 @settings(max_examples=60)
 @given(
     kind=st.sampled_from(["thermal", "amplitude_damping", "hadamard_amplitude_damping", "haar_thermal"]),
@@ -403,7 +458,7 @@ def test_compiled_cycle_matches_the_dense_oracle(kind, gamma, excited, seed):
     want_rho, want_garbage = cycle_stale_dense(rho3, ancillas, nat)
     assert np.max(np.abs(got_rho - want_rho)) <= 1e-12
     assert np.max(np.abs(np.array(got_garbage) - np.array(want_garbage))) <= 1e-12
-    [got] = protocol._records(got_rho[None], cycle.observable)
+    [got] = protocol._records(got_rho[None], cycle.fidelity)
     want = record_dense(1, got_rho, ket)
     assert abs(got.logical_fidelity - want.logical_fidelity) <= 1e-12
     assert abs(got.entropy_bits - want.entropy_bits) <= 1e-12
