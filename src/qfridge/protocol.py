@@ -14,14 +14,26 @@ single-qubit marginal, and within a cycle that is exact.  Each cooling block
 is in product with the data and with the other block, the correction touches
 only a block's reset qubit, and the other block qubits take only local noise.
 So the data state and every marginal returned to storage equal what one
-joint register of the data and all 2R drawn qubits would give.  Across
-cycles it is not exact: storage keeps only each returned qubit's marginal,
-but a syndrome qubit leaves correlated with the data, and a recycled draw
-has lost that correlation (up to 3e-9 in fidelity, measured at R = 1 against
-a register of the data and every recycled qubit in flight).  A run certifies
-its storage time T once: diamond_upper(N^T, C_P) below the dwell target.  N
-fixes its fixed point, so N^k - C_P = N^(k-T) (N^T - C_P), and the bound at
-T holds at every dwell k >= T and bounds each drawn marginal's gap.
+joint register of the data and all 2R drawn qubits would give.
+
+Storage is a fixed-dwell shift.  A refrigerated cycle draws 2R qubits and
+returns 2R (two syndromes, then 2(R - 1) wastes), so every recycled draw
+dwells exactly max(T, 1) layers: cycle i draws what cycle i - max(T, 1)
+returned, in order, aged by one matrix power, and earlier cycles draw the
+prefilled fixed point.  A run certifies T once: diamond_upper(N^T, C_P)
+below the dwell target, the bound every recycled draw uses (at T = 0 a draw
+dwells one layer, and N (N^0 - C_P) is no larger).
+
+Across cycles the model is not exact: storage keeps each returned qubit's
+marginal, so a recycled syndrome qubit has lost its correlation with the
+data.  With delta = diamond_upper(N^dwell, C_P), replace the recycled
+draws' N^dwell by C_P one at a time, latest first.  Each replacement moves
+the joint state of the data and every stored qubit, and the model's data
+state, by at most delta in trace norm, and the rest of the run is one fixed
+channel on the data in both, as every later draw is already C_P.  With all
+replaced, every draw is a fresh fixed point, where the model is exact.  So
+each recycled draw moves a record's fidelity by at most delta (delta / 2 on
+each side), and k draws by at most k delta.
 
 Storage qubits relax toward the channel's fixed point.  The protocol rotates
 each drawn qubit so that point lands on |0>; the fridge cools in its own
@@ -30,11 +42,11 @@ once per run.
 
 Every cooling block, its drawn states diagonal or carrying coherences (as
 recycled syndrome garbage does), is cooled exactly by `fridge.MarginalKernel`,
-compiled once per run, without its 2^R x 2^R state.  The byte check holds
-the blocks and the records to the budget (R times
-`densim.population_bytes(R)`, and D' 8 x 8 data states), not the run's fixed
-~0.27 MB of compiled maps and interpreter objects (272 KB at R = 1 by
-tracemalloc).
+compiled once per run, without its 2^R x 2^R state.  The byte checks hold
+the records, the blocks and storage to the budget (D' 8 x 8 data states, R
+times `densim.population_bytes(R)`, and 64 bytes per stored qubit), not the
+run's fixed ~0.27 MB of compiled maps and interpreter objects (272 KB at
+R = 1 by tracemalloc).
 
 The code circuit is :func:`densim.repetition_code` on data qubits 0..2, and
 a correction is its decoder D, a swap of the two syndrome qubits with the
@@ -55,7 +67,6 @@ exact for every channel and every logical ket.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -118,41 +129,6 @@ class ProtocolResult:
     throughput_bound: int
     fridge: FridgeSpec
     code_frame: str  # always FRAME_BIT_FLIP until a logical-channel witness picks the frame
-
-
-class _Storage:
-    """FIFO of single-qubit states relaxing toward the fixed point.
-
-    Prefilled with an unbounded supply of fixed-point states: a prefilled
-    draw returns ``p_state`` itself.  Recycled entries only requalify after
-    dwelling storage_T noise layers, a dwell the run certifies once.  Every
-    dequeue (prefilled or recycled) counts toward the throughput ledger.  An
-    entry is aged only when it is drawn: the noise layers it sat through are
-    applied then, as one matrix power.
-    """
-
-    def __init__(self, p_state, nat_layer, storage_T):
-        self.p_state = p_state
-        self.nat_layer = nat_layer
-        self.storage_T = storage_T
-        self.entries = deque()  # (state, layer count at enqueue), oldest first
-        self.layers = 0
-        self.drawn = 0
-
-    def tick(self) -> None:
-        """Count one noise layer."""
-        self.layers += 1
-
-    def enqueue(self, state: np.ndarray) -> None:
-        self.entries.append((np.asarray(state, dtype=complex), self.layers))
-
-    def dequeue(self) -> np.ndarray:
-        self.drawn += 1
-        if not self.entries or self.layers - self.entries[0][1] < self.storage_T:
-            return self.p_state
-        state, enqueued = self.entries.popleft()
-        aged = np.linalg.matrix_power(self.nat_layer, self.layers - enqueued)
-        return (aged @ state.reshape(4)).reshape(2, 2)
 
 
 def _renorm(rho):
@@ -221,39 +197,37 @@ def run_refrigerator_protocol(
     """Run the refrigerated-memory loop and its stale-ancilla baseline.
 
     Asserts the refrigerated run's final logical fidelity is at least the
-    baseline's and that storage throughput stays within n' R D'.  A pinned
-    storage_T below D' recycles draws, so it must meet the dwell target by
-    ``diamond_upper``, checked before any cycle; a searched one meets it by
-    construction.  The seed is accepted for interface uniformity; the
-    evolution itself is deterministic.
+    baseline's and that storage throughput stays within n' R D'.  The
+    logical ket is any 2-vector of finite, nonzero norm.  Cycle i draws what
+    cycle i - max(storage_T, 1) returned, so a pinned storage_T below D'
+    recycles draws and must meet the dwell target by ``diamond_upper``,
+    checked before any cycle; a searched one meets it by construction.  The
+    seed is accepted for interface uniformity; the evolution itself is
+    deterministic.
     """
     verdict = classify(channel)
     if verdict.kind != NON_UNITAL_CLASS:
         raise SimulationError("refrigerator protocol needs a non-unital channel")
     if cfg.mode not in (MODE_EXACT, MODE_FACTORIZED):
         raise SimulationError(f"unknown simulation mode {cfg.mode!r}")
-    # a policy keeps every cycle's 8 x 8 complex data state for its records
-    check_memory(cfg.d_prime * 64 * 16, f"a run of {cfg.d_prime} cycles")
-
     if logical_ket is None:
         # |1> opposes the (rotated) noise fixed point, so it is the state the
         # noise actively attacks; |+> would be invariant under logical X and
         # mask ancilla quality entirely
         logical_ket = np.array([0, 1], dtype=complex)
-    logical_ket = np.asarray(logical_ket, dtype=complex)
-    logical_ket = logical_ket / np.linalg.norm(logical_ket)
+    ket = np.asarray(logical_ket, dtype=complex)
+    norm = np.linalg.norm(ket) if ket.shape == (2,) else 0.0
+    if not (np.isfinite(norm) and norm > 0):
+        raise ValueError(f"logical ket {logical_ket!r} must be a 2-vector of finite, nonzero norm")
+    logical_ket = ket / norm
+    # a policy keeps every cycle's 8 x 8 complex data state for its records
+    check_memory(cfg.d_prime * 64 * 16, f"a run of {cfg.d_prime} cycles")
 
     w = verdict.fixed_point.w
     purity = float(np.linalg.norm(w))
     q_bias = max(0.0, (1 - purity) / 2)
     r = cfg.r_block if cfg.r_block is not None else choose_R(q_bias, cfg.eps2)
     check_memory(r * population_bytes(r), f"a protocol cooling block of {r} qubits")
-    rho_p = bloch_to_density(w)
-    eigvals, eigvecs = np.linalg.eigh(rho_p)
-    pre_rot = eigvecs[:, ::-1].conj().T  # rotate the fixed point onto |0>
-    kernel = MarginalKernel(build_cooling_circuit(q_bias, r))
-    rho0, cycle = _compile_data_cycle(channel.natural(), logical_ket)
-
     storage_t = cfg.storage_T
     if storage_t is None:
         storage_t = relaxation_time(channel, cfg.dwell_target(r)).steps
@@ -264,6 +238,13 @@ def run_refrigerator_protocol(
                 f"storage time {storage_t} leaves stored qubits {gap} from the fixed point, "
                 f"target {cfg.dwell_target(r)}"
             )
+    stored = _stored_cycles(cfg.d_prime, storage_t) * 2 * r
+    check_memory(stored * 64, f"a storage house of {stored} qubits")
+    rho_p = bloch_to_density(w)
+    eigvals, eigvecs = np.linalg.eigh(rho_p)
+    pre_rot = eigvecs[:, ::-1].conj().T  # rotate the fixed point onto |0>
+    kernel = MarginalKernel(build_cooling_circuit(q_bias, r))
+    rho0, cycle = _compile_data_cycle(channel.natural(), logical_ket)
 
     refrig, thru = _run_policy(cfg, kernel, pre_rot, cycle, rho0, rho_p, storage_t, POLICY_REFRIGERATED)
     stale, _ = _run_policy(cfg, kernel, pre_rot, cycle, rho0, rho_p, storage_t, POLICY_STALE)
@@ -288,28 +269,36 @@ def run_refrigerator_protocol(
     )
 
 
+def _stored_cycles(d_prime, storage_t):
+    """How many cycles' returns storage holds at once: cycle i's until cycle
+    i + max(T, 1) draws them, and none that no cycle draws."""
+    dwell = max(storage_t, 1)
+    return max(0, min(dwell, d_prime - dwell))
+
+
 def _run_policy(cfg, kernel, pre_rot, cycle, rho, rho_p, storage_t, policy):
     r = kernel.spec.r_block
-    storage = _Storage(rho_p, cycle.nat, storage_t)
-    rotated_p = pre_rot @ rho_p @ pre_rot.conj().T
-
-    def draw():
-        state = storage.dequeue()
-        return rotated_p if state is rho_p else pre_rot @ state @ pre_rot.conj().T
-
+    refrigerated = policy == POLICY_REFRIGERATED
+    dwell = max(storage_t, 1)
+    prefilled = np.broadcast_to(pre_rot @ rho_p @ pre_rot.conj().T, (2 * r, 2, 2))
+    aged = np.linalg.matrix_power(cycle.nat, dwell)
+    # stored[i % dwell] holds cycle i's returns until cycle i + dwell draws them
+    stored = np.empty((_stored_cycles(cfg.d_prime, storage_t) if refrigerated else 0, 2 * r, 2, 2), dtype=complex)
     stale_ancillas = [ZERO, ZERO]  # first cycle runs on fresh |0> qubits
     states = np.empty((cfg.d_prime, 8, 8), dtype=complex)
     for i in range(cfg.d_prime):
-        if policy == POLICY_REFRIGERATED:
-            drawn = [draw() for _ in range(2 * r)]
+        if refrigerated:
+            slot = i % dwell
+            drawn = prefilled
+            if i >= dwell:  # stacked matrix-vector products: bit for bit per-state aging
+                drawn = pre_rot @ (aged @ stored[slot].reshape(-1, 4, 1)).reshape(-1, 2, 2) @ pre_rot.conj().T
             rho, returned = _cycle_factorized(rho, drawn, kernel, cycle)
-            for m in returned:
-                storage.enqueue(m)
+            if i + dwell < cfg.d_prime:
+                stored[slot] = returned
         else:
             rho, stale_ancillas = _cycle_stale(rho, stale_ancillas, cycle)
         rho = states[i] = _renorm(rho)
-        storage.tick()
-    return _records(states, cycle.fidelity), storage.drawn
+    return _records(states, cycle.fidelity), 2 * r * cfg.d_prime if refrigerated else 0
 
 
 def _cycle_factorized(rho3, drawn, kernel, cycle):

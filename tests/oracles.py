@@ -7,17 +7,20 @@ block-size searches, the protocol's data-side cycle and record on the
 unitaries, an EPR register, conditional entropy, Bloch read-out, two Kraus
 constructors, direct channel application to a Bloch vector or a matrix and
 composition, the stockpile run on its full register, the EPR storage run one
-step at a time, and the entropy margins and bounds-experiment sample loop
-one state pair at a time: the tests build inputs and check results with
-them, while the program works on index maps, one population gather, a
-block's marginals gathered from two half-block products, natural reps,
-PTMs, the channel's class, the touched qubits, a data-side cycle compiled
-into one read and one write map on the decoded logical qubit, and stacks of
-state pairs and of storage steps only.
+step at a time, the entropy margins and bounds-experiment sample loop one
+state pair at a time, the protocol's storage house as a FIFO aged every
+layer, and its R = 1 run on one register of the data and every stored qubit:
+the tests build inputs and check results with them, while the program works
+on index maps, one population gather, a block's marginals gathered from two
+half-block products, natural reps, PTMs, the channel's class, the touched
+qubits, a data-side cycle compiled into one read and one write map on the
+decoded logical qubit, a fixed-dwell shift of single-qubit marginals, and
+stacks of state pairs and of storage steps only.
 """
 
 import bisect
 import math
+from collections import deque
 from functools import reduce
 from typing import Sequence
 
@@ -37,6 +40,7 @@ from qfridge.densim import (
     QRegister,
     GateLayer,
     SimulationError,
+    apply_unitary,
     compile_layers,
     dephase_all,
     entropy_bits,
@@ -396,3 +400,74 @@ def bounds_margins_loop(dim: int, samples: int, seed: int, mode: str) -> list:
         a, b = random_state(), random_state()
         margins.append((pair_pinsker_margin(a, b), pair_concavity_margin(a, b, rng.random(), mode)))
     return margins
+
+
+class AgedEveryCycle:
+    """The protocol's storage house as a FIFO of single-qubit states: `tick`
+    takes one noise layer on every entry, and a draw takes the oldest entry
+    once it has dwelled storage_T layers, else the fixed point ``p_state``
+    itself.  Every draw counts in ``drawn``."""
+
+    def __init__(self, p_state, nat_layer, storage_T):
+        self.p_state = p_state
+        self.nat_layer = nat_layer
+        self.storage_T = storage_T
+        self.entries = deque()  # (state, layers dwelled), oldest first
+        self.drawn = 0
+
+    def tick(self):
+        self.entries = deque(
+            ((self.nat_layer @ state.reshape(4)).reshape(2, 2), age + 1) for state, age in self.entries
+        )
+
+    def enqueue(self, state):
+        self.entries.append((np.asarray(state, dtype=complex), 0))
+
+    def dequeue(self):
+        self.drawn += 1
+        if self.entries and self.entries[0][1] >= self.storage_T:
+            return self.entries.popleft()[0]
+        return self.p_state
+
+
+def _move_qubits(rho: np.ndarray, order: Sequence[int]) -> np.ndarray:
+    """rho with its qubits reordered: new qubit k is old qubit order[k]."""
+    n = len(order)
+    axes = list(order) + [n + q for q in order]
+    return rho.reshape((2,) * 2 * n).transpose(axes).reshape(2**n, 2**n)
+
+
+def protocol_joint_fidelities(rho3, logical_ket, pre_rot, rho_p, spec: FridgeSpec, nat, storage_T, d_prime):
+    """Per-cycle logical fidelity of the protocol's refrigerated run at R = 1,
+    exact across cycles: one register holds the data (qubits 0..2) and, in
+    return order, every returned qubit that a later cycle draws.  Cycle i
+    draws the two oldest stored qubits once i >= max(storage_T, 1), else two
+    fresh fixed points; each drawn qubit is rotated into the fridge's basis
+    and permuted as a one-qubit block, the correction runs on the data and
+    the two drawn qubits with the noise pass on every qubit in the register,
+    and each returned syndrome a later cycle draws takes one more noise
+    layer, as every stored qubit does each cycle.  So a recycled draw keeps
+    its correlation with the data, which the marginal model drops."""
+    assert spec.r_block == 1
+    dwell = max(storage_T, 1)
+    fridge_u = permutation_unitary(spec) @ pre_rot
+    encode, decode = repetition_code((0, 1, 2))
+    swap = NAMED_GATES["SWAP"]
+    layers = decode + [GateLayer([(swap, (1, 3)), (swap, (2, 4))])] + encode
+    rho, n = rho3, 3
+    fidelities = []
+    for i in range(d_prime):
+        if i < dwell:
+            # two fresh fixed points, moved in front of the stored qubits
+            rho = _move_qubits(np.kron(np.kron(rho, rho_p), rho_p), [0, 1, 2, n, n + 1, *range(3, n)])
+            n += 2
+        for q in (3, 4):
+            rho = apply_unitary(rho, fridge_u, [q], n)
+        rho = evolve(rho, layers, n, nat)
+        if i + dwell < d_prime:
+            rho = _move_qubits(evolve(rho, [], n, nat, noisy=[3, 4]), [0, 1, 2, *range(5, n), 3, 4])
+        else:
+            rho = partial_trace(rho, [0, 1, 2, *range(5, n)], n)
+            n -= 2
+        fidelities.append(record_dense(i + 1, partial_trace(rho, [0, 1, 2], n), logical_ket).logical_fidelity)
+    return np.array(fidelities)

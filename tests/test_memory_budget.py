@@ -67,12 +67,16 @@ def _noisy_fridge_over_cap():
      "a protocol cooling block of 20 qubits"),
     (["experiment", "fridge_protocol", {"p": 0.05, "cycles": 2**21 + 1, "r_block": 1, "storage_T": 0}],
      "a run of 2097153 cycles"),
+    # the records (1.84 GB) and the blocks (1.28 GB) fit; storage holds
+    # 900,000 cycles' 38 returns at 64 bytes each (2.19 GB)
+    (["experiment", "fridge_protocol", {"p": 0.05, "cycles": 1_800_000, "r_block": 19, "storage_T": 900_000}],
+     "a storage house of 34200000 qubits"),
     (["fridge", "--q", "0.1", "--r", "13", "--noise", "NOISE"], "a dense cooling block of 13 qubits"),
     (["fridge", "--q", "0.1", "--r", "25"], "a cooling block of 25 qubits"),
     (["experiment", "bounds", {"p": 0.1, "n": 4, "dim": 4379, "samples": 1}], "a bounds sample of dimension 4379"),
     (_register_over_cap, "a register of 13 qubits"),
     (_noisy_fridge_over_cap, "a dense cooling block of 13 qubits"),
-], ids=["stockpile", "depol_decay", "protocol", "protocol_cycles", "noisy_fridge", "ideal_fridge", "bounds_dim",
+], ids=["stockpile", "depol_decay", "protocol", "protocol_cycles", "protocol_storage", "noisy_fridge", "ideal_fridge", "bounds_dim",
         "register", "noisy_fridge_api"])
 def test_one_size_over_its_cap_exits_2_before_allocating(tmp_path, args, what):
     if callable(args):

@@ -1,7 +1,6 @@
 """Refrigerated-memory protocol: cycles, storage discipline, baselines, and
 the marginal simulation against a joint-register oracle."""
 
-from collections import deque
 from contextlib import suppress
 from functools import reduce
 
@@ -15,9 +14,13 @@ from qfridge.channels import (
     KrausSet,
     amplitude_damping_kraus,
     dephasing_kraus,
+    diamond_upper,
     kraus_to_superop,
+    power,
+    replacement_channel,
     thermal_kraus,
 )
+from qfridge.classify import classify
 from qfridge.densim import (
     NAMED_GATES,
     GateLayer,
@@ -31,11 +34,21 @@ from qfridge.fridge import MarginalKernel, build_cooling_circuit
 from qfridge.protocol import (
     N_PRIME,
     ProtocolConfig,
-    _Storage,
     run_refrigerator_protocol,
 )
 
-from oracles import apply_permutation, cycle_stale_dense, permutation_unitary, random_unitary, record_dense
+from oracles import (
+    AgedEveryCycle,
+    apply_permutation,
+    cycle_stale_dense,
+    permutation_unitary,
+    protocol_joint_fidelities,
+    random_unitary,
+    record_dense,
+)
+
+
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def test_rejects_unital_channel():
@@ -91,28 +104,6 @@ def test_exact_and_factorized_agree_on_minimal_instance(monkeypatch):
         assert abs(a.logical_fidelity - b.logical_fidelity) <= 1e-12
 
 
-def test_storage_dwell_discipline():
-    p_state = np.diag([0.9, 0.1]).astype(complex)
-    nat = kraus_to_superop(amplitude_damping_kraus(0.3)).natural()
-    store = _Storage(p_state, nat, storage_T=5)
-    # prefilled draws are the fixed point itself
-    assert store.dequeue() is p_state
-    returned = np.diag([0.2, 0.8]).astype(complex)
-    store.enqueue(returned)
-    # not yet dwelled: prefilled supply is used instead
-    for _ in range(4):
-        store.tick()
-    assert store.dequeue() is p_state
-    store.tick()
-    # the recycled entry, relaxed for exactly storage_T layers at its draw
-    out = store.dequeue()
-    want = (np.linalg.matrix_power(nat, 5) @ returned.reshape(4)).reshape(2, 2)
-    assert np.max(np.abs(out - want)) <= 1e-15
-    assert not np.allclose(out, p_state)
-    assert store.dequeue() is p_state
-    assert store.drawn == 4
-
-
 class _PolicyRan(Exception):
     pass
 
@@ -148,57 +139,157 @@ def test_thermal_channel_full_pipeline():
     assert result.margin >= -1e-12
 
 
-class _AgedEveryCycle(_Storage):
-    """Oracle: every entry takes one noise layer on each tick, and a draw
-    takes the oldest entry as it stands (entries hold their age in layers)."""
+def _refrigerated_traffic(channel, cfg, ket=None):
+    """Run the protocol, its verdict left out as in `_policy_records`, and
+    return the arguments of its refrigerated `_run_policy` call, that run's
+    (records, throughput), each of its cycles' (drawn, returned) states and
+    the (bytes, what) of each memory check."""
+    runs, traffic, checks = [], [], []
+    run_policy, cycle_factorized, check_memory = protocol._run_policy, protocol._cycle_factorized, protocol.check_memory
 
-    def tick(self):
-        self.entries = deque(
-            ((self.nat_layer @ state.reshape(4)).reshape(2, 2), age + 1) for state, age in self.entries
-        )
+    def recording_policy(*args):
+        runs.append((args, run_policy(*args)))
+        return runs[-1][1]
 
-    def enqueue(self, state):
-        self.entries.append((np.asarray(state, dtype=complex), 0))
+    def recording_cycle(rho3, drawn, kernel, cycle):
+        rho, returned = cycle_factorized(rho3, drawn, kernel, cycle)
+        traffic.append((np.array(drawn), np.array(returned)))
+        return rho, returned
 
-    def dequeue(self):
-        self.drawn += 1
-        if self.entries and self.entries[0][1] >= self.storage_T:
-            state, _ = self.entries.popleft()
-            return state
-        return self.p_state
+    def recording_check(nbytes, what):
+        checks.append((nbytes, what))
+        check_memory(nbytes, what)
 
-
-def _recording(storage_cls, recycled):
-    """storage_cls that appends, per draw, whether it came from a recycled entry."""
-
-    class Recording(storage_cls):
-        def dequeue(self):
-            state = super().dequeue()
-            recycled.append(state is not self.p_state)
-            return state
-
-    return Recording
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_run_policy", recording_policy)
+        mp.setattr(protocol, "_cycle_factorized", recording_cycle)
+        mp.setattr(protocol, "check_memory", recording_check)
+        with suppress(SimulationError):
+            run_refrigerator_protocol(cfg, channel, logical_ket=ket)
+    args, run = runs[0]
+    return args, run, traffic, checks
 
 
-def test_recycled_draws_match_per_cycle_aging(monkeypatch):
-    # storage_T (searched: 45) is below D' = 60, so the last cycles draw
-    # qubits that went back to storage earlier in the run
-    channel = kraus_to_superop(amplitude_damping_kraus(0.3))
-    cfg = ProtocolConfig(d_prime=60, r_block=1)
-    runs = {}
-    for name, storage_cls in (("draw_time", _Storage), ("every_cycle", _AgedEveryCycle)):
-        recycled = []
-        monkeypatch.setattr(protocol, "_Storage", _recording(storage_cls, recycled))
-        runs[name] = run_refrigerator_protocol(cfg, channel), recycled
-    result, recycled = runs["draw_time"]
-    assert result.storage_T == 45
-    assert sum(recycled) == 2 * (cfg.d_prime - result.storage_T)
-    assert runs["every_cycle"][1] == recycled
-    oracle = runs["every_cycle"][0]
-    for policy in ("refrigerated", "stale"):
-        for got, want in zip(getattr(result, policy), getattr(oracle, policy)):
-            assert abs(got.logical_fidelity - want.logical_fidelity) <= 1e-12
-            assert abs(got.entropy_bits - want.entropy_bits) <= 1e-12
+def _fidelities_and_entropies(records):
+    return np.array([(rec.logical_fidelity, rec.entropy_bits) for rec in records])
+
+
+_AD03 = kraus_to_superop(amplitude_damping_kraus(0.3))
+_STORAGE_RUNS = {
+    # storage_T (searched: 45) is below D' = 60: the last 15 cycles recycle
+    "searched": (_AD03, ProtocolConfig(d_prime=60, r_block=1), 45),
+    # from cycle 17 on every block is cooled from recycled draws that carry
+    # coherences in the fridge's basis
+    "hadamard_r13": (
+        kraus_to_superop(KrausSet([_H @ k @ _H for k in amplitude_damping_kraus(0.7).ops])),
+        ProtocolConfig(d_prime=20, r_block=13, storage_T=16),
+        16,
+    ),
+    # storage_T 0 still dwells one layer: cycle i draws cycle i - 1's returns
+    "dwell_one": (
+        kraus_to_superop(amplitude_damping_kraus(0.9)),
+        ProtocolConfig(d_prime=12, r_block=1, eps1=200, storage_T=0),
+        0,
+    ),
+    # storage_T = D' recycles nothing, so storage holds nothing
+    "no_recycling": (_AD03, ProtocolConfig(d_prime=20, r_block=2, storage_T=20), 20),
+}
+
+
+@pytest.mark.parametrize("channel, cfg, storage_t", _STORAGE_RUNS.values(), ids=_STORAGE_RUNS.keys())
+def test_draws_match_a_fifo_aged_every_layer(channel, cfg, storage_t):
+    args, (records, throughput), traffic, checks = _refrigerated_traffic(channel, cfg)
+    _, kernel, pre_rot, cycle, _, rho_p, run_storage_t, _ = args
+    r = kernel.spec.r_block
+    dwell = max(storage_t, 1)
+    assert run_storage_t == storage_t
+    assert throughput == 2 * r * cfg.d_prime
+    # storage is checked for the returns of min(dwell, D' - dwell) cycles
+    stored = max(0, min(dwell, cfg.d_prime - dwell)) * 2 * r
+    assert (stored * 64, f"a storage house of {stored} qubits") in checks
+    # the oracle is fed the run's returns and drawn from as the run draws
+    fifo = AgedEveryCycle(rho_p, cycle.nat, storage_t)
+    prefilled = pre_rot @ rho_p @ pre_rot.conj().T
+    recycled = 0
+    for drawn, returned in traffic:
+        for got in drawn:
+            want = fifo.dequeue()
+            if want is fifo.p_state:
+                assert np.array_equal(got, prefilled)
+            else:
+                recycled += 1
+                # aged once by N^dwell against dwell single layers
+                assert np.max(np.abs(got - pre_rot @ want @ pre_rot.conj().T)) <= (0 if dwell == 1 else 1e-15)
+                assert not np.array_equal(got, prefilled)
+        for state in returned:
+            fifo.enqueue(state)
+        fifo.tick()
+    assert recycled == 2 * r * max(0, cfg.d_prime - dwell)
+    assert fifo.drawn == throughput
+
+    # a run whose storage is the oracle gives the same records
+    cycle_factorized = protocol._cycle_factorized
+
+    def fifo_cycle(rho3, drawn, kernel, cycle):
+        states = np.array([fifo.dequeue() for _ in drawn])
+        rho, returned = cycle_factorized(rho3, pre_rot @ states @ pre_rot.conj().T, kernel, cycle)
+        for state in returned:
+            fifo.enqueue(state)
+        fifo.tick()
+        return rho, returned
+
+    fifo = AgedEveryCycle(rho_p, cycle.nat, storage_t)
+    want = _policy_records(channel, cfg, None, fifo_cycle)[0]
+    assert np.max(np.abs(_fidelities_and_entropies(records) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("kraus, eps1", [
+    (amplitude_damping_kraus(0.9), 7.0),
+    (amplitude_damping_kraus(0.8), 15.0),
+    (thermal_kraus(0.8, 0.2), 15.0),
+], ids=["ad_0.9", "ad_0.8", "thermal"])
+@pytest.mark.parametrize("ket", [np.array([0, 1]), np.array([0.6, 0.8j])], ids=["one", "complex"])
+def test_recycling_stays_within_the_telescoping_bound(kraus, eps1, ket):
+    # at R = 1 and storage_T 2 the joint register holds at most 7 qubits;
+    # eps1 is raised until diamond_upper(N^2, C_P) meets the dwell target
+    channel = kraus_to_superop(kraus)
+    cfg = ProtocolConfig(d_prime=12, r_block=1, eps1=eps1, storage_T=2)
+    delta = diamond_upper(power(channel, 2), replacement_channel(classify(channel).fixed_point))
+    assert delta < cfg.dwell_target(1)
+    args, (records, _), _, _ = _refrigerated_traffic(channel, cfg, ket)
+    _, kernel, pre_rot, cycle, rho0, rho_p, storage_t, _ = args
+    model = _fidelities_and_entropies(records)[:, 0]
+    joint = protocol_joint_fidelities(rho0, ket, pre_rot, rho_p, kernel.spec, cycle.nat, storage_t, cfg.d_prime)
+    # cycle i (from 0) has made 2 (i - 1) recycled draws by its end
+    k = 2 * np.maximum(0, np.arange(cfg.d_prime) - 1)
+    assert np.all(np.abs(model - joint)[k == 0] <= 1e-12)
+    # the joint register sees the correlation the model drops
+    assert np.abs(model - joint).max() > 1e-12
+    assert np.all(np.abs(model - joint) <= k * delta + 1e-12)
+
+
+@pytest.mark.parametrize("ket", [
+    np.zeros(2),
+    np.array([np.nan, 1]),
+    np.array([np.inf, 0]),
+    np.array([1, 0, 0]),
+    np.eye(2),
+    1.0,
+], ids=["zero", "nan", "inf", "three", "matrix", "scalar"])
+def test_bad_logical_ket_raises_before_any_cycle(monkeypatch, ket):
+    def policy(*args):
+        raise _PolicyRan
+
+    monkeypatch.setattr(protocol, "_run_policy", policy)
+    with pytest.raises(ValueError, match="must be a 2-vector of finite, nonzero norm"):
+        run_refrigerator_protocol(ProtocolConfig(d_prime=5, r_block=1, storage_T=5), _AD03, logical_ket=ket)
+
+
+def test_unnormalised_ket_is_normalised():
+    cfg = ProtocolConfig(d_prime=5, r_block=1, storage_T=5)
+    got = _policy_records(_AD03, cfg, np.array([0, 3j]))
+    want = _policy_records(_AD03, cfg, np.array([0, 1]))
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 class _FirstBlock(Exception):
@@ -280,9 +371,6 @@ def test_coherent_draw_matches_the_joint_register():
     want_rho, want_marginals = cycle_joint(rho3, drawn, kernel, cycle)
     assert np.max(np.abs(got_rho - want_rho)) <= 1e-12
     assert np.max(np.abs(np.array(got_marginals) - np.array(want_marginals))) <= 1e-12
-
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 @pytest.mark.parametrize(
